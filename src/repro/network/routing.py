@@ -350,9 +350,14 @@ class TableRouting:
         self._memo.clear()
 
     # ------------------------------------------------------------------
-    def _hop_links(
+    def hop_links(
         self, router: int, dst_router: int
     ) -> tuple[tuple[Link, ...], Link | None]:
+        """``(BFS-minimal next links in out-link order, escape link)``.
+
+        The escape link is the first hop of ``topology.route_path``;
+        ``((), None)`` when ``router == dst_router``.  Memoized per pair.
+        """
         key = (router, dst_router)
         entry = self._hops.get(key)
         if entry is None:
@@ -372,7 +377,7 @@ class TableRouting:
     def _static_candidates(
         self, router: int, dst_router: int, vc_class: int
     ) -> tuple[tuple[VirtualChannel, ...], VirtualChannel | None]:
-        minimal, escape_link = self._hop_links(router, dst_router)
+        minimal, escape_link = self.hop_links(router, dst_router)
         adaptive: list[VirtualChannel] = []
         indices = self.vc_map.adaptive[vc_class]
         if indices and self.adaptive:
@@ -432,7 +437,7 @@ class TableRouting:
         row.
         """
         num_vcs = self.vc_map.num_vcs
-        minimal, escape_link = self._hop_links(router, dst_router)
+        minimal, escape_link = self.hop_links(router, dst_router)
         indices = self.vc_map.adaptive[vc_class] if self.adaptive else ()
         ids = tuple(
             link.lid * num_vcs + idx for link in minimal for idx in indices

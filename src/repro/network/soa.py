@@ -8,19 +8,20 @@ dateline flags, node-to-router map — and :func:`build_route_table`
 precomputes every routing-memo row in terms of *virtual-channel ids*
 (``lid * num_vcs + index``) instead of ``VirtualChannel`` objects, so
 the kernel's allocation scan can consult a candidate table and still
-make exactly the choices the reference engine makes.  Row contents come
-from the routing function's ``static_candidate_ids`` protocol method,
-so grid (:class:`~repro.network.routing.RoutingFunction`) and
-table-driven (:class:`~repro.network.routing.TableRouting`) routing
-export identically.
+make exactly the choices the reference engine makes.  The table is
+assembled with array operations from per-pair hop links (broadcast from
+per-dimension samples of ``productive_directions`` on grids, read from
+``TableRouting.hop_links`` elsewhere); its contract — checked key by key
+in ``tests/test_route_table.py`` — is that every key resolves to the
+routing function's ``static_candidate_ids`` row.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.network.routing import Routing, RoutingFunction
-from repro.network.topology import Topology
+from repro.network.routing import Routing, RoutingFunction, TableRouting
+from repro.network.topology import GridTopology, Topology
 
 
 class TopologySoA:
@@ -61,111 +62,144 @@ class TopologySoA:
 
 
 def build_route_table(
-    topology: Topology,
-    routing: Routing,
-    num_vcs: int,
-    stride: int,
+    soa: TopologySoA, routing: Routing, stride: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every routing-memo row, precomputed (``(rk_idx, rows)``).
 
-    Equivalent to calling ``routing.static_candidate_ids`` for every
-    reachable ``(router, dst_router, vc_class, crossed_mask)`` key.
-    Filling the table at fabric construction removes the route-miss
-    suspensions from the kernel's allocation phase, which otherwise
-    dominate the first tens of thousands of cycles (new keys keep
-    appearing as packets reach fresh (position, destination, dateline)
-    combinations).
+    ``rk_idx`` is indexed by the dense key
+    ``(((router * R + dst_router) * classes + vc_class) << ndim) | mask``
+    and holds a row number (-1 on the diagonal, which is never routed);
+    ``rows`` is the flat ``row * stride`` buffer of
+    ``[count, escape_id, candidate ids...]``.  Every off-diagonal key
+    resolves to exactly ``routing.static_candidate_ids(router,
+    dst_router, vc_class, mask)``.  Filling the table at fabric
+    construction means the kernel's allocation phase never misses: the
+    key space keeps producing fresh (position, destination, dateline)
+    combinations for tens of thousands of cycles.
 
-    For the grid :class:`~repro.network.routing.RoutingFunction` the
-    per-(router, destination) work — productive directions, output
-    links — is done once and shared across the class and mask axes
-    (only the escape choice depends on them).  Table routing has no
-    dateline machinery, so one row is shared across the whole mask axis.
+    Each distinct row is stored once.  A grid row depends on the mask
+    only through the escape channel's dateline class, so there are two
+    rows per (router, destination, class) and ``rk_idx`` picks between
+    them; table routing has no dateline machinery, so one.
     """
     if isinstance(routing, RoutingFunction):
-        return _build_grid_route_table(topology, routing, num_vcs, stride)
-    return _build_table_route_table(topology, routing, stride)
-
-
-def _build_grid_route_table(
-    topology, routing: RoutingFunction, num_vcs: int, stride: int
-) -> tuple[np.ndarray, np.ndarray]:
+        links = _grid_hop_links(routing.topology)
+        escape_link = links[:, 0]  # lowest dimension, +1 before -1
+        nrow = 2  # one row per dateline class of the escape channel
+    else:
+        links, escape_link = _table_hop_links(routing)
+        nrow = 1
     vc_map = routing.vc_map
-    adaptive = routing.adaptive
+    num_vcs = soa.num_vcs
+    R = soa.topology.num_routers
+    ndim = soa.topology.ndim
+    vcls = vc_map.num_classes
+    P = links.shape[0]  # off-diagonal (router, destination) pairs
+
+    rows = np.zeros((max(P, 1), vcls, nrow, stride), dtype=np.int32)
+    valid = links >= 0
+    n_links = valid.sum(axis=1, dtype=np.int32)
+    for cls in range(vcls):
+        block = rows[:P, cls]  # (P, nrow, stride) view
+        idx = np.array(
+            vc_map.adaptive[cls] if routing.adaptive else (), dtype=np.int32
+        )
+        m = len(idx)
+        block[:, :, 0] = (n_links * m)[:, None]
+        if m:
+            # Candidate order: hop links in order x the class's adaptive
+            # VC indices in order.
+            for s in range(links.shape[1]):
+                ids = np.where(
+                    valid[:, s, None], links[:, s, None] * num_vcs + idx, 0
+                )
+                block[:, :, 2 + s * m : 2 + (s + 1) * m] = ids[:, None, :]
+        pair = vc_map.escape[cls]
+        if pair is None:
+            block[:, :, 1] = -1
+        else:
+            for cls1 in range(nrow):
+                block[:, cls1, 1] = escape_link * num_vcs + pair[cls1]
+
+    row0 = (
+        np.arange(P, dtype=np.int32)[:, None] * vcls
+        + np.arange(vcls, dtype=np.int32)
+    ) * nrow
+    if nrow == 2:
+        # Dateline class 1 when the escape hop crosses the dateline or
+        # the packet already did in that dimension (the mask bit).
+        masks = np.arange(1 << ndim, dtype=np.int32)
+        row_of_mask = soa.link_dateline[escape_link][:, None] | (
+            (masks >> soa.link_dim[escape_link][:, None]) & 1
+        )
+    else:
+        row_of_mask = np.zeros((P, 1 << ndim), dtype=np.int32)
+    rk_idx = np.full((R * R, vcls << ndim), -1, dtype=np.int32)
+    rk_idx[~np.eye(R, dtype=bool).ravel()] = (
+        row0[:, :, None] + row_of_mask[:, None, :]
+    ).reshape(P, -1)
+    return rk_idx.reshape(-1), rows.reshape(-1)
+
+
+def _grid_hop_links(topology: GridTopology) -> np.ndarray:
+    """Productive out-link ids per off-diagonal (router, destination).
+
+    ``(R * (R - 1), 2 * ndim)`` in ``productive_directions`` order
+    (dimension ascending, +1 before -1), left-packed and -1 padded.  The
+    minimal-direction rule (ties included) is sampled from the topology
+    along one axis line per dimension — it is separable by dimension
+    and depends only on the two coordinates — then broadcast to every
+    pair, so it is stated in :mod:`repro.network.topology` only.
+    """
     R = topology.num_routers
     ndim = topology.ndim
-    vcls = vc_map.num_classes
-    nmask = 1 << ndim
-    n_rows = R * (R - 1) * vcls * nmask
-    rk_idx = np.full((R * R * vcls) << ndim, -1, dtype=np.int32)
-    rows = np.zeros((max(n_rows, 1), stride), dtype=np.int32)
-    mask_arr = np.arange(nmask, dtype=np.int32)
-    indices = [vc_map.adaptive[c] if adaptive else () for c in range(vcls)]
-    escape = [vc_map.escape[c] for c in range(vcls)]
-    row0 = 0
-    for r in range(R):
-        for dstr in range(R):
-            if dstr == r:
-                continue
-            dirs = topology.productive_directions(r, dstr)
-            links = [topology.out_link(r, d, s) for d, s, _ in dirs]
-            edim, edir, _ = min(dirs, key=lambda t: (t[0], -t[1]))
-            elink = topology.out_link(r, edim, edir)
-            # cls1 when the escape hop crosses the dateline or the
-            # packet already did in that dimension (the mask bit).
-            cls1 = elink.crosses_dateline | ((mask_arr >> edim) & 1)
-            for cls in range(vcls):
-                cands = [
-                    ln.lid * num_vcs + idx
-                    for ln in links
-                    for idx in indices[cls]
-                ]
-                block = rows[row0 : row0 + nmask]
-                block[:, 0] = len(cands)
-                if cands:
-                    block[:, 2 : 2 + len(cands)] = cands
-                pair = escape[cls]
-                if pair is None:
-                    block[:, 1] = -1
-                else:
-                    block[:, 1] = elink.lid * num_vcs + np.where(
-                        cls1, pair[1], pair[0]
-                    )
-                key0 = (((r * R + dstr) * vcls + cls)) << ndim
-                rk_idx[key0 : key0 + nmask] = np.arange(
-                    row0, row0 + nmask, dtype=np.int32
-                )
-                row0 += nmask
-    return rk_idx, rows.reshape(-1)
+    out_lid = np.full((R, 2 * ndim), -1, dtype=np.int32)
+    for ln in topology.links:
+        out_lid[ln.src, 2 * ln.dim + (ln.direction < 0)] = ln.lid
+    coords = np.array([topology.coords(r) for r in range(R)])
+    off = ~np.eye(R, dtype=bool)
+    src = np.nonzero(off)[0]
+    links = np.full((len(src), 2 * ndim), -1, dtype=np.int32)
+    filled = np.zeros(len(src), dtype=np.intp)
+    origin = [0] * ndim
+    for d, k in enumerate(topology.dims):
+        line = [
+            topology.router_id(origin[:d] + [a] + origin[d + 1 :])
+            for a in range(k)
+        ]
+        productive = np.zeros((2, k, k), dtype=bool)
+        for a in range(k):
+            for b in range(k):
+                for _, direction, _ in topology.productive_directions(
+                    line[a], line[b]
+                ):
+                    productive[int(direction < 0), a, b] = True
+        c = coords[:, d]
+        for minus in (0, 1):
+            sel = np.flatnonzero(productive[minus][c[:, None], c][off])
+            links[sel, filled[sel]] = out_lid[src[sel], 2 * d + minus]
+            filled[sel] += 1
+    return links
 
 
-def _build_table_route_table(
-    topology: Topology, routing: Routing, stride: int
-) -> tuple[np.ndarray, np.ndarray]:
-    vc_map = routing.vc_map
+def _table_hop_links(routing: TableRouting) -> tuple[np.ndarray, np.ndarray]:
+    """``TableRouting.hop_links`` per off-diagonal pair, as link ids.
+
+    The escape hop is whatever the topology's ``route_path`` discipline
+    says, pair by pair, so this stage stays one Python call per pair;
+    the substrates routed this way have tens of routers.
+    """
+    topology = routing.topology
     R = topology.num_routers
-    ndim = topology.ndim
-    vcls = vc_map.num_classes
-    nmask = 1 << ndim
-    n_rows = R * (R - 1) * vcls * nmask
-    rk_idx = np.full((R * R * vcls) << ndim, -1, dtype=np.int32)
-    rows = np.zeros((max(n_rows, 1), stride), dtype=np.int32)
-    row0 = 0
+    degree = max(len(topology.out_links(r)) for r in range(R))
+    links = np.full((R * (R - 1), degree), -1, dtype=np.int32)
+    escape_link = np.empty(R * (R - 1), dtype=np.int32)
+    p = 0
     for r in range(R):
-        for dstr in range(R):
-            if dstr == r:
-                continue
-            for cls in range(vcls):
-                # mask-invariant: fill the whole mask axis from one row.
-                cands, esc = routing.static_candidate_ids(r, dstr, cls, 0)
-                block = rows[row0 : row0 + nmask]
-                block[:, 0] = len(cands)
-                block[:, 1] = esc
-                if cands:
-                    block[:, 2 : 2 + len(cands)] = cands
-                key0 = (((r * R + dstr) * vcls + cls)) << ndim
-                rk_idx[key0 : key0 + nmask] = np.arange(
-                    row0, row0 + nmask, dtype=np.int32
-                )
-                row0 += nmask
-    return rk_idx, rows.reshape(-1)
+        for dst in range(R):
+            if dst != r:
+                minimal, escape = routing.hop_links(r, dst)
+                links[p, : len(minimal)] = [ln.lid for ln in minimal]
+                escape_link[p] = escape.lid
+                p += 1
+    return links, escape_link

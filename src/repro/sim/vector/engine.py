@@ -418,11 +418,14 @@ class VectorEngine(Engine):
         self._ni_phase = True
         interfaces = self.interfaces
         suppress = self._suppress
-        for node, flag in enumerate(due):
-            if flag:
-                self._ni_current = node
-                suppress[0] = node
-                self._step_node(interfaces[node], node, now)
+        # find() re-reads the live flags, so a node woken mid-sweep
+        # ahead of the current one (on_transaction_complete) is stepped.
+        node = due.find(1)
+        while node >= 0:
+            self._ni_current = node
+            suppress[0] = node
+            self._step_node(interfaces[node], node, now)
+            node = due.find(1, node + 1)
         suppress[0] = -1
         self._ni_phase = False
         self.fabric.step(now)

@@ -45,13 +45,10 @@ H_PN = 0
 H_EVN = 1
 H_OCC = 2
 H_BUSYN = 3
-H_MISS_IDX = 4
-H_MISS_SID = 5
 H_MISS_R = 6
 H_MISS_DSTR = 7
 H_MISS_CLS = 8
 H_MISS_MASK = 9
-H_SN = 10
 H_EV_OVF = 11
 
 # int64 counters (must match kernel.c).
@@ -262,7 +259,6 @@ class VectorFabric:
                 "topology size"
             )
         maxcand = routing.max_static_candidates()
-        self._stride = stride = 2 + maxcand
         # Claims convert free or reserved slots into held ones, so the
         # senders parked at one ejection port are bounded per class by
         # the queue capacity (plus the transient over-commit of
@@ -312,16 +308,10 @@ class VectorFabric:
         self._still = z(scap)
         self._qm_free = np.full(N * C, queue_capacity, dtype=np.int32)
         self._qm_res = z(N * C)
-        # Full route table up front: the key space keeps producing fresh
-        # (position, destination, dateline) combinations for tens of
-        # thousands of cycles, and each lazy miss costs a kernel
-        # suspension plus a Python row fill.  _fill_missing_row remains
-        # as a fallback but should never run.
+        # Complete route table up front; a kernel miss is an error.
         self._rk_idx, self._rows = build_route_table(
-            topology, routing, num_vcs, stride
+            self.soa, routing, 2 + maxcand
         )
-        self._row_count = self._rows.size // stride
-        self._row_cap = self._row_count
         self._ev = z(evcap * 3)
         self._inj_used = z(N)
         self._hdr = z(16)
@@ -430,45 +420,17 @@ class VectorFabric:
     def step(self, now: int) -> None:
         lib, k = self._lib, self._k
         lib.k_eject(k, now)
-        ret = lib.k_alloc(k, now, 0)
-        while ret == 2:
-            self._fill_missing_row()
-            ret = lib.k_alloc(k, now, int(self._hdr[H_MISS_IDX]))
+        if lib.k_alloc(k, now) == 2:
+            hdr = self._hdr
+            raise SimulationError(
+                "route table has no row for (router, destination, class, "
+                f"mask) = ({hdr[H_MISS_R]}, {hdr[H_MISS_DSTR]}, "
+                f"{hdr[H_MISS_CLS]}, {hdr[H_MISS_MASK]})"
+            )
         lib.k_links(k, now)
         if self._hdr[H_EV_OVF]:  # pragma: no cover - sized generously
             raise SimulationError("kernel event buffer overflow")
         self._drain_events(now)
-
-    def _fill_missing_row(self) -> None:
-        hdr = self._hdr
-        r = int(hdr[H_MISS_R])
-        dstr = int(hdr[H_MISS_DSTR])
-        cls = int(hdr[H_MISS_CLS])
-        mask = int(hdr[H_MISS_MASK])
-        adaptive, esc = self.routing.static_candidate_ids(r, dstr, cls, mask)
-        stride = self._stride
-        if len(adaptive) > stride - 2:  # pragma: no cover - sized to map
-            raise SimulationError("route row exceeds candidate capacity")
-        if self._row_count == self._row_cap:
-            self._row_cap *= 2
-            grown = np.zeros(self._row_cap * stride, dtype=np.int32)
-            grown[: self._rows.size] = self._rows
-            self._rows = grown
-            self._array_refs = self._array_refs[:35] + (grown,) + \
-                self._array_refs[36:]
-            self._lib.k_set_rows_ptr(self._k, grown.ctypes.data)
-        base = self._row_count * stride
-        rows = self._rows
-        rows[base] = len(adaptive)
-        rows[base + 1] = esc
-        for j, c in enumerate(adaptive):
-            rows[base + 2 + j] = c
-        R = self.topology.num_routers
-        ndim = self.topology.ndim
-        vcls = self.routing.vc_map.num_classes
-        key = (((r * R + dstr) * vcls + cls) << ndim) | mask
-        self._rk_idx[key] = self._row_count
-        self._row_count += 1
 
     def _drain_events(self, now: int) -> None:
         hdr = self._hdr

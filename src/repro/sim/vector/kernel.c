@@ -21,10 +21,9 @@
  * reference fabric performs inline (deliveries precede claims precede
  * link events in the buffer, matching the reference phase order).
  *
- * Route rows are filled lazily: a missing (router, dst_router, class,
- * dateline-mask) key suspends k_alloc (return 2) with the miss details
- * in the header; Python computes the row (network/soa.py), stores it,
- * and resumes.
+ * The route table (network/soa.py) is complete before the first cycle:
+ * a missing (router, dst_router, class, dateline-mask) key makes k_alloc
+ * return 2 with the key in the header, and Python raises.
  */
 
 #include <stdint.h>
@@ -36,13 +35,10 @@
 #define H_EVN 1       /* event count */
 #define H_OCC 2       /* VC flit occupancy */
 #define H_BUSYN 3     /* busy link count */
-#define H_MISS_IDX 4  /* resumable alloc: pending index of the miss */
-#define H_MISS_SID 5
-#define H_MISS_R 6
+#define H_MISS_R 6    /* key of a route-table miss (fatal; Python raises) */
 #define H_MISS_DSTR 7
 #define H_MISS_CLS 8
 #define H_MISS_MASK 9
-#define H_SN 10       /* still count carried across an alloc resume */
 #define H_EV_OVF 11   /* event buffer overflowed (fatal; Python raises) */
 
 /* int64 counters */
@@ -161,11 +157,6 @@ void k_free(void *h)
     free(h);
 }
 
-void k_set_rows_ptr(void *h, int64_t ptr)
-{
-    ((KState *)h)->rows = (int32_t *)(intptr_t)ptr;
-}
-
 /* --------------------------------------------------------------------
  * Phase 1: ejection — one flit per active port, node-ascending.
  * Mirrors Fabric._phase_eject + EjectionPort.step.
@@ -226,19 +217,18 @@ void k_eject(void *h, int32_t now)
 
 /* --------------------------------------------------------------------
  * Phase 2: allocation — route/VC allocation or delivery-slot claim for
- * every frontier.  Mirrors Fabric._phase_allocate; resumable on route
- * misses (return 2; Python fills the row and calls again with the same
- * `resume`).
+ * every frontier.  Mirrors Fabric._phase_allocate; returns 2 on a
+ * route-table miss (see the header comment), else 0.
  * ------------------------------------------------------------------ */
-int32_t k_alloc(void *h, int32_t now, int32_t resume)
+int32_t k_alloc(void *h, int32_t now)
 {
     KState *k = (KState *)h;
     const int32_t NVC = k->NVC, V = k->V, C = k->C, EPCAP = k->EPCAP;
     const int32_t R = k->R, VCLS = k->VCLS, ndim = k->ndim;
     const int32_t STRIDE = k->STRIDE;
     int32_t pn = k->hdr[H_PN];
-    int32_t sn = (resume == 0) ? 0 : k->hdr[H_SN];
-    for (int32_t i = resume; i < pn; i++) {
+    int32_t sn = 0;
+    for (int32_t i = 0; i < pn; i++) {
         int32_t sid = k->pending[i];
         int32_t vid = k->s_owner[sid];
         if (vid < 0)
@@ -272,14 +262,11 @@ int32_t k_alloc(void *h, int32_t now, int32_t resume)
             int32_t key = (((r * R + dstr) * VCLS + k->m_vcls[vid]) << ndim)
                           | k->m_crossed[vid];
             int32_t row = k->rk_idx[key];
-            if (row < 0) { /* suspend: Python computes the row */
-                k->hdr[H_MISS_IDX] = i;
-                k->hdr[H_MISS_SID] = sid;
+            if (row < 0) {
                 k->hdr[H_MISS_R] = r;
                 k->hdr[H_MISS_DSTR] = dstr;
                 k->hdr[H_MISS_CLS] = k->m_vcls[vid];
                 k->hdr[H_MISS_MASK] = k->m_crossed[vid];
-                k->hdr[H_SN] = sn;
                 return 2;
             }
             const int32_t *rp = k->rows + (int64_t)row * STRIDE;

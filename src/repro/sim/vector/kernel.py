@@ -74,11 +74,9 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.k_new.restype = p
     lib.k_free.argtypes = [p]
     lib.k_free.restype = None
-    lib.k_set_rows_ptr.argtypes = [p, i64]
-    lib.k_set_rows_ptr.restype = None
     lib.k_eject.argtypes = [p, i32]
     lib.k_eject.restype = None
-    lib.k_alloc.argtypes = [p, i32, i32]
+    lib.k_alloc.argtypes = [p, i32]
     lib.k_alloc.restype = i32
     lib.k_links.argtypes = [p, i32]
     lib.k_links.restype = None

@@ -93,6 +93,10 @@ LADDER = [
     dict(scheme="PR", pattern="PAT721", dims=(4, 4), num_vcs=4, load=0.05, seed=1),
     dict(scheme="PR", pattern="PAT721", dims=(4, 4), num_vcs=4, load=0.1, seed=2),
     dict(scheme="PR", pattern="PAT271", dims=(4, 4), num_vcs=4, load=0.08, seed=4),
+    # 256 routers: direction ties (delta == k/2) and dateline escape
+    # classes far from the origin, where the route table is broadcast.
+    dict(scheme="DR", pattern="PAT721", dims=(16, 16), num_vcs=8, load=0.01, seed=5),
+    dict(scheme="SA", pattern="PAT721", dims=(8, 8, 4), num_vcs=8, load=0.01, seed=6),
 ]
 
 

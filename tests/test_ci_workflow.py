@@ -30,7 +30,7 @@ class TestWorkflow:
             "lint", "typecheck", "test", "smoke-benchmark",
             "engine-benchmark", "engine-speedup", "fault-smoke",
             "backend-equivalence", "detection-smoke", "farm-smoke",
-            "topology-smoke", "cdg-certify", "service-smoke",
+            "topology-smoke", "cdg-certify", "service-smoke", "bench-smoke",
         }
 
     def test_concurrency_cancels_superseded_runs(self, workflow):
@@ -177,6 +177,23 @@ class TestWorkflow:
         for step in job["steps"]:
             if step.get("run") and "repro" in step["run"]:
                 assert step["env"]["PYTHONPATH"] == "src"
+
+    def test_bench_smoke_runs_quick_mode_and_the_benchmarks_tests(self, workflow):
+        job = workflow["jobs"]["bench-smoke"]
+        runs = [s.get("run") or "" for s in job["steps"]]
+        # The repository's one benchmark command in smoke mode (its exit
+        # code carries the correctness checks), then its own tests,
+        # which tier-1 does not collect (testpaths = tests).
+        assert "python3 -m bench --quick" in runs
+        assert "python -m pytest bench/ -q" in runs
+        assert runs.index("python3 -m bench --quick") < runs.index(
+            "python -m pytest bench/ -q"
+        )
+        upload = next(
+            s for s in job["steps"] if "upload-artifact" in (s.get("uses") or "")
+        )
+        assert upload["if"] == "always()"
+        assert upload["with"]["path"] == "bench/out/results.json"
 
     def test_backend_equivalence_runs_default_and_campaign_grid(self, workflow):
         steps = workflow["jobs"]["backend-equivalence"]["steps"]
