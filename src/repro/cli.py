@@ -391,12 +391,14 @@ def cmd_farm_run(args) -> int:
 def cmd_farm_status(args) -> int:
     from pathlib import Path
 
-    from repro.farm import CampaignSpec, resolve_cached
+    from repro.farm import CampaignSpec
     from repro.farm.plan import STATE_FILENAME
-    from repro.sim.parallel import ResultCache
+    from repro.sim.parallel import ResultCache, resolve_points
 
     spec = CampaignSpec.load(args.dir)
-    progress = resolve_cached(spec, ResultCache(args.cache_dir))
+    progress = resolve_points(
+        spec.configs, spec.warmup, spec.measure, ResultCache(args.cache_dir)
+    )
     print(f"campaign {spec.name}: {progress.cached}/{progress.total}"
           f" points cached, {len(progress.missing)} to compute")
     state_path = Path(args.dir) / STATE_FILENAME
@@ -729,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="1 = traced in-process execution (live time"
-                   " series + Perfetto traces); >1 = parallel pool"
+                   " series + Perfetto traces); >1 = worker processes"
                    " (progress events only)")
     p.add_argument("--hosts", default=None,
                    help="execute on a farm instead (same syntax as"

@@ -208,9 +208,8 @@ class ExecutionConfig:
     #: wall-clock seconds a single point may run before its worker is
     #: killed and the point retried (None = no timeout).
     point_timeout: float | None = None
-    #: route point execution through the distributed farm
-    #: (:mod:`repro.farm`) instead of a local process pool: a
-    #: comma-separated host spec in the ``repro farm --hosts`` syntax
+    #: compute points on farm hosts (:mod:`repro.farm`) instead of
+    #: ``workers`` local processes: a comma-separated host spec in the ``repro farm --hosts`` syntax
     #: (``local[:N]``, ``ssh:HOST[:python]``, ``ext:DIR``).  None keeps
     #: local execution.  Results stay bit-identical either way; like
     #: every other field here, this can never leak into a cache key.

@@ -13,12 +13,7 @@ from __future__ import annotations
 
 from repro.experiments.common import Scale, get_scale
 from repro.service.scenarios import SCENARIOS, build_campaign
-from repro.sim.parallel import (
-    ResultCache,
-    get_default_execution,
-    resolve_points,
-    run_points,
-)
+from repro.sim.parallel import ResultCache, get_default_execution, run_points
 
 
 def run(scale: str | Scale = "smoke",
@@ -30,10 +25,7 @@ def run(scale: str | Scale = "smoke",
     rows = []
     for name in names if names is not None else list(SCENARIOS):
         spec = build_campaign(name, sc)
-        before = resolve_points(
-            spec.configs, spec.warmup, spec.measure, cache,
-            keys=spec.point_keys(),
-        )
+        hits = cache.hits if cache is not None else 0
         results = run_points(
             list(spec.configs), spec.warmup, spec.measure,
             workers=execution.workers, cache=cache,
@@ -42,7 +34,8 @@ def run(scale: str | Scale = "smoke",
             "scenario": name,
             "category": SCENARIOS[name].category,
             "points": len(results),
-            "cached": before.cached,
+            # run_points resolves (hashes and reads) the campaign once
+            "cached": cache.hits - hits if cache is not None else 0,
             "peak_throughput": max(r.throughput_fpc for r in results),
             "deadlocks": sum(r.deadlocks for r in results),
             "delivered": sum(r.messages_delivered for r in results),

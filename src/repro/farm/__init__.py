@@ -8,7 +8,7 @@ the on-disk result cache as the coordination substrate.  See
 
 Host specification strings (CLI ``--hosts``, comma-separated)::
 
-    local          this machine, 1 worker process
+    local          this machine, one point at a time
     local:4        this machine, 4 worker processes
     ssh:HOST       HOST over ssh (repro on the remote PYTHONPATH)
     ext:DIR        job-dir protocol rooted at DIR (external agent)
@@ -28,14 +28,8 @@ from repro.farm.health import (
     SUSPECT,
     HostHealth,
 )
-from repro.farm.executor import farm_run_points, farm_width
 from repro.farm.manager import FarmManager, FarmPolicy, ShardFailure
-from repro.farm.plan import (
-    CampaignSpec,
-    Shard,
-    plan_shards,
-    resolve_cached,
-)
+from repro.farm.plan import CampaignSpec, Shard, plan_shards
 from repro.farm.workers import (
     ExternalWorker,
     FarmWorker,
@@ -44,17 +38,18 @@ from repro.farm.workers import (
     ShardOutcome,
     ShardTransportError,
     SSHHostWorker,
+    WorkerProcessDied,
 )
 from repro.util.errors import ConfigurationError
 
 __all__ = [
-    "CampaignSpec", "Shard", "plan_shards", "resolve_cached",
+    "CampaignSpec", "Shard", "plan_shards",
     "FarmManager", "FarmPolicy", "ShardFailure",
     "FarmWorker", "LocalPoolWorker", "SSHHostWorker", "ExternalWorker",
-    "ShardJob", "ShardOutcome", "ShardTransportError",
+    "ShardJob", "ShardOutcome", "ShardTransportError", "WorkerProcessDied",
     "HostHealth", "HEALTHY", "SUSPECT", "QUARANTINED", "PROBATION",
     "ChaosWorker", "WorkerFaultSpec", "parse_worker_fault",
-    "parse_hosts", "farm_run_points", "farm_width",
+    "parse_hosts",
 ]
 
 

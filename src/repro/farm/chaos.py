@@ -123,6 +123,7 @@ class ChaosWorker(FarmWorker):
                  *, sleep=time.sleep) -> None:
         self.inner = inner
         self.name = inner.name
+        self.slots = inner.slots
         self.faults = tuple(faults)
         self._sleep = sleep
         self.dispatches = 0
@@ -149,6 +150,9 @@ class ChaosWorker(FarmWorker):
                 self.activations.append(fault.describe())
                 outcome = _corrupt(outcome)
         return outcome
+
+    def open(self) -> None:
+        self.inner.open()
 
     def close(self) -> None:
         self.inner.close()

@@ -1,12 +1,15 @@
 """The farm manager: robust shard dispatch over unreliable workers.
 
-:class:`FarmManager.run` executes one :class:`CampaignSpec` across a set
-of :class:`~repro.farm.workers.FarmWorker`\\ s and returns results
-bit-identical to a serial :func:`repro.sim.parallel.run_points` — every
-point is computed by the same deterministic ``run_point``, wherever it
-lands, and the shared ``.repro_cache`` (atomic per-point JSON puts) is
-the only coordination channel, so crashed managers resume and racing
-twins converge for free.
+This is the one place points are dispatched, retried, backed off, timed
+out and recorded: :func:`repro.sim.parallel.run_points`, ``repro farm``
+and the campaign service all resolve their batch against the cache and
+hand what is missing to :class:`FarmManager.run`.  It executes one
+:class:`CampaignSpec` across a set of
+:class:`~repro.farm.workers.FarmWorker`\\ s — every point is computed
+by the same deterministic ``run_point``, wherever it lands, and the
+shared ``.repro_cache`` (atomic per-point JSON puts) is the only
+coordination channel, so crashed managers resume and racing twins
+converge for free.
 
 Robustness machinery, in dispatch-loop order:
 
@@ -14,7 +17,9 @@ Robustness machinery, in dispatch-loop order:
   the cache; a worker returning garbage is a host-health event, not a
   corrupted campaign.
 * **hang watch** — a dispatch silent past ``hang_timeout`` is abandoned
-  (its late answer is discarded) and its shard re-queued.
+  (its late answer is discarded) and its shard re-queued.  This is for
+  hosts the manager cannot kill; a local worker's ``point_timeout``
+  kills the one wedged process instead and reports the point.
 * **speculation** — once the queue is drained, shards running longer
   than ``straggler_factor`` x the median completed-shard time are
   speculatively re-dispatched to an idle host; first completion wins.
@@ -25,9 +30,14 @@ Robustness machinery, in dispatch-loop order:
 * **health** — per-host state machine (:mod:`repro.farm.health`):
   failures escalate healthy -> suspect -> quarantined, quarantined hosts
   earn probation probes on an exponentially growing schedule, and a
-  campaign simply completes on the survivors.  If every retry budget is
-  exhausted, :class:`~repro.util.errors.SweepExecutionError` reports the
-  failed points *and* per-host attribution.
+  campaign simply completes on the survivors.  Only what escapes
+  ``run_shard`` (crash, transport loss, hang, rejected results) charges
+  the host; a point that failed on a host that did its job
+  (``ShardOutcome.point_errors``) charges the shard's retry budget
+  alone.  If every retry budget is exhausted,
+  :class:`~repro.util.errors.SweepExecutionError` reports the failed
+  points — with the exception each one raised — *and* per-host
+  attribution.
 
 Every decision is recorded on the attached
 :class:`~repro.telemetry.Tracer` (dispatch, heartbeat, quarantine,
@@ -38,13 +48,19 @@ timeline exports to Perfetto like any simulation trace.
 from __future__ import annotations
 
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections.abc import Callable
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ThreadPoolExecutor,
+    wait,
+)
 from dataclasses import dataclass, field
 
 from repro.farm.health import PROBATION, QUARANTINED, SUSPECT, HostHealth
-from repro.farm.plan import CampaignSpec, Shard, plan_shards, resolve_cached
+from repro.farm.plan import CampaignSpec, Shard, plan_shards
 from repro.farm.workers import FarmWorker, ShardJob, ShardOutcome
-from repro.sim.parallel import ResultCache
+from repro.sim.parallel import PointResolution, ResultCache, resolve_points
 from repro.sim.results import RunResult
 from repro.telemetry import events as ev
 from repro.util.backoff import BackoffPolicy
@@ -104,7 +120,8 @@ class FarmPolicy:
     probation: float = 2.0
     #: wall seconds between heartbeat events per busy host.
     heartbeat_interval: float = 0.25
-    #: dispatch-loop poll interval in seconds.
+    #: longest the dispatch loop waits for a dispatch to finish before
+    #: it looks at its deadlines (backoff, hang, speculation) again.
     tick: float = 0.01
 
     def __post_init__(self) -> None:
@@ -129,7 +146,6 @@ class FarmManager:
         policy: FarmPolicy | None = None,
         tracer=None,
         clock=time.monotonic,
-        sleep=time.sleep,
     ) -> None:
         if not workers:
             raise ConfigurationError("a farm needs at least one worker")
@@ -141,14 +157,19 @@ class FarmManager:
         self.policy = policy or FarmPolicy()
         self.tracer = tracer
         self._clock = clock
-        self._sleep = sleep
         self.health: dict[str, HostHealth] = {}
         self._report: dict = {}
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def run(self, spec: CampaignSpec) -> list[RunResult]:
+    def run(
+        self,
+        spec: CampaignSpec,
+        *,
+        resolution: PointResolution | None = None,
+        on_point: Callable[[int, RunResult, float], None] | None = None,
+    ) -> list[RunResult]:
         """Execute ``spec``; returns results in campaign point order.
 
         Cached points are never recomputed, so calling ``run`` again
@@ -156,6 +177,13 @@ class FarmManager:
         operation.  Raises :class:`SweepExecutionError` with per-host
         attribution when points exhaust their retry budget or every
         host is lost.
+
+        ``resolution`` is the caller's own
+        :func:`~repro.sim.parallel.resolve_points` answer for ``spec``
+        (keys are hashed once per campaign, not once per layer); its
+        ``results`` are filled in place.  ``on_point(index, result,
+        seconds)`` is called from this thread as each computed point
+        lands, after its cache write.
         """
         pol = self.policy
         self._t0 = self._clock()
@@ -169,36 +197,49 @@ class FarmManager:
             )
             for name in self.workers
         }
-        progress = resolve_cached(spec, self.cache)
-        keys = spec.point_keys()
-        shards = plan_shards(progress.missing, spec.shard_size)
-        states = {s.index: _ShardState(shard=s) for s in shards}
-        failures: dict[int, tuple] = {}
+        if resolution is None:
+            resolution = resolve_points(
+                spec.configs, spec.warmup, spec.measure, self.cache
+            )
+        shards = plan_shards(resolution.missing, spec.shard_size)
+        # State of this run; the loop's steps below all work on it.
+        self._spec = spec
+        self._resolution = resolution
+        self._states = {s.index: _ShardState(shard=s) for s in shards}
+        self._failures: dict[int, tuple] = {}
+        failures = self._failures
+        self._on_point = on_point
         self._durations_ms: list[int] = []
         self._dispatch_seq = 0
         self._inflight: dict[int, _Dispatch] = {}
-        self._busy: dict[str, int] = {}
+        self._busy: dict[str, int] = dict.fromkeys(self.workers, 0)
         self._last_heartbeat_ms = 0
 
         if shards:
-            pool = ThreadPoolExecutor(
-                max_workers=2 * len(self.workers) + 2,
-                thread_name_prefix="farm",
+            slots = sum(w.slots for w in self.workers.values())
+            self._pool = ThreadPoolExecutor(
+                max_workers=2 * slots + 2, thread_name_prefix="farm",
             )
             try:
-                self._loop(spec, states, progress, keys, failures, pool)
+                # Worker processes start here, from the manager's own
+                # thread, before the pool has spawned a dispatch thread.
+                for worker in self.workers.values():
+                    worker.open()
+                self._loop()
             finally:
                 # Abandoned (hung) dispatch threads must not block the
                 # campaign's end; they die with the process.
-                pool.shutdown(wait=False, cancel_futures=True)
+                self._pool.shutdown(wait=False, cancel_futures=True)
+                for worker in self.workers.values():
+                    worker.close()
 
-        computed = progress.total - progress.cached - len(failures)
-        self._emit(ev.FARM_MERGE, total=progress.total,
-                   cached=progress.cached, computed=computed,
+        computed = resolution.total - resolution.cached - len(failures)
+        self._emit(ev.FARM_MERGE, total=resolution.total,
+                   cached=resolution.cached, computed=computed,
                    failed=len(failures))
         self._report = {
-            "total": progress.total,
-            "cached": progress.cached,
+            "total": resolution.total,
+            "cached": resolution.cached,
             "computed": computed,
             "failed": sorted(failures),
             "elapsed_ms": self._now_ms(),
@@ -206,7 +247,7 @@ class FarmManager:
         }
         if failures:
             raise SweepExecutionError(failures, attribution=self.attribution())
-        return [r for r in progress.results if r is not None]
+        return [r for r in resolution.results if r is not None]
 
     def attribution(self) -> dict:
         """Per-host summary blocks (state, shard counts, last error)."""
@@ -219,16 +260,23 @@ class FarmManager:
     # ------------------------------------------------------------------
     # Dispatch loop
     # ------------------------------------------------------------------
-    def _loop(self, spec, states, progress, keys, failures, pool) -> None:
-        pol = self.policy
-        while any(s.status in ("pending", "running") for s in states.values()):
+    def _loop(self) -> None:
+        tick = self.policy.tick
+        while any(s.status in ("pending", "running")
+                  for s in self._states.values()):
             now = self._now_ms()
-            self._reap(spec, states, progress, keys, failures, now)
-            self._watch_hangs(spec, states, failures, now)
-            self._speculate(spec, states, pool, now)
-            self._dispatch_pending(spec, states, pool, now)
+            self._reap(now)
+            self._watch_hangs(now)
+            self._speculate(now)
+            self._dispatch_pending(now)
             self._heartbeat(now)
-            self._sleep(pol.tick)
+            # Wake as soon as a dispatch finishes; the tick only bounds
+            # how late a deadline (backoff, hang, straggler) is noticed.
+            waiting = [d.future for d in self._inflight.values()]
+            if waiting:
+                wait(waiting, timeout=tick, return_when=FIRST_COMPLETED)
+            else:
+                time.sleep(tick)
 
     def _now_ms(self) -> int:
         return int((self._clock() - self._t0) * 1000)
@@ -238,73 +286,85 @@ class FarmManager:
             self.tracer.farm_event(kind, self._now_ms(), **payload)
 
     # -- reaping -------------------------------------------------------
-    def _reap(self, spec, states, progress, keys, failures, now) -> None:
+    def _reap(self, now) -> None:
         for disp in [d for d in self._inflight.values() if d.future.done()]:
             del self._inflight[disp.id]
-            if self._busy.get(disp.host) == disp.id:
-                del self._busy[disp.host]
             if disp.abandoned:
                 continue  # already charged when abandoned; answer discarded
+            self._busy[disp.host] -= 1
             try:
                 outcome = disp.future.result()
             except Exception as exc:  # worker crash / transport loss
-                self._shard_failed(spec, states, failures, disp,
-                                   f"{type(exc).__name__}: {exc}", now,
+                self._shard_failed(disp, f"{type(exc).__name__}: {exc}", now,
                                    exc=exc)
                 continue
+            if outcome.point_errors:
+                # The host did its job; the point did not.
+                self._shard_failed(disp, outcome.error, now,
+                                   point_errors=outcome.point_errors)
+                continue
             if not outcome.ok:
-                self._shard_failed(spec, states, failures, disp,
-                                   outcome.error or "worker reported failure",
-                                   now)
+                self._shard_failed(
+                    disp, outcome.error or "worker reported failure", now
+                )
                 continue
-            reason = self._validate(spec, disp.shard, outcome)
+            reason = self._validate(disp.shard, outcome)
             if reason is not None:
-                self._shard_failed(spec, states, failures, disp,
-                                   f"invalid results: {reason}", now)
+                self._shard_failed(disp, f"invalid results: {reason}", now)
                 continue
-            self._shard_done(spec, states, progress, keys, disp, outcome, now)
+            self._shard_done(disp, outcome, now)
 
-    def _shard_done(self, spec, states, progress, keys, disp, outcome,
-                    now) -> None:
-        state = states[disp.shard.index]
+    def _shard_done(self, disp, outcome, now) -> None:
+        spec, resolution = self._spec, self._resolution
+        state = self._states[disp.shard.index]
         state.inflight -= 1
         self.health[disp.host].record_success(now)
         if state.status == "done":
             return  # the speculative twin already landed this shard
         elapsed = now - disp.started_ms
         self._durations_ms.append(elapsed)
+        share = elapsed / 1000 / len(disp.shard.points)
         for idx in disp.shard.points:
             result = outcome.results[idx]
             # First completion wins through the cache's atomic put: a
             # racing twin writes byte-identical content, so whichever
             # rename lands last changes nothing.
             if self.cache is not None:
-                self.cache.put(keys[idx], spec.configs[idx], spec.warmup,
-                               spec.measure, result)
-            progress.results[idx] = result
+                self.cache.put(resolution.keys[idx], spec.configs[idx],
+                               spec.warmup, spec.measure, result)
+            resolution.results[idx] = result
+            if self._on_point is not None:
+                self._on_point(idx, result, outcome.elapsed.get(idx, share))
         state.status = "done"
         self._emit(ev.FARM_SHARD_DONE, host=disp.host,
                    shard=disp.shard.index, elapsed_ms=elapsed,
                    points=len(disp.shard.points),
                    speculative=disp.speculative)
 
-    def _shard_failed(self, spec, states, failures, disp, reason, now, *,
-                      exc=None) -> None:
+    def _shard_failed(self, disp, reason, now, *, exc=None,
+                      point_errors=None) -> None:
+        """Charge a failed dispatch: to the host unless the failure is
+        the points' own (``point_errors``), and to the shard's retry
+        budget unless a twin has it covered."""
         pol = self.policy
-        state = states[disp.shard.index]
+        state = self._states[disp.shard.index]
         state.inflight -= 1
         state.last_error = reason
         health = self.health[disp.host]
-        before = health.state
-        after = health.record_failure(now, error=reason)
         self._emit(ev.FARM_SHARD_FAILED, host=disp.host,
                    shard=disp.shard.index, reason=reason)
-        if after != before:
-            if after == SUSPECT:
-                self._emit(ev.FARM_SUSPECT, host=disp.host, reason=reason)
-            elif after == QUARANTINED:
-                self._emit(ev.FARM_QUARANTINE, host=disp.host,
-                           until_ms=health.quarantined_until, reason=reason)
+        if point_errors:
+            health.record_success(now)  # it answered, as a live host does
+        else:
+            before = health.state
+            after = health.record_failure(now, error=reason)
+            if after != before:
+                if after == SUSPECT:
+                    self._emit(ev.FARM_SUSPECT, host=disp.host, reason=reason)
+                elif after == QUARANTINED:
+                    self._emit(ev.FARM_QUARANTINE, host=disp.host,
+                               until_ms=health.quarantined_until,
+                               reason=reason)
         if state.status == "done" or state.inflight > 0:
             # A twin already landed it, or is still trying: the failure
             # charges the host but not the shard.
@@ -316,7 +376,10 @@ class FarmManager:
                 f"{disp.shard.describe()} failed on {disp.host}: {reason}"
             )
             for idx in disp.shard.points:
-                failures[idx] = (spec.configs[idx], error)
+                self._failures[idx] = (
+                    self._spec.configs[idx],
+                    (point_errors or {}).get(idx, error),
+                )
         else:
             delay = pol.backoff.delay(
                 state.attempts, key=f"shard{disp.shard.index}"
@@ -327,7 +390,7 @@ class FarmManager:
                        host=disp.host, attempt=state.attempts,
                        delay_ms=int(delay * 1000))
 
-    def _validate(self, spec, shard, outcome: ShardOutcome) -> str | None:
+    def _validate(self, shard, outcome: ShardOutcome) -> str | None:
         """None if the outcome is plausible, else a rejection reason.
 
         Sanity-level, not cryptographic: identity fields must match the
@@ -341,7 +404,7 @@ class FarmManager:
             result = outcome.results.get(idx)
             if not isinstance(result, RunResult):
                 return f"point {idx} missing from results"
-            config = spec.configs[idx]
+            config = self._spec.configs[idx]
             identity = (result.scheme, result.pattern, result.num_vcs,
                         result.load)
             expected = (config.scheme, config.pattern, config.num_vcs,
@@ -357,7 +420,7 @@ class FarmManager:
         return None
 
     # -- hang watch ----------------------------------------------------
-    def _watch_hangs(self, spec, states, failures, now) -> None:
+    def _watch_hangs(self, now) -> None:
         pol = self.policy
         if pol.hang_timeout is None:
             return
@@ -368,27 +431,25 @@ class FarmManager:
             disp.abandoned = True
             # Free the slot: the wedged thread keeps the pool's spare
             # capacity busy, not the host's dispatch slot.
-            if self._busy.get(disp.host) == disp.id:
-                del self._busy[disp.host]
+            self._busy[disp.host] -= 1
             self._shard_failed(
-                spec, states, failures, disp,
-                f"hang: no answer in {pol.hang_timeout:g}s", now,
+                disp, f"hang: no answer in {pol.hang_timeout:g}s", now
             )
 
     # -- speculation ---------------------------------------------------
-    def _speculate(self, spec, states, pool, now) -> None:
+    def _speculate(self, now) -> None:
         pol = self.policy
         if not self._durations_ms:
             return
         if any(s.status == "pending" and now >= s.ready_at_ms
-               for s in states.values()):
+               for s in self._states.values()):
             return  # real work first; speculation only soaks idle hosts
         ordered = sorted(self._durations_ms)
         median = ordered[len(ordered) // 2]
         threshold = max(int(pol.straggler_min * 1000),
                         int(pol.straggler_factor * median))
         for disp in sorted(self._inflight.values(), key=lambda d: d.started_ms):
-            state = states[disp.shard.index]
+            state = self._states[disp.shard.index]
             if (disp.abandoned or disp.speculative or state.speculated
                     or state.status != "running" or state.inflight != 1
                     or now - disp.started_ms <= threshold):
@@ -400,12 +461,12 @@ class FarmManager:
             self._emit(ev.FARM_REDISPATCH, shard=disp.shard.index,
                        host=host, straggler=disp.host,
                        running_ms=now - disp.started_ms)
-            self._launch(spec, state, host, pool, now, speculative=True)
+            self._launch(state, host, now, speculative=True)
 
     # -- dispatch ------------------------------------------------------
-    def _dispatch_pending(self, spec, states, pool, now) -> None:
+    def _dispatch_pending(self, now) -> None:
         ready = sorted(
-            (s for s in states.values()
+            (s for s in self._states.values()
              if s.status == "pending" and now >= s.ready_at_ms),
             key=lambda s: s.shard.index,
         )
@@ -413,12 +474,12 @@ class FarmManager:
             host = self._pick_host(now)
             if host is None:
                 return
-            self._launch(spec, state, host, pool, now)
+            self._launch(state, host, now)
 
     def _pick_host(self, now, exclude: set[str] | None = None) -> str | None:
         candidates = [
             h for name, h in self.health.items()
-            if name not in self._busy
+            if self._busy[name] < self.workers[name].slots
             and (exclude is None or name not in exclude)
             and h.can_dispatch(now)
         ]
@@ -426,8 +487,8 @@ class FarmManager:
             return None
         return min(candidates, key=lambda h: (h.rank(), h.name)).name
 
-    def _launch(self, spec, state, host, pool, now,
-                speculative: bool = False) -> None:
+    def _launch(self, state, host, now, speculative: bool = False) -> None:
+        spec = self._spec
         health = self.health[host]
         if health.state == QUARANTINED:
             health.begin_probation(now)
@@ -443,11 +504,12 @@ class FarmManager:
         worker = self.workers[host]
         disp = _Dispatch(
             id=self._dispatch_seq, shard=state.shard, host=host,
-            started_ms=now, future=pool.submit(worker.run_shard, job),
+            started_ms=now,
+            future=self._pool.submit(worker.run_shard, job),
             speculative=speculative,
         )
         self._inflight[disp.id] = disp
-        self._busy[host] = disp.id
+        self._busy[host] += 1
         state.status = "running"
         state.inflight += 1
         self._emit(ev.FARM_DISPATCH, host=host, shard=state.shard.index,

@@ -3,8 +3,8 @@
 A long-running asyncio front-end over the simulator's existing
 execution substrate.  Campaigns are submitted (by scenario name or raw
 spec) with priorities, deduplicated against ``.repro_cache`` *before*
-scheduling, executed through the in-process traced path / parallel pool
-/ distributed farm, and observed live over Server-Sent Events — job
+scheduling, executed by the farm manager on in-process (traced), local
+process or farm-host workers, and observed live over Server-Sent Events — job
 progress plus :class:`~repro.telemetry.MetricsSampler` time series —
 with a merged Perfetto trace downloadable per job.
 

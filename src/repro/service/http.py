@@ -250,8 +250,8 @@ class CampaignServer:
         if job.trace_path is None or not path.exists():
             raise _HttpError(
                 404,
-                "no trace for this job (cached/pool/farm jobs run"
-                " untraced)",
+                "no trace for this job (cached points and worker"
+                " processes/hosts run untraced)",
             )
         writer.write(_response(200, path.read_bytes()))
 

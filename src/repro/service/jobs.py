@@ -11,12 +11,13 @@ execution.  The manager:
   :func:`repro.sim.parallel.resolve_points`, so points already in
   ``.repro_cache`` are filled instantly and never dispatched (a fully
   cached campaign completes without touching the executor at all);
-* executes missing points through the **existing backends** — the
-  in-process traced path (default: live time-series streaming + a
-  per-job Perfetto trace), the parallel pool (``workers > 1``) or the
-  distributed farm (``farm_hosts``) — all writing through the same
-  cache keys, so results are bit-identical to ``run_sweep`` whichever
-  path runs them;
+* executes missing points through the **one scheduler**,
+  :class:`repro.farm.FarmManager`, and only chooses its workers: an
+  in-process worker whose point function attaches a tracer (default:
+  live time-series streaming + a per-job Perfetto trace), local worker
+  processes (``workers > 1``) or farm hosts (``farm_hosts``) — the
+  manager writes every point through the same cache keys, so results
+  are bit-identical to ``run_sweep`` whichever worker computes them;
 * streams **progress / sample / status events** through an
   :class:`~repro.service.sse.EventBroker` topic per job id;
 * **drains gracefully**: shutdown finishes the running job, then
@@ -32,14 +33,24 @@ import hashlib
 import heapq
 import json
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
 from repro.config import SimConfig
-from repro.farm.plan import CampaignSpec
+from repro.farm import (
+    CampaignSpec,
+    FarmManager,
+    FarmWorker,
+    LocalPoolWorker,
+    parse_hosts,
+)
+from repro.sim.engine import build_engine
 from repro.sim.parallel import (
     DEFAULT_CACHE_DIR,
+    PointFn,
+    PointResolution,
     ResultCache,
     resolve_points,
 )
@@ -61,16 +72,18 @@ _TERMINAL = (DONE, FAILED, CANCELLED)
 TRACE_CAPACITY = 20_000
 
 
-def job_id_for(spec: CampaignSpec) -> str:
+def job_id_for(spec: CampaignSpec,
+               keys: Sequence[str] | None = None) -> str:
     """Deterministic job id: digest of the campaign's point cache keys.
 
     Two submissions naming the same points (keys already fold in the
     full config, the window and the code digest) collapse onto one job,
-    whatever scenario name or priority they arrived with.
+    whatever scenario name or priority they arrived with.  ``keys`` are
+    ``spec.point_keys()`` for callers that already hold them.
     """
     blob = json.dumps(
-        {"keys": spec.point_keys(), "warmup": spec.warmup,
-         "measure": spec.measure},
+        {"keys": list(keys) if keys is not None else spec.point_keys(),
+         "warmup": spec.warmup, "measure": spec.measure},
         sort_keys=True,
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
@@ -161,28 +174,19 @@ def _merge_point_traces(
     }
 
 
-class _ThreadReporter:
-    """Duck-typed ProgressReporter forwarding pool progress to the loop.
+class _StreamingTracer(Tracer):
+    """A tracer that hands each metric sample on as it is taken."""
 
-    ``run_points`` calls ``update``/``finish`` from a worker thread;
-    events are marshalled onto the event loop thread-safely.
-    """
+    def __init__(self, on_sample: Callable[[dict[str, Any]], None],
+                 **kwargs: Any) -> None:
+        super().__init__(**kwargs)
+        self._on_sample = on_sample
 
-    def __init__(self, loop: asyncio.AbstractEventLoop, publish) -> None:
-        self._loop = loop
-        self._publish = publish
-        self._done = 0
-
-    def update(self, cached: bool = False, elapsed: float | None = None,
-               failed: bool = False) -> None:
-        self._done += 1
-        self._loop.call_soon_threadsafe(
-            self._publish, {"cached": cached, "failed": failed,
-                            "elapsed_ms": round((elapsed or 0.0) * 1e3)}
-        )
-
-    def finish(self) -> None:
-        pass
+    def on_cycle(self, now: int) -> None:
+        taken = len(self.samples)
+        super().on_cycle(now)
+        if len(self.samples) > taken:
+            self._on_sample(self.samples[-1])
 
 
 class JobManager:
@@ -198,7 +202,6 @@ class JobManager:
         sample_every: int = 200,
         trace_level: str = "message",
         broker=None,
-        poll_interval: float = 0.02,
     ) -> None:
         from repro.service.sse import EventBroker
 
@@ -209,7 +212,6 @@ class JobManager:
         self.sample_every = sample_every
         self.trace_level = trace_level
         self.broker = broker if broker is not None else EventBroker()
-        self.poll_interval = poll_interval
         self.jobs: dict[str, Job] = {}
         self._heap: list[tuple[int, int, str]] = []
         self._seq = 0
@@ -265,7 +267,8 @@ class JobManager:
         is re-queued fresh.  A resubmission with a higher priority
         promotes a still-queued job.
         """
-        jid = job_id_for(spec)
+        keys = spec.point_keys()
+        jid = job_id_for(spec, keys)
         existing = self.jobs.get(jid)
         if existing is not None and existing.state not in (FAILED, CANCELLED):
             if existing.state == QUEUED and priority > existing.priority:
@@ -274,8 +277,7 @@ class JobManager:
             return existing, False
 
         resolution = resolve_points(
-            spec.configs, spec.warmup, spec.measure, self.cache,
-            keys=spec.point_keys(),
+            spec.configs, spec.warmup, spec.measure, self.cache, keys=keys
         )
         self._seq += 1
         missing_set = set(resolution.missing)
@@ -368,21 +370,55 @@ class JobManager:
         self.broker.close_topic(job.id)
 
     # ------------------------------------------------------------------
-    # Execution backends
+    # Execution
     # ------------------------------------------------------------------
     async def _execute(self, job: Job) -> None:
+        """Hand the job's missing points to the farm manager.
+
+        The only choice made here is the worker list; dispatch, retries,
+        cache writes and failure reports are the manager's, and every
+        worker kind streams the same ``progress`` event as each point
+        lands.
+        """
         missing = [i for i, r in enumerate(job.results) if r is None]
         if not missing:
             return
+        loop = asyncio.get_running_loop()
+        point_traces: list[tuple[int, SimConfig, dict[str, Any]]] = []
+        workers: list[FarmWorker]
         if self.farm_hosts is not None:
-            await self._execute_farm(job, missing)
+            workers = parse_hosts(self.farm_hosts)
         elif self.workers > 1:
-            await self._execute_pool(job, missing)
+            workers = [LocalPoolWorker(workers=self.workers)]
         else:
-            await self._execute_traced(job, missing)
+            workers = [LocalPoolWorker(
+                point_fn=self._traced_point_fn(job, loop, point_traces)
+            )]
 
-    async def _execute_traced(self, job: Job, missing: list[int]) -> None:
-        """Default path: one point at a time, in a thread, with a tracer.
+        def landed(idx: int, result: RunResult, elapsed: float) -> None:
+            loop.call_soon_threadsafe(self._point_landed, job, idx, elapsed)
+
+        manager = FarmManager(workers, cache=self.cache)
+        await loop.run_in_executor(
+            None,
+            lambda: manager.run(
+                # One point per dispatch, so progress is per point.
+                replace(job.spec, shard_size=1),
+                resolution=PointResolution(
+                    keys=job.keys, results=job.results, missing=missing
+                ),
+                on_point=landed,
+            ),
+        )
+        if point_traces:
+            self._write_trace(job, point_traces)
+
+    def _traced_point_fn(
+        self, job: Job, loop: asyncio.AbstractEventLoop,
+        point_traces: list[tuple[int, SimConfig, dict[str, Any]]],
+    ) -> PointFn:
+        """The in-process worker's point function: ``run_point`` with a
+        tracer attached.
 
         Telemetry hooks are non-perturbing (the PR-4 guarantee, pinned
         by the backend-equivalence suite), so the traced result is
@@ -390,124 +426,65 @@ class JobManager:
         time-series samples on the job's SSE stream and the per-job
         Perfetto trace.
         """
-        loop = asyncio.get_event_loop()
-        point_traces: list[tuple[int, SimConfig, dict[str, Any]]] = []
-        for idx in missing:
-            config = job.spec.configs[idx]
-            tracer: Tracer | None = Tracer(
+        # first index of each distinct config (a point function is not
+        # told which campaign index it computes)
+        index = {config: idx for idx, config
+                 in reversed(list(enumerate(job.spec.configs)))}
+
+        def traced_point(config: SimConfig, warmup: int,
+                         measure: int) -> RunResult:
+            idx = index[config]
+            tracer: Tracer | None = _StreamingTracer(
+                lambda sample: loop.call_soon_threadsafe(
+                    self._publish_sample, job, idx, sample
+                ),
                 level=self.trace_level, sample_every=self.sample_every,
                 capacity=TRACE_CAPACITY,
             )
-            start = time.monotonic()
-            future = loop.run_in_executor(
-                None, self._traced_point, config, job.spec.warmup,
-                job.spec.measure, tracer,
-            )
-            cursor = 0
-            while True:
-                try:
-                    result, tracer = await asyncio.wait_for(
-                        asyncio.shield(future), timeout=self.poll_interval
-                    )
-                    break
-                except asyncio.TimeoutError:
-                    cursor = self._publish_samples(job, idx, tracer, cursor)
-            self._publish_samples(job, idx, tracer, cursor)
-            self.cache.put(
-                job.keys[idx], config, job.spec.warmup, job.spec.measure,
-                result,
-            )
-            job.results[idx] = result
-            job.computed += 1
-            self._publish_progress(job, idx, config, cached=False,
-                                   elapsed=time.monotonic() - start)
-            if tracer is not None:
-                point_traces.append((idx, config, to_perfetto(tracer)))
-        if point_traces:
-            self._write_trace(job, point_traces)
-
-    @staticmethod
-    def _traced_point(config: SimConfig, warmup: int, measure: int,
-                      tracer: Tracer | None):
-        """Worker-thread body: run one point, tracer attached if allowed."""
-        from repro.sim.engine import build_engine
-
-        engine = build_engine(config)
-        if tracer is not None:
+            engine = build_engine(config)
             try:
                 engine.attach_tracer(tracer)
             except UnsupportedFeatureError:
                 # e.g. the vector backend refuses tracing; the point
                 # still runs (progress streams, no samples/trace).
                 tracer = None
-        window = engine.run_measured(warmup, measure)
-        return summarize_window(config, engine, window), tracer
+            window = engine.run_measured(warmup, measure)
+            if tracer is not None:
+                point_traces.append((idx, config, to_perfetto(tracer)))
+            return summarize_window(config, engine, window)
 
-    def _publish_samples(self, job: Job, idx: int, tracer: Tracer | None,
-                         cursor: int) -> int:
-        if tracer is None:
-            return cursor
-        samples = tracer.samples
-        for sample in samples[cursor:]:
-            occ = sample.get("ni_occupancy", ())
-            payload = {
-                "point": idx,
-                "cycle": sample["cycle"],
-                "channel_utilization": sample["channel_utilization"],
-                "flit_occupancy": sample["flit_occupancy"],
-                "live_messages": sample["live_messages"],
-                "blocked_frontiers": sample["blocked_frontiers"],
-                "ni_occupied": sum(o for o, _, _ in occ),
-            }
-            if "token_pos" in sample:
-                payload["token_pos"] = sample["token_pos"]
-            self._publish(job, "sample", payload)
-        return len(samples)
+        return traced_point
 
-    async def _execute_pool(self, job: Job, missing: list[int]) -> None:
-        """Parallel pool path: ``run_points`` across worker processes."""
-        from repro.sim.parallel import run_points
-
-        loop = asyncio.get_event_loop()
-        reporter = _ThreadReporter(
-            loop, lambda info: self._pool_progress(job, info)
-        )
-        configs = [job.spec.configs[i] for i in missing]
-        results = await loop.run_in_executor(
-            None,
-            lambda: run_points(
-                configs, job.spec.warmup, job.spec.measure,
-                workers=self.workers, cache=self.cache, reporter=reporter,
-            ),
-        )
-        for idx, result in zip(missing, results):
-            job.results[idx] = result
-        job.computed += len(missing)
-
-    def _pool_progress(self, job: Job, info: dict[str, Any]) -> None:
+    def _point_landed(self, job: Job, idx: int, elapsed: float) -> None:
+        """One computed point is in the cache: count it, tell the stream."""
+        job.computed += 1
+        config = job.spec.configs[idx]
         self._publish(job, "progress", {
-            "total": job.total, "cached": len(job.cached_points), **info,
+            "point": idx,
+            "done": job.done_points,
+            "total": job.total,
+            "cached": False,
+            "load": config.load,
+            "scheme": config.scheme,
+            "pattern": config.pattern,
+            "elapsed_ms": round(elapsed * 1e3),
         })
 
-    async def _execute_farm(self, job: Job, missing: list[int]) -> None:
-        """Distributed path: points fan across the farm's hosts."""
-        from repro.farm import farm_run_points, parse_hosts
-
-        workers = parse_hosts(self.farm_hosts)
-        configs = [job.spec.configs[i] for i in missing]
-        loop = asyncio.get_event_loop()
-        results = await loop.run_in_executor(
-            None,
-            lambda: farm_run_points(
-                configs, job.spec.warmup, job.spec.measure, workers,
-                cache=self.cache, name=job.spec.name,
-            ),
-        )
-        for idx, result in zip(missing, results):
-            job.results[idx] = result
-            job.computed += 1
-            self._publish_progress(job, idx, job.spec.configs[idx],
-                                   cached=False, elapsed=0.0)
+    def _publish_sample(self, job: Job, idx: int,
+                        sample: dict[str, Any]) -> None:
+        occ = sample.get("ni_occupancy", ())
+        payload = {
+            "point": idx,
+            "cycle": sample["cycle"],
+            "channel_utilization": sample["channel_utilization"],
+            "flit_occupancy": sample["flit_occupancy"],
+            "live_messages": sample["live_messages"],
+            "blocked_frontiers": sample["blocked_frontiers"],
+            "ni_occupied": sum(o for o, _, _ in occ),
+        }
+        if "token_pos" in sample:
+            payload["token_pos"] = sample["token_pos"]
+        self._publish(job, "sample", payload)
 
     # ------------------------------------------------------------------
     # Events
@@ -517,19 +494,6 @@ class JobManager:
 
     def _publish_status(self, job: Job) -> None:
         self._publish(job, "status", job.to_dict())
-
-    def _publish_progress(self, job: Job, idx: int, config: SimConfig,
-                          cached: bool, elapsed: float) -> None:
-        self._publish(job, "progress", {
-            "point": idx,
-            "done": job.done_points,
-            "total": job.total,
-            "cached": cached,
-            "load": config.load,
-            "scheme": config.scheme,
-            "pattern": config.pattern,
-            "elapsed_ms": round(elapsed * 1e3),
-        })
 
     # ------------------------------------------------------------------
     # Persistence

@@ -1,15 +1,18 @@
-"""Parallel sweep-point execution with an on-disk result cache.
+"""Sweep-point execution with an on-disk result cache.
 
 Every (config, load) point of a sweep is independent and deterministic
 — the engine derives all randomness from ``config.seed`` via
-:func:`repro.util.rng.make_rng` — so points can fan out across a
-:class:`~concurrent.futures.ProcessPoolExecutor` and still produce
-results bit-identical to a serial run.  :func:`run_points` is the single
-entry point: ordered result collection, a retry for crashed workers
-(reported with their config via
+:func:`repro.util.rng.make_rng` — so points can fan out across worker
+processes or hosts and still produce results bit-identical to a serial
+run.  This module owns what makes that safe: the cache key
+(:func:`point_key`), the keyed JSON cache under ``.repro_cache/`` that
+lets interrupted paper-scale runs resume instead of restarting, and the
+one dedup step (:func:`resolve_points`).  :func:`run_points` is the
+front door: resolve, then hand the missing points to
+:class:`repro.farm.FarmManager`, which dispatches, retries and records
+them (failures are reported with their config via
 :class:`~repro.util.errors.SweepExecutionError`, never silently
-dropped), and a keyed JSON cache under ``.repro_cache/`` so interrupted
-paper-scale runs resume instead of restarting.
+dropped).
 
 Cache keys cover the full :class:`~repro.config.SimConfig`, the
 warmup/measure window *and* a digest of the package sources
@@ -23,33 +26,26 @@ import hashlib
 import json
 import os
 import tempfile
-import time
 from collections.abc import Callable, Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, as_completed, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import repro
 from repro.config import ExecutionConfig, SimConfig
 from repro.sim.results import RunResult
 from repro.util.backoff import BackoffPolicy
-from repro.util.errors import PointTimeoutError, SweepExecutionError
+from repro.util.errors import SweepExecutionError
 from repro.util.progress import ProgressReporter
+
+if TYPE_CHECKING:
+    from repro.farm.workers import FarmWorker
 
 #: default location of the on-disk result cache.
 DEFAULT_CACHE_DIR = ".repro_cache"
 
 PointFn = Callable[[SimConfig, int, int], RunResult]
-
-#: pause applied before every retry round/wave so a flapping worker is
-#: probed at a geometrically decreasing rate instead of being hammered;
-#: jitter draws are seeded, so retry timelines reproduce exactly.
-DEFAULT_BACKOFF = BackoffPolicy(base=0.1, factor=2.0, cap=5.0, jitter=0.5)
-
-#: module-level so tests can observe/neutralize the retry pauses.
-_sleep = time.sleep
 
 #: process-wide execution policy; the library default is the legacy
 #: behaviour (serial, no cache) so tests and benchmarks are unaffected.
@@ -174,11 +170,12 @@ class ResultCache:
 class PointResolution:
     """The cache's answer for a batch of points: hits, keys, misses.
 
-    This is the one dedup implementation shared by local execution
-    (:func:`run_points`), farm planning
-    (:func:`repro.farm.plan.resolve_cached`) and the campaign service's
-    pre-schedule dedup (:mod:`repro.service`): every consumer sees the
-    same keys, so a point computed by any of them is a hit for all.
+    This is the one dedup implementation shared by :func:`run_points`,
+    the farm manager and the campaign service's pre-schedule dedup
+    (:mod:`repro.service`): every consumer sees the same keys, so a
+    point computed by any of them is a hit for all — and whoever
+    resolved a batch passes this object on, so its keys are hashed
+    once.
     """
 
     #: cache key per point, in input order.
@@ -232,25 +229,11 @@ def resolve_points(
     return resolution
 
 
-def _timed(point_fn: PointFn, config: SimConfig, warmup: int,
-           measure: int) -> tuple[RunResult, float]:
-    """Worker-side wrapper adding per-point wall-clock timing."""
-    start = time.monotonic()
-    result = point_fn(config, warmup, measure)
-    return result, time.monotonic() - start
-
-
-def _default_point_fn() -> PointFn:
-    from repro.sim.sweep import run_point
-
-    return run_point
-
-
 def run_points(
     configs: Sequence[SimConfig],
     warmup: int,
     measure: int,
-    workers: int = 1,
+    workers: int | Sequence[FarmWorker] = 1,
     *,
     cache: ResultCache | None = None,
     retries: int = 1,
@@ -259,199 +242,62 @@ def run_points(
     timeout: float | None = None,
     backoff: BackoffPolicy | None = None,
 ) -> list[RunResult]:
-    """Run every config's point, fanned across ``workers`` processes.
+    """Run every config's point; results in the order of ``configs``.
 
-    Results come back in the order of ``configs`` regardless of
-    completion order.  Cached points are returned without touching the
-    engine; executed points are written back to ``cache``.  A point
-    whose worker raises (or whose pool dies underneath it) is retried up
-    to ``retries`` more times; if it still fails, the whole batch raises
-    :class:`SweepExecutionError` naming each failed config — successful
-    points of the batch stay in the cache, so a rerun resumes.
+    Resolve against ``cache``, then hand what is missing to
+    :class:`repro.farm.FarmManager` — the one scheduler — one point per
+    shard, and it writes each computed point back to ``cache``.  A fully
+    cached batch returns without building a manager, a thread or a
+    worker.
 
-    With ``timeout`` set, a point running longer than that many
-    wall-clock seconds has its worker killed and is retried like a
-    crashed point; exhausted retries surface as a
-    :class:`~repro.util.errors.PointTimeoutError` inside the
-    :class:`SweepExecutionError`, so one wedged point can never hang a
-    whole campaign.  Timed execution always uses worker processes (even
-    with ``workers=1``) because an in-process point cannot be killed.
+    ``workers`` is either a list of farm workers (how ``run_sweep``
+    passes ``--hosts``) or an int, shorthand for one local worker that
+    wide configured by ``point_fn`` and ``timeout``: a single worker
+    without ``timeout`` computes in-process, anything else in worker
+    processes, and a point running longer than ``timeout`` wall-clock
+    seconds has its process killed, so one wedged point can never hang
+    a campaign.
+
+    A point that raises, times out (:class:`PointTimeoutError`) or
+    takes its process down is retried up to ``retries`` more times,
+    ``backoff`` apart; if it still fails the batch raises
+    :class:`SweepExecutionError` naming each failed config and the
+    exception it raised — successful points of the batch stay in the
+    cache, so a rerun resumes.
     """
     configs = list(configs)
-    if point_fn is None:
-        point_fn = _default_point_fn()
     if reporter is None:
         reporter = ProgressReporter(total=len(configs), enabled=False)
-    if backoff is None:
-        backoff = DEFAULT_BACKOFF
-
     resolution = resolve_points(configs, warmup, measure, cache)
-    results, keys = resolution.results, resolution.keys
     for _ in range(resolution.cached):
         reporter.update(cached=True)
-    jobs: dict[int, SimConfig] = {
-        idx: configs[idx] for idx in resolution.missing
-    }
+    if not resolution.missing:
+        return resolution.results  # type: ignore[return-value]
 
-    failures: dict[int, tuple[SimConfig, BaseException]] = {}
+    # Imported here: the farm plans against this module's cache and keys.
+    from repro.farm import (
+        CampaignSpec,
+        FarmManager,
+        FarmPolicy,
+        LocalPoolWorker,
+    )
 
-    def record(idx: int, result: RunResult, elapsed: float) -> None:
-        results[idx] = result
-        if cache is not None:
-            cache.put(keys[idx], configs[idx], warmup, measure, result)
-        reporter.update(elapsed=elapsed)
-
-    if not jobs:
-        pass
-    elif timeout is not None:
-        _run_parallel_timed(point_fn, jobs, warmup, measure, workers, retries,
-                            record, failures, timeout, backoff)
-    elif workers <= 1 or len(jobs) == 1:
-        _run_serial(point_fn, jobs, warmup, measure, retries, record, failures,
-                    backoff)
-    else:
-        _run_parallel(point_fn, jobs, warmup, measure, workers, retries,
-                      record, failures, backoff)
-
-    if failures:
-        for _ in failures:
+    if isinstance(workers, int):
+        workers = [LocalPoolWorker(
+            workers=max(1, min(workers, len(resolution.missing))),
+            point_timeout=timeout, point_fn=point_fn,
+        )]
+    policy = (FarmPolicy(retries=retries) if backoff is None
+              else FarmPolicy(retries=retries, backoff=backoff))
+    spec = CampaignSpec(tuple(configs), warmup, measure, shard_size=1)
+    try:
+        return FarmManager(list(workers), cache=cache, policy=policy).run(
+            spec, resolution=resolution,
+            on_point=lambda idx, result, elapsed: reporter.update(
+                elapsed=elapsed
+            ),
+        )
+    except SweepExecutionError as exc:
+        for _ in exc.failures:
             reporter.update(failed=True)
-        raise SweepExecutionError(failures)
-    return results  # type: ignore[return-value]
-
-
-def _run_serial(point_fn, jobs, warmup, measure, retries, record, failures,
-                backoff) -> None:
-    for idx, config in jobs.items():
-        for attempt in range(retries + 1):
-            if attempt > 0:
-                _sleep(backoff.delay(attempt, key=f"point{idx}"))
-            try:
-                result, elapsed = _timed(point_fn, config, warmup, measure)
-            except Exception as exc:
-                if attempt == retries:
-                    failures[idx] = (config, exc)
-            else:
-                record(idx, result, elapsed)
-                break
-
-
-def _run_parallel(point_fn, jobs, warmup, measure, workers, retries, record,
-                  failures, backoff) -> None:
-    pending = dict(jobs)
-    attempts = dict.fromkeys(jobs, 0)
-    round_no = 0
-    while pending:
-        if round_no > 0:
-            # Every point still pending has failed at least once: back
-            # off before the retry round instead of hammering a flapping
-            # worker pool at full speed.
-            _sleep(backoff.delay(round_no, key="round"))
-        round_no += 1
-        round_jobs = dict(pending)
-        # Points whose futures resolve through as_completed are charged
-        # there; the BrokenProcessPool handler below must charge only the
-        # points that never got a resolved future, or a pool death after
-        # partial progress double-charges the already-counted points.
-        charged: set[int] = set()
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(round_jobs))
-            ) as pool:
-                futures = {
-                    pool.submit(_timed, point_fn, config, warmup, measure): idx
-                    for idx, config in round_jobs.items()
-                }
-                for future in as_completed(futures):
-                    idx = futures[future]
-                    attempts[idx] += 1
-                    charged.add(idx)
-                    exc = future.exception()
-                    if exc is None:
-                        result, elapsed = future.result()
-                        record(idx, result, elapsed)
-                        del pending[idx]
-                    elif attempts[idx] > retries:
-                        failures[idx] = (round_jobs[idx], exc)
-                        del pending[idx]
-                    # else: left pending — retried with a fresh pool.
-        except BrokenProcessPool as exc:
-            # The pool itself died (e.g. a worker was killed) before all
-            # futures resolved; charge an attempt to whatever was not
-            # already charged through its own resolved future this round.
-            for idx in list(pending):
-                if idx in charged:
-                    continue
-                attempts[idx] += 1
-                if attempts[idx] > retries:
-                    failures[idx] = (pending.pop(idx), exc)
-
-
-def _run_parallel_timed(point_fn, jobs, warmup, measure, workers, retries,
-                        record, failures, timeout, backoff) -> None:
-    """Wave-based execution with a wall-clock kill switch per point.
-
-    Points run in waves of at most ``workers`` so every point in a wave
-    starts (almost) simultaneously and one shared deadline is fair to
-    each.  On expiry the still-running workers are terminated — a hung
-    engine cannot be interrupted any other way — and their points are
-    either retried in a later wave or reported as
-    :class:`PointTimeoutError`.  Worker crashes surface as exceptions on
-    their futures (the executor breaks the remaining ones) and follow
-    the ordinary retry path.
-    """
-    pending = dict(jobs)
-    attempts = dict.fromkeys(jobs, 0)
-    wave_size = max(1, workers)
-    while pending:
-        # Fresh points go first so a retried point never delays work
-        # that has not had its first attempt yet; a wave made purely of
-        # retries waits out the backoff before redispatching.
-        ordered = sorted(pending, key=lambda idx: attempts[idx])
-        wave = {idx: pending[idx] for idx in ordered[:wave_size]}
-        wave_retry = min(attempts[idx] for idx in wave)
-        if wave_retry > 0:
-            _sleep(backoff.delay(wave_retry, key="wave"))
-        pool = ProcessPoolExecutor(max_workers=len(wave))
-        futures = {
-            pool.submit(_timed, point_fn, config, warmup, measure): idx
-            for idx, config in wave.items()
-        }
-        deadline = time.monotonic() + timeout
-        not_done = set(futures)
-        timed_out = False
-        try:
-            while not_done:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    timed_out = True
-                    break
-                done, not_done = wait(
-                    not_done, timeout=remaining, return_when=FIRST_COMPLETED
-                )
-                for future in done:
-                    idx = futures[future]
-                    attempts[idx] += 1
-                    exc = future.exception()
-                    if exc is None:
-                        result, elapsed = future.result()
-                        record(idx, result, elapsed)
-                        del pending[idx]
-                    elif attempts[idx] > retries:
-                        failures[idx] = (wave[idx], exc)
-                        del pending[idx]
-                    # else: left pending — retried in a later wave.
-            if timed_out:
-                for future in not_done:
-                    idx = futures[future]
-                    attempts[idx] += 1
-                    if attempts[idx] > retries:
-                        failures[idx] = (
-                            wave[idx], PointTimeoutError(timeout, wave[idx])
-                        )
-                        del pending[idx]
-                # A wedged worker never returns; SIGTERM is the only out.
-                for proc in list(pool._processes.values()):
-                    proc.terminate()
-        finally:
-            pool.shutdown(wait=not timed_out, cancel_futures=True)
+        raise

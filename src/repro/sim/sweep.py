@@ -16,12 +16,16 @@ curve at the same point a serial sweep would.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 from repro.config import ExecutionConfig, SimConfig
 from repro.sim.engine import build_engine
 from repro.sim.parallel import ResultCache, get_default_execution, run_points
 from repro.sim.results import RunResult, SweepResult
 from repro.util.progress import ProgressReporter
+
+if TYPE_CHECKING:
+    from repro.farm.workers import FarmWorker
 
 
 def run_point(config: SimConfig, warmup: int, measure: int) -> RunResult:
@@ -88,53 +92,34 @@ def run_sweep(
     reporter = ProgressReporter(
         total=len(loads), label=label, enabled=execution.progress
     )
-    farm_workers = None
+    workers: int | list[FarmWorker] = execution.workers
+    chunk = max(1, execution.workers)
     if execution.farm_hosts is not None:
         # Imported lazily: the farm depends on this module's point
-        # function through repro.sim.parallel, and sweeps that never
-        # leave the local machine shouldn't pay for transports.
-        from repro.farm import farm_width, parse_hosts
+        # function, and sweeps that never leave the local machine
+        # shouldn't pay for transports.
+        from repro.farm import parse_hosts
 
-        farm_workers = parse_hosts(
+        workers = parse_hosts(
             execution.farm_hosts, point_timeout=execution.point_timeout
         )
+        chunk = sum(worker.slots for worker in workers)
     sweep = SweepResult(label=label)
     best = 0.0
     ordered = sorted(loads)
-    chunk = (
-        max(1, farm_width(farm_workers))
-        if farm_workers is not None
-        else max(1, execution.workers)
-    )
     try:
         for start in range(0, len(ordered), chunk):
             batch = ordered[start:start + chunk]
-            batch_configs = [config.with_(load=load) for load in batch]
-            if farm_workers is not None:
-                from repro.farm import farm_run_points
-
-                points = farm_run_points(
-                    batch_configs,
-                    warmup,
-                    measure,
-                    farm_workers,
-                    cache=cache,
-                    retries=execution.retries,
-                    name=label,
-                )
-                for _ in points:
-                    reporter.update()
-            else:
-                points = run_points(
-                    batch_configs,
-                    warmup,
-                    measure,
-                    workers=execution.workers,
-                    cache=cache,
-                    retries=execution.retries,
-                    reporter=reporter,
-                    timeout=execution.point_timeout,
-                )
+            points = run_points(
+                [config.with_(load=load) for load in batch],
+                warmup,
+                measure,
+                workers=workers,
+                cache=cache,
+                retries=execution.retries,
+                reporter=reporter,
+                timeout=execution.point_timeout,
+            )
             for point in points:
                 sweep.points.append(point)
                 best = max(best, point.throughput_fpc)

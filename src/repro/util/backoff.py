@@ -1,9 +1,9 @@
 """Retry backoff with deterministic seeded jitter.
 
-One policy object serves every retry loop in the repo — the in-process
-sweep retries of :mod:`repro.sim.parallel` and the cross-host dispatch
-retries of :mod:`repro.farm` — so "how hard do we hammer a flapping
-worker" is decided in exactly one place.
+One policy object serves the one retry loop in the repo — the farm
+manager's shard retries, which is also how
+:func:`repro.sim.parallel.run_points` retries a point — so "how hard do
+we hammer a flapping worker" is decided in exactly one place.
 
 Two properties matter and are pinned by ``tests/test_backoff.py``:
 

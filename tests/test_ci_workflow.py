@@ -85,6 +85,8 @@ class TestWorkflow:
         runs = " ".join(s.get("run") or "" for s in steps)
         assert "repro.experiments.runner smoke table1" in runs
         assert "--workers 4" in runs
+        # the process-kill worker is started on a real runner too
+        assert "--point-timeout" in runs
 
     def test_fault_smoke_runs_campaign_and_faulted_cli(self, workflow):
         steps = workflow["jobs"]["fault-smoke"]["steps"]
@@ -113,6 +115,8 @@ class TestWorkflow:
         # the robustness suite carries the bit-identical and quarantine
         # assertions; the CLI leg proves the operator path end to end
         assert "tests/test_farm.py" in runs
+        # run_points goes through the same scheduler: one suite
+        assert "tests/test_parallel.py" in runs
         assert "tests/test_cache_concurrency.py" in runs
         assert "farm plan" in runs and "farm run" in runs
         assert "--chaos crash:" in runs and "--chaos hang:" in runs

@@ -19,8 +19,6 @@ import repro
 from repro.config import ExecutionConfig, SimConfig
 from repro.farm import (
     CampaignSpec,
-    farm_run_points,
-    farm_width,
     ChaosWorker,
     ExternalWorker,
     FarmManager,
@@ -35,12 +33,16 @@ from repro.farm import (
     parse_hosts,
     parse_worker_fault,
     plan_shards,
-    resolve_cached,
 )
 from repro.farm.chaos import InjectedWorkerCrash, WorkerFaultSpec
 from repro.farm.health import HEALTHY, PROBATION, QUARANTINED, SUSPECT
 from repro.farm.remote import execute_job, serve_job_dir
-from repro.sim.parallel import ResultCache, point_key, run_points
+from repro.sim.parallel import (
+    ResultCache,
+    point_key,
+    resolve_points,
+    run_points,
+)
 from repro.telemetry import Tracer
 from repro.telemetry.export import PID_FARM, to_perfetto
 from repro.util.backoff import BackoffPolicy
@@ -115,7 +117,8 @@ class TestPlanning:
         cache = ResultCache(tmp_path / "cache")
         done = run_points(list(spec.configs[:2]), WARMUP, MEASURE,
                           cache=cache)
-        progress = resolve_cached(spec, cache)
+        progress = resolve_points(spec.configs, WARMUP, MEASURE, cache)
+        assert progress.keys == spec.point_keys()
         assert progress.total == len(LOADS)
         assert progress.cached == 2
         assert progress.missing == [2, 3, 4]
@@ -490,16 +493,37 @@ class TestFarmExecutor:
     """The farm behind the run_points contract (sweeps, experiments)."""
 
     def test_farm_width_counts_local_slots(self):
+        # a local worker takes one dispatch per process, a remote
+        # transport one at a time however wide the far machine is
         workers = parse_hosts("local:3,local,ssh:nodeA,ext:/tmp/jobs")
-        assert farm_width(workers) == 3 + 1 + 1 + 1
+        assert [w.slots for w in workers] == [3, 1, 1, 1]
+        chaos = ChaosWorker(workers[0], [])
+        assert chaos.slots == 3
 
     def test_ordered_and_bit_identical_to_run_points(self):
         loads = LOADS[:3]
-        got = farm_run_points(
+        got = run_points(
             tiny_configs(loads), WARMUP, MEASURE,
-            parse_hosts("local,local"),
+            workers=parse_hosts("local,local"),
         )
         assert got == serial_results(loads)
+
+    def test_wide_host_takes_a_dispatch_per_slot(self, tmp_path):
+        # one local:2 host: two shards in flight at once, one process each
+        spec = tiny_spec(loads=LOADS[:4], shard_size=1)
+        tracer = Tracer()
+        [worker] = parse_hosts("local:2")
+        manager = FarmManager([worker], cache=ResultCache(tmp_path / "c"),
+                              tracer=tracer)
+        assert manager.run(spec) == serial_results(LOADS[:4])
+        inflight = peak = 0
+        for _, kind, _ in tracer.events:
+            if kind == "farm_dispatch":
+                inflight += 1
+                peak = max(peak, inflight)
+            elif kind == "farm_shard_done":
+                inflight -= 1
+        assert peak == 2
 
     def test_run_sweep_routes_through_farm(self, tmp_path):
         from repro.sim.sweep import run_sweep
@@ -534,6 +558,69 @@ class TestFarmExecutor:
     def test_execution_config_rejects_blank_hosts(self):
         with pytest.raises(ConfigurationError):
             ExecutionConfig(farm_hosts="  ")
+
+
+class TestOneScheduler:
+    """Every front end executes through the same manager: the same tiny
+    campaign yields equal results and byte-identical cache files
+    whichever way it comes in."""
+
+    @staticmethod
+    def _cache_files(root):
+        return {p.name: p.read_bytes() for p in sorted(Path(root).iterdir())}
+
+    def test_every_front_end_agrees(self, tmp_path):
+        import asyncio
+
+        from repro.service.jobs import JobManager
+
+        loads = LOADS[:3]
+        configs = list(tiny_configs(loads))
+        spec = tiny_spec(loads, shard_size=2)
+        runs = {}
+
+        def through_run_points(name, **kwargs):
+            cache = ResultCache(tmp_path / name)
+            runs[name] = run_points(configs, WARMUP, MEASURE, cache=cache,
+                                    **kwargs)
+
+        through_run_points("serial", workers=1)
+        through_run_points("processes", workers=3)
+        through_run_points("timed", workers=1, timeout=60.0)
+
+        chaotic = [
+            LocalPoolWorker("steady", workers=2),
+            ChaosWorker(LocalPoolWorker("flaky"),
+                        [parse_worker_fault("crash:host=flaky,at=0"),
+                         parse_worker_fault("garbage:host=flaky,at=1")]),
+        ]
+        runs["farm"] = FarmManager(
+            chaotic, cache=ResultCache(tmp_path / "farm"),
+            policy=FarmPolicy(retries=4, **FAST),
+        ).run(spec)
+
+        async def through_the_service():
+            manager = JobManager(cache_dir=tmp_path / "service",
+                                 jobs_dir=tmp_path / "jobs")
+            await manager.start()
+            try:
+                job, _ = manager.submit(spec)
+                while job.state not in ("done", "failed", "cancelled"):
+                    await asyncio.sleep(0.02)
+                assert job.state == "done", job.error
+                return job.results
+            finally:
+                await manager.shutdown()
+
+        runs["service"] = asyncio.run(through_the_service())
+
+        assert all(results == runs["serial"] for results in runs.values())
+        reference = self._cache_files(tmp_path / "serial")
+        assert sorted(reference) == sorted(
+            f"{key}.json" for key in spec.point_keys()
+        )
+        for name in runs:
+            assert self._cache_files(tmp_path / name) == reference, name
 
 
 class TestFarmCLI:

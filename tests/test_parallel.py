@@ -1,18 +1,30 @@
-"""Tests for repro.sim.parallel: equivalence, caching, crash handling."""
+"""Tests for repro.sim.parallel: equivalence, caching, crash handling.
+
+``run_points`` executes through :class:`repro.farm.FarmManager`; the
+crash, timeout and backoff behaviours pinned here are the manager's and
+the local worker's, seen through the ``run_points`` contract.
+"""
 
 import functools
 import io
 import json
+import multiprocessing
 import os
 import pickle
 import tempfile
 import time
-from concurrent.futures import Future
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.config import ExecutionConfig, SimConfig
+from repro.farm import (
+    CampaignSpec,
+    FarmManager,
+    FarmPolicy,
+    LocalPoolWorker,
+    WorkerProcessDied,
+)
+from repro.farm.health import HEALTHY
 from repro.sim import parallel
 from repro.sim.parallel import (
     PointResolution,
@@ -22,6 +34,8 @@ from repro.sim.parallel import (
     run_points,
 )
 from repro.sim.sweep import run_point, run_sweep
+from repro.telemetry import Tracer
+from repro.util.backoff import BackoffPolicy
 from repro.util.errors import LivenessError, PointTimeoutError, SweepExecutionError
 from repro.util.progress import ProgressReporter, format_eta
 
@@ -82,6 +96,20 @@ def _flaky_point(marker_dir, config, warmup, measure):
             fh.write("1")
         raise RuntimeError(f"injected crash at load {config.load}")
     return run_point(config, warmup, measure)
+
+
+def _dying_once_point(marker_dir, config, warmup, measure):
+    """Takes its worker process down on the first attempt per load."""
+    marker = os.path.join(marker_dir, f"died-{config.load}")
+    if not os.path.exists(marker):
+        with open(marker, "w") as fh:
+            fh.write("1")
+        os._exit(7)
+    return run_point(config, warmup, measure)
+
+
+def _dying_point(config, warmup, measure):
+    os._exit(7)
 
 
 def counting_fn(tmp_path, name="counter"):
@@ -287,6 +315,37 @@ class TestCrashHandling:
         assert "load=0.004" in message and "scheme=PR" in message
         assert len(excinfo.value.failures) == len(LOADS)
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_failing_point_does_not_quarantine_the_host(self, workers):
+        """A point function that raises is the point's failure: it costs
+        the shard an attempt, never the host its standing — so the batch
+        fails in milliseconds, not after quarantine probation delays."""
+        start = time.monotonic()
+        with pytest.raises(SweepExecutionError) as excinfo:
+            run_points(tiny_configs(), WARMUP, MEASURE, workers=workers,
+                       point_fn=_boom, retries=1)
+        assert time.monotonic() - start < FarmPolicy().probation / 2
+        failures = excinfo.value.failures
+        assert sorted(failures) == list(range(len(LOADS)))
+        assert all(isinstance(exc, RuntimeError)
+                   and "engine must not execute" in str(exc)
+                   for _, exc in failures.values())
+        [host] = excinfo.value.attribution.values()
+        assert host["state"] == HEALTHY and host["shards_failed"] == 0
+
+    def test_closure_point_fn_runs_in_process(self):
+        # workers=1 without a timeout never forks, so a closure works.
+        seen = []
+
+        def remembering(config, warmup, measure):
+            seen.append(config.load)
+            return run_point(config, warmup, measure)
+
+        results = run_points(tiny_configs(), WARMUP, MEASURE,
+                             point_fn=remembering)
+        assert results == run_points(tiny_configs(), WARMUP, MEASURE)
+        assert seen == list(LOADS)
+
 
 class TestPointTimeout:
     def test_hung_point_times_out_and_is_reported(self):
@@ -321,8 +380,9 @@ class TestPointTimeout:
 
     def test_liveness_dump_survives_the_worker_pool(self):
         # The diagnosing exception pickles back intact, dump and all.
+        # (two points, so workers=2 really is two processes)
         with pytest.raises(SweepExecutionError) as excinfo:
-            run_points([tiny_config()], WARMUP, MEASURE, workers=2,
+            run_points(tiny_configs(LOADS[:2]), WARMUP, MEASURE, workers=2,
                        point_fn=_wedged_point, retries=0)
         exc = excinfo.value.failures[0][1]
         assert isinstance(exc, LivenessError)
@@ -343,110 +403,133 @@ class TestPointTimeout:
         assert ExecutionConfig(point_timeout=1.5).point_timeout == 1.5
 
 
-class _DyingPool:
-    """A pool whose futures all resolve as BrokenProcessPool and whose
-    context exit re-raises it — the partial-progress pool death: some
-    futures were charged through ``as_completed`` before the executor
-    itself gave up."""
-
-    def __init__(self, max_workers=None):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_exception(BrokenProcessPool("worker died"))
-        return future
-
-    def __exit__(self, *exc_info):
-        raise BrokenProcessPool("pool torn down")
-
-
 class TestBrokenPoolAccounting:
-    def test_pool_death_charges_each_point_once(self, monkeypatch):
-        """Double-charge regression: a BrokenProcessPool escaping after
-        some futures already resolved through as_completed must not
-        charge those points a second attempt — with retries=1 the next
-        round is still theirs."""
-        real_pool = parallel.ProcessPoolExecutor
-        pools = []
+    """A worker process that dies under a point (the old pool-death
+    cases): the point is charged one attempt, the process is replaced,
+    and the run goes on."""
 
-        def factory(max_workers=None):
-            pools.append(max_workers)
-            if len(pools) == 1:
-                return _DyingPool(max_workers)
-            return real_pool(max_workers=max_workers)
-
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", factory)
-        monkeypatch.setattr(parallel, "_sleep", lambda seconds: None)
+    def test_pool_death_charges_each_point_once(self, tmp_path):
+        marker_dir = tmp_path / "markers"
+        marker_dir.mkdir()
+        dying_once = functools.partial(_dying_once_point, str(marker_dir))
+        # retries=1 is enough only if each death costs exactly one attempt
         results = run_points(tiny_configs(), WARMUP, MEASURE, workers=3,
-                             retries=1)
-        # the retry round ran on a real pool and succeeded
-        assert len(pools) == 2
+                             point_fn=dying_once, retries=1)
         assert results == run_points(tiny_configs(), WARMUP, MEASURE)
+        assert len(list(marker_dir.iterdir())) == len(LOADS)
 
-    def test_pool_death_past_the_budget_reports_failures(self, monkeypatch):
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _DyingPool)
-        monkeypatch.setattr(parallel, "_sleep", lambda seconds: None)
+    def test_pool_death_past_the_budget_reports_failures(self):
         with pytest.raises(SweepExecutionError) as excinfo:
-            run_points(tiny_configs(), WARMUP, MEASURE, workers=3, retries=1)
+            run_points(tiny_configs(), WARMUP, MEASURE, workers=3,
+                       point_fn=_dying_point, retries=1)
         assert len(excinfo.value.failures) == len(LOADS)
-        assert isinstance(excinfo.value.failures[0][1], BrokenProcessPool)
+        assert isinstance(excinfo.value.failures[0][1], WorkerProcessDied)
+        [host] = excinfo.value.attribution.values()
+        assert host["state"] == HEALTHY
+
+
+class TestWorkerLifetime:
+    """The manager opens its workers before dispatching and closes them
+    whatever happens; nothing outlives ``run_points``."""
+
+    def test_no_process_survives_a_clean_run(self):
+        run_points(tiny_configs(), WARMUP, MEASURE, workers=3)
+        assert multiprocessing.active_children() == []
+
+    def test_no_process_survives_a_failed_run(self):
+        with pytest.raises(SweepExecutionError):
+            run_points(tiny_configs(), WARMUP, MEASURE, workers=3,
+                       point_fn=_boom, retries=0)
+        assert multiprocessing.active_children() == []
+
+    def test_no_process_survives_a_timed_out_point(self):
+        with pytest.raises(SweepExecutionError):
+            run_points([tiny_config()], WARMUP, MEASURE, workers=1,
+                       point_fn=_hung_point, retries=0, timeout=0.5)
+        assert multiprocessing.active_children() == []
+
+    def test_closed_worker_reopens_on_its_next_run(self, tmp_path):
+        worker = LocalPoolWorker(workers=2)
+        spec = CampaignSpec(tuple(tiny_configs()), WARMUP, MEASURE,
+                            shard_size=1)
+        first = FarmManager([worker], cache=None).run(spec)
+        assert multiprocessing.active_children() == []
+        assert FarmManager([worker], cache=None).run(spec) == first
+        assert multiprocessing.active_children() == []
+
+
+class _RecordingBackoff(BackoffPolicy):
+    """A policy that remembers every delay it was asked for."""
+
+    calls: list = []
+
+    def delay(self, attempt, key=""):
+        seconds = super().delay(attempt, key)
+        self.calls.append((attempt, key, seconds))
+        return seconds
 
 
 class TestRetryBackoff:
-    def _delays(self, monkeypatch):
-        delays = []
-        monkeypatch.setattr(parallel, "_sleep", delays.append)
-        return delays
-
-    def test_serial_retry_waits_out_the_policy(self, monkeypatch, tmp_path):
-        delays = self._delays(monkeypatch)
+    @pytest.fixture
+    def flaky(self, tmp_path):
         marker_dir = tmp_path / "markers"
         marker_dir.mkdir()
-        flaky = functools.partial(_flaky_point, str(marker_dir))
-        run_points(tiny_configs(), WARMUP, MEASURE, workers=1,
-                   point_fn=flaky, retries=1)
-        expected = [parallel.DEFAULT_BACKOFF.delay(1, key=f"point{idx}")
-                    for idx in range(len(LOADS))]
-        assert delays == expected
+        return functools.partial(_flaky_point, str(marker_dir))
 
-    def test_parallel_retry_round_backs_off_once(self, monkeypatch, tmp_path):
-        delays = self._delays(monkeypatch)
-        marker_dir = tmp_path / "markers"
-        marker_dir.mkdir()
-        flaky = functools.partial(_flaky_point, str(marker_dir))
-        run_points(tiny_configs(), WARMUP, MEASURE, workers=3,
-                   point_fn=flaky, retries=1)
-        assert delays == [parallel.DEFAULT_BACKOFF.delay(1, key="round")]
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        monkeypatch.setattr(_RecordingBackoff, "calls", [])
+        return _RecordingBackoff.calls
 
-    def test_timed_waves_back_off_between_retries(self, monkeypatch, tmp_path):
-        delays = self._delays(monkeypatch)
-        marker_dir = tmp_path / "markers"
-        marker_dir.mkdir()
-        flaky = functools.partial(_flaky_point, str(marker_dir))
-        run_points(tiny_configs(), WARMUP, MEASURE, workers=3,
-                   point_fn=flaky, retries=1, timeout=60.0)
-        assert delays == [parallel.DEFAULT_BACKOFF.delay(1, key="wave")]
+    def test_serial_retry_waits_out_the_policy(self, flaky):
+        """Each retry is dispatched no sooner than the policy's seeded
+        delay for that shard and attempt after its failure."""
+        policy = FarmPolicy(retries=1)
+        tracer = Tracer()
+        spec = CampaignSpec(tuple(tiny_configs()), WARMUP, MEASURE,
+                            shard_size=1)
+        FarmManager([LocalPoolWorker(point_fn=flaky)], cache=None,
+                    policy=policy, tracer=tracer).run(spec)
+        backoffs = {p["shard"]: (ms, p["delay_ms"])
+                    for ms, kind, p in tracer.events if kind == "farm_backoff"}
+        assert sorted(backoffs) == list(range(len(LOADS)))
+        for shard, (failed_ms, delay_ms) in backoffs.items():
+            expected = policy.backoff.delay(1, key=f"shard{shard}")
+            assert delay_ms == int(expected * 1000)
+            [retry_ms] = [ms for ms, kind, p in tracer.events
+                          if kind == "farm_dispatch" and p["shard"] == shard
+                          and p["attempt"] == 1]
+            assert retry_ms - failed_ms >= delay_ms
 
-    def test_custom_policy_is_honoured(self, monkeypatch, tmp_path):
-        from repro.util.backoff import BackoffPolicy
+    def _one_delay_per_failed_point(self, kwargs, flaky, calls):
+        policy = _RecordingBackoff(base=0.01, cap=0.01, jitter=0.0)
+        run_points(tiny_configs(), WARMUP, MEASURE, point_fn=flaky,
+                   retries=1, backoff=policy, **kwargs)
+        assert sorted(calls) == [
+            (1, f"shard{n}", 0.01) for n in range(len(LOADS))
+        ]
 
-        delays = self._delays(monkeypatch)
-        marker_dir = tmp_path / "markers"
-        marker_dir.mkdir()
-        flaky = functools.partial(_flaky_point, str(marker_dir))
-        quiet = BackoffPolicy(base=0.25, factor=2.0, cap=1.0, jitter=0.0)
+    def test_parallel_retry_round_backs_off_once(self, flaky, calls):
+        # across worker processes: one delay per failed point, no more
+        self._one_delay_per_failed_point(dict(workers=3), flaky, calls)
+
+    def test_timed_waves_back_off_between_retries(self, flaky, calls):
+        # ... and the same with the per-point kill switch armed
+        self._one_delay_per_failed_point(dict(workers=3, timeout=60.0),
+                                         flaky, calls)
+
+    def test_custom_policy_is_honoured(self, flaky, calls):
+        quiet = _RecordingBackoff(base=0.25, factor=2.0, cap=1.0, jitter=0.0)
+        start = time.monotonic()
         run_points(tiny_configs(), WARMUP, MEASURE, workers=1,
                    point_fn=flaky, retries=1, backoff=quiet)
-        assert delays == [0.25] * len(LOADS)
+        assert [seconds for _, _, seconds in calls] == [0.25] * len(LOADS)
+        assert time.monotonic() - start >= 0.25
 
-    def test_successful_run_never_sleeps(self, monkeypatch):
-        delays = self._delays(monkeypatch)
-        run_points(tiny_configs(), WARMUP, MEASURE, workers=1)
-        assert delays == []
+    def test_successful_run_never_sleeps(self, calls):
+        run_points(tiny_configs(), WARMUP, MEASURE, workers=1,
+                   backoff=_RecordingBackoff())
+        assert calls == []
 
 
 def _picky_point(config, warmup, measure):

@@ -25,7 +25,7 @@ from repro.service.scenarios import (
     scenario_names,
 )
 from repro.service.sse import EventBroker, format_sse, parse_sse
-from repro.sim.parallel import run_points
+from repro.sim.parallel import ResultCache, run_points
 from repro.sim.sweep import run_point
 from repro.util.errors import ConfigurationError
 
@@ -202,7 +202,7 @@ class TestJobManager:
         async def body():
             manager = JobManager(
                 cache_dir=tmp_path / "cache", jobs_dir=tmp_path / "jobs",
-                sample_every=50, poll_interval=0.005, **kwargs,
+                sample_every=50, **kwargs,
             )
             await manager.start()
             try:
@@ -302,6 +302,70 @@ class TestJobManager:
         assert samples, "traced execution must stream time series"
         assert all("cycle" in s and "live_messages" in s for s in samples)
 
+    @pytest.mark.parametrize("kind", [
+        dict(workers=1), dict(workers=2), dict(farm_hosts="local,local"),
+    ], ids=["in-process", "processes", "farm-hosts"])
+    def test_every_worker_kind_streams_the_same_progress(self, tmp_path,
+                                                         kind):
+        """One ``_execute``: whatever computes the points, progress is
+        one event shape, published as each point lands."""
+        spec = tiny_campaign(points=3)
+        # one point already cached, so `done` starts above zero
+        run_points([spec.configs[0]], spec.warmup, spec.measure,
+                   cache=ResultCache(tmp_path / "cache"))
+
+        async def body(manager):
+            job, _ = manager.submit(spec)
+            sub = manager.broker.subscribe(job.id)
+            await self._wait_done(manager, job)
+            return job, [(e, d) async for _, e, d in sub]
+
+        job, events = self.run_manager(tmp_path, body, **kind)
+        assert job.state == "done" and job.cached_points == [0]
+        assert job.computed == 2
+        assert job.results == run_points(
+            list(spec.configs), spec.warmup, spec.measure
+        )
+        progress = [d for e, d in events if e == "progress"]
+        assert all(set(d) == {"point", "done", "total", "cached", "load",
+                              "scheme", "pattern", "elapsed_ms"}
+                   for d in progress)
+        assert sorted(d["point"] for d in progress) == [1, 2]
+        assert [d["done"] for d in progress] == [2, 3]
+        assert all(d["total"] == 3 and not d["cached"] for d in progress)
+        assert all(d["load"] == spec.configs[d["point"]].load
+                   for d in progress)
+        # live, not replayed after the run: each point's wall time shows
+        assert all(d["elapsed_ms"] > 0 for d in progress)
+        kinds = [e for e, _ in events]
+        assert kinds.index("progress") < kinds.index("done")
+        samples = [d for e, d in events if e == "sample"]
+        if kind == dict(workers=1):
+            # the in-process kind also traces: samples and a job trace
+            assert {d["point"] for d in samples} == {1, 2}
+            assert job.trace_path is not None
+        else:
+            assert not samples and job.trace_path is None
+
+    def test_vector_backend_job_runs_untraced(self, tmp_path):
+        # the vector engine refuses a tracer; the point still runs
+        spec = CampaignSpec(
+            configs=tuple(c.with_(backend="vector")
+                          for c in tiny_campaign().configs),
+            warmup=TINY.warmup, measure=TINY.measure, name="tiny-vector",
+        )
+
+        async def body(manager):
+            job, _ = manager.submit(spec)
+            await self._wait_done(manager, job)
+            return job
+
+        job = self.run_manager(tmp_path, body)
+        assert job.state == "done" and job.trace_path is None
+        assert job.results == run_points(
+            list(spec.configs), spec.warmup, spec.measure
+        )
+
     def test_perfetto_trace_written_and_valid(self, tmp_path):
         spec = tiny_campaign(points=2)
 
@@ -344,8 +408,7 @@ class TestJobManager:
 
         async def body1():
             manager = JobManager(cache_dir=tmp_path / "cache",
-                                 jobs_dir=tmp_path / "jobs",
-                                 poll_interval=0.005)
+                                 jobs_dir=tmp_path / "jobs")
             await manager.start()
             running, _ = manager.submit(first, priority=5)
             queued, _ = manager.submit(second, priority=1,
@@ -367,8 +430,7 @@ class TestJobManager:
 
         async def body2():
             manager = JobManager(cache_dir=tmp_path / "cache",
-                                 jobs_dir=tmp_path / "jobs",
-                                 poll_interval=0.005)
+                                 jobs_dir=tmp_path / "jobs")
             await manager.start()
             job = manager.jobs[ids[1]]
             await self._wait_done(manager, job)
@@ -395,7 +457,7 @@ class ServerFixture:
             manager = JobManager(
                 cache_dir=self.tmp_path / "cache",
                 jobs_dir=self.tmp_path / "jobs",
-                sample_every=50, poll_interval=0.005, **manager_kwargs,
+                sample_every=50, **manager_kwargs,
             )
             server = CampaignServer(manager, port=0)
             await server.start()
