@@ -73,6 +73,11 @@ class Scheme(ABC):
         self.recoveries = 0
         self.vc_map: VcMap | None = None
         self.routing = None
+        #: False for schemes that never preallocate reply slots (only DR
+        #: overrides ``wants_reservation``): reservations succeed at once.
+        self._reserves = (
+            type(self).wants_reservation is not Scheme.wants_reservation
+        )
 
     # ------------------------------------------------------------------
     # Endpoint policy interface
@@ -94,6 +99,14 @@ class Scheme(ABC):
     def num_queue_classes(self) -> int:
         ...
 
+    def _reply_queues(self, node: int, in_bank, continuation) -> list:
+        """Input queue of each reply-class spec destined to ``node``."""
+        return [
+            in_bank.queue(self.queue_class_of(spec.mtype))
+            for spec in walk_specs(continuation)
+            if spec.dst == node and self.wants_reservation(spec.mtype)
+        ]
+
     def make_reservations(self, node: int, in_bank, continuation,
                           vacating=None) -> bool:
         """Reserve one input slot per reply-class spec destined to ``node``.
@@ -109,19 +122,32 @@ class Scheme(ABC):
         under shared queue mode — could never be serviced: an artificial
         endpoint deadlock the protocol does not actually have.
         """
+        if not self._reserves:
+            return True
         made = []
-        for spec in walk_specs(continuation):
-            if spec.dst == node and self.wants_reservation(spec.mtype):
-                q = in_bank.queue(self.queue_class_of(spec.mtype))
-                # The +1 self-limits: over-reserving drives free_slots
-                # negative, so the head's slot is only ever spent once.
-                if q.try_reserve_reply(extra=1 if q is vacating else 0):
-                    made.append(q)
-                else:
-                    for made_q in made:
-                        made_q.release_reservation()
-                    return False
+        for q in self._reply_queues(node, in_bank, continuation):
+            # The +1 self-limits: over-reserving drives free_slots
+            # negative, so the head's slot is only ever spent once.
+            if q.try_reserve_reply(extra=1 if q is vacating else 0):
+                made.append(q)
+            else:
+                for made_q in made:
+                    made_q.release_reservation()
+                return False
         return True
+
+    def can_reserve(self, node: int, in_bank, continuation) -> bool:
+        """Would :meth:`make_reservations` (nothing ``vacating``, as at
+        admission) succeed now?  No side effects.
+
+        The k-th reservation into a queue succeeds while ``free_slots``
+        still exceeds the k - 1 made before it, so the whole set fits
+        exactly when each queue has as many free slots as specs want it.
+        """
+        if not self._reserves:
+            return True
+        queues = self._reply_queues(node, in_bank, continuation)
+        return all(q.free_slots >= queues.count(q) for q in queues)
 
     # ------------------------------------------------------------------
     # Runtime

@@ -22,8 +22,6 @@ subordinate placement is decided by the recovery controller's callback
 
 from __future__ import annotations
 
-from collections import Counter
-
 from repro.endpoint.queues import QueueBank
 from repro.protocol.message import Message
 from repro.util.errors import SimulationError
@@ -123,23 +121,18 @@ class MemoryController:
         msg = queue.peek()
         if msg is None:
             return False
-        # Claim output slots for every subordinate, grouped by class.
+        # Claim an output slot for every subordinate.
         held: list[int] = []
         ok = True
-        if msg.continuation:
-            need = Counter(
-                self.policy.queue_class_of(spec.mtype) for spec in msg.continuation
-            )
-            for out_cls, count in need.items():
-                out_q = self.out_bank.queue(out_cls)
-                for _ in range(count):
-                    if out_q.hold_slot():
-                        held.append(out_cls)
-                    else:
-                        ok = False
-                        break
-                if not ok:
-                    break
+        out_queues = self.out_bank.queues
+        queue_class_of = self.policy.queue_class_of
+        for spec in msg.continuation:
+            out_cls = queue_class_of(spec.mtype)
+            if out_queues[out_cls].hold_slot():
+                held.append(out_cls)
+            else:
+                ok = False
+                break
         if ok and msg.continuation:
             # MSHR preallocation for replies this node is owed (R2).
             # The head's own slot (freed by the pop below) may back a
@@ -149,7 +142,7 @@ class MemoryController:
             )
         if not ok:
             for out_cls in held:
-                self.out_bank.queue(out_cls).release_held()
+                out_queues[out_cls].release_held()
             return False
         queue.pop()
         self.current = msg

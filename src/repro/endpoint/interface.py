@@ -98,15 +98,22 @@ class NetworkInterface:
                 self.fabric.start_injection(chan, queue.pop(), now)
         self.controller.step(now)
 
+    def _admission_slot(self):
+        """Output queue the head root may enter now, else None.
+
+        None while the source queue is empty, every MSHR is taken or
+        the root's output queue is full; reply reservations are left to
+        :meth:`_admit_roots`.
+        """
+        if not self.source_queue or self.outstanding >= self.max_outstanding:
+            return None
+        cls = self.policy.queue_class_of(self.source_queue[0].mtype)
+        out_q = self.out_bank.queue(cls)
+        return out_q if out_q.free_slots > 0 else None
+
     def _admit_roots(self, now: int) -> None:
-        while self.source_queue:
+        while (out_q := self._admission_slot()) is not None:
             root = self.source_queue[0]
-            if self.outstanding >= self.max_outstanding:
-                return
-            cls = self.policy.queue_class_of(root.mtype)
-            out_q = self.out_bank.queue(cls)
-            if out_q.free_slots <= 0:
-                return
             # R1: preallocate reply slots for everything this transaction
             # will send back to us before letting the request loose.
             if not self.policy.make_reservations(

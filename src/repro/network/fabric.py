@@ -387,3 +387,15 @@ class Fabric:
     def all_vcs(self):
         for vcs in self.link_vcs:
             yield from vcs
+
+    def held_messages(self):
+        """Every message owning a virtual or injection channel.
+
+        A packet spanning several channels is yielded once per channel.
+        """
+        for vc in self.all_vcs():
+            if vc.owner is not None:
+                yield vc.owner
+        for chan in self._inj_channels.values():
+            if chan.owner is not None:
+                yield chan.owner

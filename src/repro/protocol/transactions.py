@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.protocol.chains import GENERIC_MSI, GENERIC_ORIGIN, Protocol
-from repro.protocol.message import Message, MessageSpec, Transaction
+from repro.protocol.message import Message, MessageSpec, MessageType, Transaction
 from repro.util.errors import ConfigurationError
 
 _txn_uid = itertools.count()
@@ -65,6 +65,10 @@ class TransactionPattern:
     name: str
     protocol: Protocol
     length_probs: tuple[tuple[int, float], ...]
+    #: chain length -> its message types, filled by :meth:`chain_types`.
+    _chain_types: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         total = sum(p for _, p in self.length_probs)
@@ -100,6 +104,16 @@ class TransactionPattern:
                 f"{self.name}: protocol {p.name} has no chain of length {length}"
             )
         return shapes[length]
+
+    def chain_types(self, length: int) -> tuple[MessageType, ...]:
+        """:meth:`chain_type_names` resolved to types, once per length."""
+        types = self._chain_types.get(length)
+        if types is None:
+            types = self._chain_types[length] = tuple(
+                self.protocol.type_named(name)
+                for name in self.chain_type_names(length)
+            )
+        return types
 
     @property
     def types_used(self) -> tuple[str, ...]:
@@ -188,8 +202,7 @@ class TransactionPattern:
             if rng is None:
                 raise ConfigurationError("either length or rng must be given")
             length = self.sample_chain_length(rng)
-        names = self.chain_type_names(length)
-        p = self.protocol
+        types = self.chain_types(length)
         t = Transaction(
             uid=next(_txn_uid),
             requester=requester,
@@ -201,21 +214,21 @@ class TransactionPattern:
         # Build the continuation inside-out (last message first).
         if length == 2:
             # home -> requester
-            cont = (MessageSpec(p.type_named(names[1]), requester),)
+            cont = (MessageSpec(types[1], requester),)
         elif length == 3:
             # home -> third -> requester
-            last = MessageSpec(p.type_named(names[2]), requester)
-            cont = (MessageSpec(p.type_named(names[1]), third, (last,)),)
+            last = MessageSpec(types[2], requester)
+            cont = (MessageSpec(types[1], third, (last,)),)
         elif length == 4:
             # home -> third -> home -> requester
-            last = MessageSpec(p.type_named(names[3]), requester)
-            back = MessageSpec(p.type_named(names[2]), home, (last,))
-            cont = (MessageSpec(p.type_named(names[1]), third, (back,)),)
+            last = MessageSpec(types[3], requester)
+            back = MessageSpec(types[2], home, (last,))
+            cont = (MessageSpec(types[1], third, (back,)),)
         else:  # pragma: no cover - guarded in chain_type_names
             raise ConfigurationError(f"unsupported chain length {length}")
 
         root = Message(
-            p.type_named(names[0]),
+            types[0],
             src=requester,
             dst=home,
             continuation=cont,

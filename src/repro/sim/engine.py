@@ -163,6 +163,10 @@ class Engine:
             for ni in self.interfaces
         )
 
+    def cwg_knots(self) -> list[set] | None:
+        """Knots of the channel wait-for graph right now (dump section)."""
+        return detect_deadlock(self)
+
     def quiesce(self, max_cycles: int = 200_000) -> QuiesceResult:
         """Stop traffic and drain; truthy if the system empties.
 

@@ -62,14 +62,8 @@ def live_message_uids(engine) -> set[int]:
             seen.add(controller._priority[0].uid)
         if ni.dmb is not None:
             seen.add(ni.dmb.uid)
-    fabric = engine.fabric
-    for vcs in fabric.link_vcs:
-        for vc in vcs:
-            if vc.owner is not None:
-                seen.add(vc.owner.uid)
-    for chan in fabric._inj_channels.values():
-        if chan.owner is not None:
-            seen.add(chan.owner.uid)
+    for msg in engine.fabric.held_messages():
+        seen.add(msg.uid)
     controller = getattr(engine.scheme, "controller", None)
     if controller is not None:
         leg = getattr(controller, "_leg_msg", None)
@@ -206,11 +200,10 @@ def capture_dump(engine, reason: str = "") -> dict:
             break
     dump["blocked_frontiers"] = blocked
 
-    from repro.core.cwg import detect_deadlock
-
-    dump["cwg_knots"] = [
-        sorted(str(member) for member in knot)
-        for knot in detect_deadlock(engine)
+    # None: the engine cannot build a wait-for graph (vector backend).
+    knots = engine.cwg_knots()
+    dump["cwg_knots"] = None if knots is None else [
+        sorted(str(member) for member in knot) for knot in knots
     ]
 
     if engine.faults is not None:
@@ -273,8 +266,10 @@ def format_dump(dump: dict) -> str:
             f" {entry['message']} ({entry['blocked_for']} cycles)"
         )
     knots = dump.get("cwg_knots", [])
-    lines.append(f"  CWG knots: {len(knots)}")
-    for knot in knots[:4]:
+    lines.append(
+        "  CWG knots: " + ("not computed" if knots is None else str(len(knots)))
+    )
+    for knot in (knots or ())[:4]:
         lines.append(f"    knot[{len(knot)}]: {', '.join(knot[:8])}"
                      + (" ..." if len(knot) > 8 else ""))
     episodes = dump.get("episodes")

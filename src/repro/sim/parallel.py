@@ -67,15 +67,29 @@ def set_default_execution(execution: ExecutionConfig) -> ExecutionConfig:
     return previous
 
 
-@lru_cache(maxsize=1)
-def code_version() -> str:
-    """Digest of the ``repro`` package sources, for cache invalidation."""
-    root = Path(repro.__file__).resolve().parent
+def digest_sources(root: Path) -> str:
+    """Digest of every source file below ``root``: Python and C.
+
+    ``_build/`` is skipped: compiled kernels follow from ``kernel.c``
+    and appear on first use, which must not move the version.
+    """
+    paths = sorted(
+        path
+        for path in root.rglob("*.*")
+        if path.suffix in (".py", ".c")
+        and "_build" not in path.relative_to(root).parts
+    )
     digest = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
+    for path in paths:
         digest.update(str(path.relative_to(root)).encode("utf-8"))
         digest.update(path.read_bytes())
     return digest.hexdigest()[:16]
+
+
+@lru_cache(maxsize=1)
+def code_version() -> str:
+    """Digest of the ``repro`` package sources, for cache invalidation."""
+    return digest_sources(Path(repro.__file__).resolve().parent)
 
 
 def point_key(config: SimConfig, warmup: int, measure: int,

@@ -25,10 +25,72 @@ Gating is sound because every skipped call is a proven no-op:
   function of its last materialized state (see
   :class:`_LazyDetectorBank`).
 
-Every state change that could un-block a node wakes it: queue
-``notify`` hooks, fabric delivery/injection-done events, transaction
-completion, priority-service requests, and a completion calendar for
-in-progress services.
+Wake rules
+----------
+An NI step has three stages, and each reads a fixed set of inputs.
+*Admission* reads the source queue's head, the MSHR count, the head's
+output queue and (DR's reply preallocation) the input queues' free
+slots; ``VectorNI.can_admit`` is exactly its test, without side
+effects.  *Loading* reads injection-channel owners and output-queue
+entries.  The *controller* reads its own service state, the
+input-queue heads, the output queues' free slots and (DR) the input
+queues' free slots.  A change wakes a node only when it lets one of
+these stages do something it could not do at the node's last step.
+The rules, each with the reason the step it skips is a no-op:
+
+* **Root arrival** wakes a node whose source queue was empty and whose
+  new head ``can_admit``.  Behind a waiting root the newcomer is not
+  looked at (admission is FIFO and returns at the first blocked head),
+  and a head that cannot be admitted waits for one of the resources
+  below, whose release re-tests it.
+* **Freed MSHR** wakes a node that ``can_admit`` — in the current sweep
+  when its slot is still ahead, exactly as the reference's
+  unconditional sweep would see it, else next cycle.  ``outstanding``
+  is read by admission only.
+* **Delivery-slot claim** (``try_claim_slot``, fabric phase) never
+  wakes.  It only takes an input-queue slot away, and no stage is
+  enabled by fewer free slots; the detectors, which *are* sensitive to
+  it, are dirtied as before.
+* **Any other foreign input-queue change** (delivery commit; a
+  recovery's pop, push or reservation) can matter in two ways.  If the
+  queue now holds exactly one message or gained a free slot, an *idle*
+  controller is woken: it has a new head to try, or a reservation that
+  failed may fit.  A message queued behind an unchanged head changes
+  nothing the controller reads, and a controller in service looks at
+  the queues again only when the completion calendar ends the service.
+  If the queue gained a free slot and the node now ``can_admit``, it is
+  woken for the root that was waiting on a reply reservation.
+* **Foreign output-queue change** (DR's backoff reply) always wakes: it
+  is rare, and both a loadable message and a freed slot can matter.
+* **Injection-channel release** wakes a node that has a loadable
+  output queue (an idle channel whose queue holds a message).  An idle
+  channel with nothing to load changes no stage's inputs; a message
+  queued later is the node's own progress or a foreign output-queue
+  change.
+* **Priority-service request** wakes an idle controller; a busy one
+  selects the rescued message when the calendar ends its service.
+* **Service completion** comes from the calendar, as before.
+* **Own progress**: own-step queue notifies never wake (a blocked
+  attempt's hold/reserve rollback would re-wake the node every cycle).
+  Instead ``_step_node`` re-wakes its node for the next cycle only if
+  the step loaded a channel or changed the controller's service *and*
+  the node now ``can_admit`` or has a loadable output queue.  Admission
+  runs first and the controller last, so those are the only own
+  changes a stage has not already seen: an output slot freed by a
+  load, an input slot or MSHR freed by the controller, subordinates
+  pushed at completion.  A step that only admitted roots stopped at a
+  head nothing later in the step unblocked, and a controller left idle
+  found nothing it could start — both stay that way until a foreign
+  change.
+* **Detector bank**: ``_step_node`` dirties its node only when
+  ``controller.current`` changed.  Detector conditions read queue state
+  (every queue ``notify`` dirties, suppressed ones included) and
+  ``current``/``current_in_cls``; a step that left the service alone
+  changed nothing a ``notify`` has not already reported.
+
+``tests/test_backend_equivalence.py`` checks that no needed wake is
+missing (bit-identical results, also after ``quiesce``);
+``tests/test_vector_gating.py`` that almost no step is wasted.
 
 The introspection layers (telemetry tracing, fault injection, runtime
 invariants, the liveness watchdog, CWG detection) are reference-only:
@@ -76,28 +138,48 @@ class VectorNI(NetworkInterface):
     """Reference NI that reports wake-worthy endpoint activity.
 
     ``_vec_engine`` is attached by :class:`VectorEngine` right after
-    construction, before any cycle runs.
+    construction, before any cycle runs.  The wake rules are argued in
+    the module docstring.
     """
 
     _vec_engine: "VectorEngine" = None
 
+    def can_admit(self) -> bool:
+        """Would ``_admit_roots`` admit the head root now?"""
+        return self._admission_slot() is not None and self.policy.can_reserve(
+            self.node, self.in_bank, self.source_queue[0].continuation
+        )
+
     def enqueue_root(self, root) -> None:
+        was_empty = not self.source_queue
         super().enqueue_root(root)
-        # Traffic runs before the NI phase, so the admission attempt
-        # belongs to the current cycle.
-        self._vec_engine._due[self.node] = 1
+        if was_empty and self.can_admit():
+            # Traffic runs before the NI phase, so the admission attempt
+            # belongs to the current cycle.
+            self._vec_engine._due[self.node] = 1
+
+    def try_reserve_delivery(self, msg) -> bool:
+        # A claim only takes a slot away: the notify it triggers keeps
+        # the mirror and the detector bank current but wakes nobody.
+        # (Fabric phase: no NI step is in progress to be suppressed.)
+        suppress = self._vec_engine._suppress
+        suppress[0] = self.node
+        claimed = super().try_reserve_delivery(msg)
+        suppress[0] = -1
+        return claimed
 
     def on_transaction_complete(self) -> None:
         self.outstanding -= 1
-        # A freed MSHR lets _admit_roots proceed.  Completions happen in
-        # the NI phase (controller service); if this node's slot in the
-        # current sweep is still ahead it can react this cycle, exactly
-        # as the reference's unconditional sweep would.
-        eng = self._vec_engine
-        if eng._ni_phase and self.node > eng._ni_current:
-            eng._due[self.node] = 1
-        else:
-            eng._due_next[self.node] = 1
+        if self.can_admit():
+            # Completions happen in the NI phase (controller service);
+            # if this node's slot in the current sweep is still ahead it
+            # can react this cycle, exactly as the reference's
+            # unconditional sweep would.
+            eng = self._vec_engine
+            if eng._ni_phase and self.node > eng._ni_current:
+                eng._due[self.node] = 1
+            else:
+                eng._due_next[self.node] = 1
 
 
 class _FiredView:
@@ -242,7 +324,7 @@ class _LazyDetectorBank:
         return due
 
 
-def _make_notify(q, node, qi, qm_free, qm_res, due_next, dirty, suppress):
+def _make_notify(q, ni, qi, qm_free, qm_res, due_next, dirty, suppress):
     """Queue-mutation hook: kernel slot mirror + wake + detector dirty.
 
     ``qi`` is None for output queues (no kernel mirror); ``dirty`` is
@@ -250,35 +332,50 @@ def _make_notify(q, node, qi, qm_free, qm_res, due_next, dirty, suppress):
     from scratch so raw field writes (progressive recovery's reserved→
     held conversion) are covered by the ``commit`` that follows them.
 
-    ``suppress`` holds the node currently taking its NI step: its own
-    mutations do not wake it (a blocked attempt's hold/reserve rollback
-    would otherwise re-wake the node every cycle, defeating the gating
-    entirely).  Genuine own progress is flagged by ``_step_node``
-    instead; mirror and detector dirtying are never suppressed.
+    ``suppress`` holds the node whose mutation must not wake it: the
+    node taking its NI step (a blocked attempt's hold/reserve rollback
+    would otherwise re-wake it every cycle; genuine own progress is
+    flagged by ``_step_node``) or the node a delivery-slot claim is
+    being replayed at.  Mirror and detector dirtying are never
+    suppressed.  Which foreign changes wake is argued in the module
+    docstring.
     """
-    if qi is not None and dirty is not None:
+    node = ni.node
+    if qi is None:
         def notify() -> None:
-            qm_free[qi] = q.capacity - len(q.entries) - q.held - q.reserved
-            qm_res[qi] = q.reserved
+            if suppress[0] != node:
+                due_next[node] = 1
+            if dirty is not None:
+                dirty.add(node)
+
+        return notify
+
+    controller = ni.controller
+    entries = q.entries
+
+    def notify() -> None:
+        free = q.capacity - len(entries) - q.held - q.reserved
+        if suppress[0] != node:
+            # The mirror still holds the value before this mutation.
+            grew = free > qm_free[qi]
+            if (
+                controller.current is None and (grew or len(entries) == 1)
+            ) or (grew and ni.can_admit()):
+                due_next[node] = 1
+        qm_free[qi] = free
+        qm_res[qi] = q.reserved
+        if dirty is not None:
             dirty.add(node)
-            if suppress[0] != node:
-                due_next[node] = 1
-    elif qi is not None:
-        def notify() -> None:
-            qm_free[qi] = q.capacity - len(q.entries) - q.held - q.reserved
-            qm_res[qi] = q.reserved
-            if suppress[0] != node:
-                due_next[node] = 1
-    elif dirty is not None:
-        def notify() -> None:
-            dirty.add(node)
-            if suppress[0] != node:
-                due_next[node] = 1
-    else:
-        def notify() -> None:
-            if suppress[0] != node:
-                due_next[node] = 1
+
     return notify
+
+
+def _loadable(ni) -> bool:
+    """True if the NI's next step would load an injection channel."""
+    for chan, queue in ni._injection_pairs:
+        if chan.owner is None and queue.entries:
+            return True
+    return False
 
 
 class VectorEngine(Engine):
@@ -298,7 +395,8 @@ class VectorEngine(Engine):
         self._zero = bytes(N)
         self._ni_phase = False
         self._ni_current = -1
-        #: node whose own NI step is in progress (notify wake filter).
+        #: node whose queue notifies must not wake it (own NI step in
+        #: progress, or a delivery-slot claim being replayed).
         self._suppress = [-1]
         #: completion calendar: cycle -> nodes whose service ends then.
         self._calendar: dict[int, list[int]] = {}
@@ -339,24 +437,23 @@ class VectorEngine(Engine):
         # mutates the queues during build, and the mirror starts from
         # the same all-free state.
         C = self.scheme.num_queue_classes
-        qm_free = self.fabric._qm_free
-        qm_res = self.fabric._qm_res
+        # memoryviews: plain-int reads and writes of the shared cells.
+        qm_free = memoryview(self.fabric._qm_free)
+        qm_res = memoryview(self.fabric._qm_res)
         due_next = self._due_next
         suppress = self._suppress
         for ni in self.interfaces:
             base = ni.node * C
             for cls, q in enumerate(ni.in_bank.queues):
                 q.notify = _make_notify(
-                    q, ni.node, base + cls, qm_free, qm_res, due_next, dirty,
+                    q, ni, base + cls, qm_free, qm_res, due_next, dirty,
                     suppress,
                 )
                 q.notify()
             for q in ni.out_bank.queues:
                 q.notify = _make_notify(
-                    q, ni.node, None, qm_free, qm_res, due_next, dirty, suppress
+                    q, ni, None, qm_free, qm_res, due_next, dirty, suppress
                 )
-            # A rescue's priority service is selected at the node's next
-            # controller step, so the node must take one.
             ni.controller.request_priority_service = self._wrap_priority(
                 ni.controller, ni.node
             )
@@ -379,19 +476,28 @@ class VectorEngine(Engine):
             "run traced experiments with backend='reference'"
         )
 
+    def cwg_knots(self) -> None:
+        """No wait-for graph yet: ``core.cwg`` walks per-flit objects
+        the array fabric does not materialize, so dumps carry None."""
+        return None
+
     # ------------------------------------------------------------------
     # Wake plumbing
     # ------------------------------------------------------------------
     def _wake_release(self, node: int) -> None:
         """An injection channel freed up (fabric events, lane release)."""
-        self._due_next[node] = 1
+        if _loadable(self.interfaces[node]):
+            self._due_next[node] = 1
 
     def _wrap_priority(self, controller, node: int):
         orig = controller.request_priority_service
 
         def request_priority_service(msg, callback) -> None:
             orig(msg, callback)
-            self._due_next[node] = 1
+            # Selected at the controller's next idle step; a service in
+            # progress reaches that step through the calendar.
+            if controller.current is None:
+                self._due_next[node] = 1
 
         return request_priority_service
 
@@ -435,58 +541,51 @@ class VectorEngine(Engine):
     def _step_node(self, ni, node: int, now: int) -> None:
         """One reference NI step, minus redundant mid-service work.
 
-        Own-step queue notifies are suppressed, so genuine progress
-        (an admission, an injection load, a completed service) flags a
-        next-cycle wake here; a step where every attempt rolled back
-        leaves state bit-identical and the node sleeps until a foreign
-        event changes something, exactly when the reference's retries
-        would first behave differently.
+        Own-step queue notifies are suppressed; the step itself decides
+        whether the node has anything left to do next cycle (module
+        docstring, "own progress").
         """
-        progressed = False
         if ni.source_queue:
-            depth = len(ni.source_queue)
             ni._admit_roots(now)
-            if len(ni.source_queue) != depth:
-                progressed = True
         fabric = self.fabric
+        moved = False
         for chan, queue in ni._injection_pairs:
             if chan.owner is None and queue.entries:
                 fabric.start_injection(chan, queue.pop(), now)
-                progressed = True
+                moved = True
         c = ni.controller
-        if c.current is not None and now < c.busy_until:
+        current = c.current
+        if current is None or now >= c.busy_until:
             # Mid-service the reference step only increments
-            # busy_cycles; reconciled at completion (and in
-            # run()/_reconcile_busy for end-of-run snapshots).
-            if progressed:
-                self._due_next[node] = 1
-            return
-        if c.current is not None:
-            c.busy_cycles += now - self._svc_start[node] - 1
-        serviced = c.messages_serviced
-        c.step(now)
-        if c.messages_serviced != serviced:
-            progressed = True  # completion pushed/placed subordinates
-        if c.current is not None:
-            self._svc_start[node] = now
-            until = c.busy_until
-            self._calendar.setdefault(until if until > now else now + 1, []).append(
-                node
-            )
-            progressed = True
-        if progressed:
+            # busy_cycles; reconciled here at completion (and in
+            # _reconcile_busy for end-of-run snapshots).
+            if current is not None:
+                c.busy_cycles += now - self._svc_start[node] - 1
+            c.step(now)
+            if c.current is not current:
+                moved = True
+                if c.current is not None:
+                    self._svc_start[node] = now
+                    # A zero-length service still ends on the next step.
+                    end = c.busy_until if c.busy_until > now else now + 1
+                    self._calendar.setdefault(end, []).append(node)
+                if self._det_bank is not None:
+                    self._det_bank.dirty.add(node)
+        if moved and (
+            (ni.source_queue and ni.can_admit()) or _loadable(ni)
+        ):
             self._due_next[node] = 1
-        bank = self._det_bank
-        if bank is not None:
-            # current/current_in_cls transitions without a queue signal
-            # (priority selection, all-overflow rescue completion) still
-            # change detector conditions.
-            bank.dirty.add(node)
 
     def run(self, cycles: int) -> None:
         for _ in range(cycles):
             self.step()
         self._reconcile_busy()
+
+    def quiesce(self, max_cycles: int = 200_000):
+        try:
+            return super().quiesce(max_cycles)
+        finally:
+            self._reconcile_busy()  # a failed drain can end mid-service
 
     def _reconcile_busy(self) -> None:
         """Charge deferred mid-service busy_cycles up to ``now``.

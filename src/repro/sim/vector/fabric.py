@@ -4,10 +4,11 @@
 :class:`repro.network.fabric.Fabric`.  All per-channel and per-message
 network state lives in flat ``int32`` numpy arrays shared with the
 compiled kernel (:mod:`repro.sim.vector.kernel`); the three cycle phases
-run entirely in C, and endpoint interactions come back as an event
-buffer that Python drains in exactly the order the reference fabric
-would have made the equivalent calls — which is what keeps the two
-backends bit-identical, floating-point accumulation order included.
+run entirely in C behind one call per cycle, and endpoint interactions
+come back as an event buffer that Python drains in exactly the order
+the reference fabric would have made the equivalent calls — which is
+what keeps the two backends bit-identical, floating-point accumulation
+order included.
 
 Id spaces
 ---------
@@ -42,14 +43,14 @@ from repro.sim.vector.kernel import load_kernel
 
 # Header cells (must match kernel.c).
 H_PN = 0
-H_EVN = 1
 H_OCC = 2
-H_BUSYN = 3
 H_MISS_R = 6
 H_MISS_DSTR = 7
 H_MISS_CLS = 8
 H_MISS_MASK = 9
-H_EV_OVF = 11
+
+# k_step failure codes (must match kernel.c).
+K_ROUTE_MISS = -1
 
 # int64 counters (must match kernel.c).
 C_FORWARDED = 0
@@ -318,6 +319,7 @@ class VectorFabric:
         self._cnt = np.zeros(4, dtype=np.int64)
 
         self._lib = load_kernel()
+        self._k_step = self._lib.k_step
         arrays = (
             self._s_owner, self._s_sink, self._s_router,
             self._v_count, self._v_hp, self._v_flit, self._v_arr,
@@ -418,31 +420,25 @@ class VectorFabric:
     # Cycle
     # ------------------------------------------------------------------
     def step(self, now: int) -> None:
-        lib, k = self._lib, self._k
-        lib.k_eject(k, now)
-        if lib.k_alloc(k, now) == 2:
+        evn = self._k_step(self._k, now)
+        if evn > 0:
+            self._drain_events(evn, now)
+        elif evn == K_ROUTE_MISS:
             hdr = self._hdr
             raise SimulationError(
                 "route table has no row for (router, destination, class, "
                 f"mask) = ({hdr[H_MISS_R]}, {hdr[H_MISS_DSTR]}, "
                 f"{hdr[H_MISS_CLS]}, {hdr[H_MISS_MASK]})"
             )
-        lib.k_links(k, now)
-        if self._hdr[H_EV_OVF]:  # pragma: no cover - sized generously
+        elif evn < 0:  # pragma: no cover - sized generously
             raise SimulationError("kernel event buffer overflow")
-        self._drain_events(now)
 
-    def _drain_events(self, now: int) -> None:
-        hdr = self._hdr
-        evn = int(hdr[H_EVN])
-        if evn == 0:
-            return
-        ev = self._ev
+    def _drain_events(self, evn: int, now: int) -> None:
         vids = self._vids
         NVC = self.NVC
-        for i in range(0, 3 * evn, 3):
-            etype = ev[i]
-            vid = ev[i + 1]
+        # One bulk read: (type, vid, sid) triples as Python ints.
+        flat = iter(self._ev[: 3 * evn].tolist())
+        for etype, vid, sid in zip(flat, flat, flat):
             msg = vids[vid]
             if etype == EV_CLAIM:
                 # The kernel already claimed against the slot mirror;
@@ -455,20 +451,18 @@ class VectorFabric:
                 msg.blocked_since = -1
             elif etype == EV_DELIVER:
                 msg.flits_ejected = int(self._m_ejected[vid])
-                sid = int(ev[i + 2])
                 if sid >= NVC:  # direct local delivery: free the injector
-                    chan = self._inj_by_sid[sid]
-                    chan.owner = None
-                    if self.wake_node is not None:
-                        self.wake_node(chan.node)
-                self._free_vid(int(vid))
+                    self._release_injector(sid)
+                self._free_vid(vid)
                 self._deliver_hooks[msg.dst](msg, now)
             else:  # EV_INJDONE: tail left the injection channel
-                chan = self._inj_by_sid[int(ev[i + 2])]
-                chan.owner = None
-                if self.wake_node is not None:
-                    self.wake_node(chan.node)
-        hdr[H_EVN] = 0
+                self._release_injector(sid)
+
+    def _release_injector(self, sid: int) -> None:
+        chan = self._inj_by_sid[sid]
+        chan.owner = None
+        if self.wake_node is not None:
+            self.wake_node(chan.node)
 
     def _free_vid(self, vid: int) -> None:
         self._vids[vid] = None
@@ -537,6 +531,10 @@ class VectorFabric:
             msg.crossed_mask = int(self._m_crossed[vid])
             msg.blocked_since = int(self._m_blocked[vid])
             msg.flits_ejected = int(self._m_ejected[vid])
+
+    def held_messages(self):
+        """Every message owning a virtual or injection channel."""
+        return [msg for msg in self._vids if msg is not None]
 
     def occupancy(self) -> int:
         return int(self._hdr[H_OCC])

@@ -16,14 +16,15 @@
  * Endpoint interactions are event-based: slot claims at the delivery
  * port are decided against the (free, reserved) queue mirror and
  * reported as EV_CLAIM events; tail-flit deliveries as EV_DELIVER;
- * injection-channel releases as EV_INJDONE.  Python drains the event
- * buffer after the phases run, applying the same mutations the
- * reference fabric performs inline (deliveries precede claims precede
- * link events in the buffer, matching the reference phase order).
+ * injection-channel releases as EV_INJDONE.  k_step runs the three
+ * phases of one cycle in one call and Python drains the event buffer
+ * after it, applying the same mutations the reference fabric performs
+ * inline (deliveries precede claims precede link events in the buffer,
+ * matching the reference phase order).
  *
  * The route table (network/soa.py) is complete before the first cycle:
- * a missing (router, dst_router, class, dateline-mask) key makes k_alloc
- * return 2 with the key in the header, and Python raises.
+ * a missing (router, dst_router, class, dateline-mask) key makes k_step
+ * return K_ROUTE_MISS with the key in the header, and Python raises.
  */
 
 #include <stdint.h>
@@ -46,6 +47,10 @@
 #define C_INJECTED 1
 #define C_EJECTED 2
 #define C_ALLOCFAIL 3
+
+/* k_step failure codes (event counts are >= 0) */
+#define K_ROUTE_MISS (-1)
+#define K_EVENT_OVERFLOW (-2)
 
 /* events */
 #define EV_CLAIM 1
@@ -161,7 +166,7 @@ void k_free(void *h)
  * Phase 1: ejection — one flit per active port, node-ascending.
  * Mirrors Fabric._phase_eject + EjectionPort.step.
  * ------------------------------------------------------------------ */
-void k_eject(void *h, int32_t now)
+static void k_eject(void *h, int32_t now)
 {
     KState *k = (KState *)h;
     const int32_t NVC = k->NVC, D = k->D, EPCAP = k->EPCAP;
@@ -220,7 +225,7 @@ void k_eject(void *h, int32_t now)
  * every frontier.  Mirrors Fabric._phase_allocate; returns 2 on a
  * route-table miss (see the header comment), else 0.
  * ------------------------------------------------------------------ */
-int32_t k_alloc(void *h, int32_t now)
+static int32_t k_alloc(void *h, int32_t now)
 {
     KState *k = (KState *)h;
     const int32_t NVC = k->NVC, V = k->V, C = k->C, EPCAP = k->EPCAP;
@@ -324,7 +329,7 @@ int32_t k_alloc(void *h, int32_t now)
  * Phase 3: link traversal — one flit per busy link, round-robin.
  * Mirrors Fabric._phase_links.
  * ------------------------------------------------------------------ */
-void k_links(void *h, int32_t now)
+static void k_links(void *h, int32_t now)
 {
     KState *k = (KState *)h;
     const int32_t NVC = k->NVC, V = k->V, D = k->D, C = k->C;
@@ -436,6 +441,25 @@ void k_links(void *h, int32_t now)
             k->busy_order[w++] = k->busy_order[b];
         k->hdr[H_BUSYN] = w;
     }
+}
+
+/* --------------------------------------------------------------------
+ * One cycle: the three phases in reference order.  Returns the number
+ * of events left in the buffer for Python to drain, K_ROUTE_MISS on a
+ * route-table miss (key in the header) or K_EVENT_OVERFLOW when the
+ * event buffer was too small; both are fatal and Python raises.
+ * ------------------------------------------------------------------ */
+int32_t k_step(void *h, int32_t now)
+{
+    KState *k = (KState *)h;
+    k->hdr[H_EVN] = 0;
+    k_eject(h, now);
+    if (k_alloc(h, now) == 2)
+        return K_ROUTE_MISS;
+    k_links(h, now);
+    if (k->hdr[H_EV_OVF])
+        return K_EVENT_OVERFLOW;
+    return k->hdr[H_EVN];
 }
 
 /* --------------------------------------------------------------------

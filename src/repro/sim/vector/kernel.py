@@ -74,12 +74,8 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.k_new.restype = p
     lib.k_free.argtypes = [p]
     lib.k_free.restype = None
-    lib.k_eject.argtypes = [p, i32]
-    lib.k_eject.restype = None
-    lib.k_alloc.argtypes = [p, i32]
-    lib.k_alloc.restype = i32
-    lib.k_links.argtypes = [p, i32]
-    lib.k_links.restype = None
+    lib.k_step.argtypes = [p, i32]
+    lib.k_step.restype = i32
     lib.k_longest_blocked.argtypes = [p, i32, i32, i32]
     lib.k_longest_blocked.restype = i32
     lib.k_detach.argtypes = [p, i32]

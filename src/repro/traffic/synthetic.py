@@ -10,8 +10,6 @@ when messages are serviced at end nodes, exactly as in FlexSim.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.protocol.transactions import TransactionPattern
 from repro.util.rng import make_rng
 
@@ -34,9 +32,9 @@ class SyntheticTraffic:
     def step(self, now: int) -> None:
         if self.load <= 0.0:
             return
-        hits = np.flatnonzero(self.rng.random(self._num_nodes) < self.load)
-        for node in hits:
-            self._generate(int(node), now)
+        hits = (self.rng.random(self._num_nodes) < self.load).nonzero()[0]
+        for node in hits.tolist():
+            self._generate(node, now)
 
     def _generate(self, node: int, now: int) -> None:
         n = self._num_nodes

@@ -109,7 +109,7 @@ class SweepExecutionError(RuntimeError):
                 lines.append(
                     f"    dump: cycle={dump.get('cycle')}"
                     f" reason={dump.get('reason')!r}"
-                    f" knots={len(dump.get('cwg_knots', []))}"
+                    f" knots={len(dump.get('cwg_knots') or ())}"
                     f" stalled_nis={len(dump.get('interfaces', {}))}"
                     " (full dump on .failures[idx][1].dump)"
                 )

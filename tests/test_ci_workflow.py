@@ -199,6 +199,18 @@ class TestWorkflow:
         assert upload["if"] == "always()"
         assert upload["with"]["path"] == "bench/out/results.json"
 
+    def test_bench_smoke_gates_the_vector_speedup_floor(self, workflow):
+        """The one thing the old ``engine-speedup`` job pinned, on the
+        layered benchmark's numbers: same cell, both backends, 2.0x."""
+        job = workflow["jobs"]["bench-smoke"]
+        runs = [s.get("run") or "" for s in job["steps"]]
+        [gate] = [r for r in runs if "2.0 * ref" in r]
+        assert runs.index("python3 -m bench --quick") < runs.index(gate)
+        assert "bench/out/results.json" in gate
+        assert "ref-sat-8x8" in gate and "vec-sat-8x8" in gate
+        assert "sim_cycles_per_s" in gate
+        assert "assert vec >= 2.0 * ref" in gate
+
     def test_backend_equivalence_runs_default_and_campaign_grid(self, workflow):
         steps = workflow["jobs"]["backend-equivalence"]["steps"]
         runs = [s.get("run") or "" for s in steps if s.get("run")]

@@ -11,11 +11,14 @@ import json
 import multiprocessing
 import os
 import pickle
+import shutil
 import tempfile
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.config import ExecutionConfig, SimConfig
 from repro.farm import (
     CampaignSpec,
@@ -203,6 +206,24 @@ class TestResultCache:
         run_points(tiny_configs(), WARMUP, MEASURE, cache=cache,
                    point_fn=counting)
         assert len(list(counter_dir.iterdir())) == 2 * len(LOADS)
+
+    def test_code_version_covers_the_c_kernel(self, tmp_path):
+        """Editing ``kernel.c`` must invalidate cached vector points."""
+        package = Path(repro.__file__).resolve().parent
+        tree = tmp_path / "repro"
+        shutil.copytree(
+            package, tree, ignore=shutil.ignore_patterns("__pycache__", "_build")
+        )
+        before = parallel.digest_sources(tree)
+        assert before == parallel.code_version()
+        # A compiled kernel appearing on first use is not a code change.
+        built = tree / "sim" / "vector" / "_build"
+        built.mkdir()
+        (built / "stale.c").write_text("int x;\n", "utf-8")
+        assert parallel.digest_sources(tree) == before
+        kernel = tree / "sim" / "vector" / "kernel.c"
+        kernel.write_bytes(kernel.read_bytes() + b"\n")
+        assert parallel.digest_sources(tree) != before
 
     def test_corrupt_entry_is_a_miss_and_repaired(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

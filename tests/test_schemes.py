@@ -167,6 +167,32 @@ class TestMakeReservations:
         assert s.make_reservations(5, bank, cont)
         assert bank.queue(1).reserved == 0  # dst 9 != node 5
 
+    @pytest.mark.parametrize("reply_slots", [0, 1, 2, 3])
+    @pytest.mark.parametrize("per_type", [False, True])
+    def test_can_reserve_predicts_make_reservations(self, reply_slots, per_type):
+        """The side-effect-free check the vector backend wakes on must
+        agree with the real thing, several specs per queue included."""
+        s = make("DR", PAT721, num_vcs=4,
+                 queue_mode="per-type" if per_type else "auto")
+        m3 = GENERIC_MSI.type_named("m3")
+        m4 = GENERIC_MSI.type_named("m4")
+        # per-net: m3 and m4 share the reply queue; per-type: one each.
+        bank = self.FakeBank([4, 4, reply_slots, 1] if per_type
+                             else [4, reply_slots])
+        cont = (MessageSpec(m3, 5, (MessageSpec(m4, 5),)), MessageSpec(m4, 9))
+        before = [q.reserved for q in bank.queues]
+        predicted = s.can_reserve(5, bank, cont)
+        assert [q.reserved for q in bank.queues] == before
+        assert predicted == s.make_reservations(5, bank, cont)
+
+    def test_schemes_without_reply_preallocation_always_can(self):
+        s = make("PR", PAT721, num_vcs=4)
+        bank = self.FakeBank([0])
+        cont = (MessageSpec(GENERIC_MSI.type_named("m4"), 5),)
+        assert s.can_reserve(5, bank, cont)
+        assert s.make_reservations(5, bank, cont)
+        assert bank.queue(0).reserved == 0
+
 
 class TestWalkSpecs:
     def test_walks_all_depths(self):
