@@ -73,8 +73,8 @@ def measure_scenario(
     """Best-of-``rounds`` cycles/second (CPU time) for one scenario.
 
     ``traced`` attaches a message-level tracer (the always-on telemetry
-    configuration), measuring the cost of live event recording; it is
-    reference-only, as is tracing itself.
+    configuration), measuring the cost of live event recording; this
+    harness measures it on the reference engine only.
     """
     kw = dict(SCENARIOS[name])
     engine = build_engine(

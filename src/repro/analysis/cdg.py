@@ -32,8 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-import networkx as nx
-
 from repro.network.routing import (
     Routing,
     TableRouting,
@@ -313,7 +311,9 @@ def check(topology: Topology, routing: Routing, name: str = "") -> CdgReport:
             else:
                 _direct_edges(trans, dst, vc_class, edges)
 
-    graph: nx.DiGraph = nx.DiGraph()
+    import networkx as nx  # not at module top: see core/cwg.py
+
+    graph = nx.DiGraph()
     graph.add_nodes_from(escape_ids)
     graph.add_edges_from(edges)
     try:

@@ -49,7 +49,6 @@ from repro.util.errors import (
     InvariantViolation,
     LivenessError,
     SweepExecutionError,
-    UnsupportedFeatureError,
 )
 
 
@@ -174,15 +173,7 @@ def cmd_run(args) -> int:
         tracer = Tracer(
             level=args.trace_level, sample_every=args.sample_every
         )
-        try:
-            engine.attach_tracer(tracer)
-        except UnsupportedFeatureError:
-            # --json only *implies* a tracer (for recovery episodes);
-            # machine-readable results stay available on backends that
-            # refuse tracing.  Explicit trace requests still fail loudly.
-            if args.trace or args.timeseries:
-                raise
-            tracer = None
+        engine.attach_tracer(tracer)
     try:
         window = engine.run_measured(args.warmup, args.measure)
     except (LivenessError, InvariantViolation) as exc:
@@ -190,7 +181,7 @@ def cmd_run(args) -> int:
         if exc.dump is not None:
             print(format_dump(exc.dump), file=sys.stderr)
         return 3
-    if tracer is not None or args.json:
+    if tracer is not None:
         _export_run_telemetry(args, engine, tracer, window)
     nodes = engine.topology.num_nodes
     print(f"topology            : {engine.topology}")
@@ -218,7 +209,7 @@ def _export_run_telemetry(args, engine, tracer, window) -> None:
         stitch_episodes,
     )
 
-    episodes = stitch_episodes(tracer) if tracer is not None else []
+    episodes = stitch_episodes(tracer)
     if args.trace:
         export_perfetto(tracer, args.trace)
         print(f"wrote {args.trace} ({tracer.events_recorded} events,"
@@ -487,6 +478,12 @@ def cmd_serve(args) -> int:
     import asyncio
 
     from repro.service.http import run_service
+    from repro.sim.vector.kernel import KernelBuildError, load_kernel
+
+    try:
+        load_kernel()  # compile and load now, not inside some job's first point
+    except KernelBuildError as exc:
+        print(f"warning: vector-backend jobs will fail: {exc}", file=sys.stderr)
 
     def announce(server) -> None:
         print(f"campaign service on http://{server.host}:{server.port}"
@@ -571,8 +568,11 @@ def cmd_jobs(args) -> int:
         if args.scenarios:
             for entry in client.scenarios():
                 print(f"{entry['name']:24s} {entry['category']:12s}"
-                      f" {entry['smoke_points']:3d}pt  "
+                      f" {entry['smoke_points']:3d}pt  {entry['backend']:9s} "
                       f"{entry['description']}")
+                if entry["reference_only"]:
+                    print(f"{'':24s} reference engine only:"
+                          f" {entry['reference_only']}")
             return 0
         if args.job_id is None:
             for job in client.jobs():

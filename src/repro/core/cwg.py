@@ -18,9 +18,14 @@ strict-avoidance verification that SA's dependency structure is acyclic.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.network.channel import VirtualChannel
+
+# networkx costs 0.13 s and 15 MiB to import and no default run builds a
+# graph, so the functions that do import it themselves.
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def _vc_key(vc: VirtualChannel):
@@ -42,6 +47,8 @@ def build_wait_for_graph(engine) -> nx.DiGraph:
     * input queue -> output queue(s) its non-terminating head needs;
     * output queue -> candidate VCs of its head message.
     """
+    import networkx as nx
+
     g = nx.DiGraph()
     fabric = engine.fabric
     topo = engine.topology
@@ -134,6 +141,8 @@ def find_knots(g: nx.DiGraph) -> list[set]:
     A single vertex without a self-loop cannot be deadlocked; an SCC with
     outgoing edges has an escape route.
     """
+    import networkx as nx
+
     knots = []
     condensation = nx.condensation(g)
     for scc_id in condensation.nodes:

@@ -63,8 +63,13 @@ def sweep_scheme(
 
     ``execution`` (workers, caching, progress) defaults to the
     process-wide policy installed by the CLI/runner; see
-    :mod:`repro.sim.parallel`.
+    :mod:`repro.sim.parallel`.  The curve runs on the vector backend —
+    bit-identical results, about three times the cycles per second —
+    unless ``backend=`` is passed; callers that add reference-only
+    instrumentation through ``config_kwargs`` pass
+    ``backend="reference"`` with it.
     """
+    config_kwargs.setdefault("backend", "vector")
     config = SimConfig(
         scheme=scheme,
         pattern=pattern,

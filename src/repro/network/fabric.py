@@ -384,6 +384,10 @@ class Fabric:
         """
         return self._occ[0]
 
+    def busy_link_count(self) -> int:
+        """Links that currently have at least one sender routed over them."""
+        return len(self._busy_links)
+
     def all_vcs(self):
         for vcs in self.link_vcs:
             yield from vcs

@@ -33,10 +33,12 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.util.errors import ConfigurationError
+
+if TYPE_CHECKING:  # imported where used: see core/cwg.py
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -186,6 +188,8 @@ class Topology:
     # ------------------------------------------------------------------
     def to_networkx(self) -> nx.MultiDiGraph:
         """Router graph with one edge per unidirectional link."""
+        import networkx as nx
+
         g = nx.MultiDiGraph()
         g.add_nodes_from(range(self.num_routers))
         for link in self.links:

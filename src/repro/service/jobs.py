@@ -14,10 +14,12 @@ execution.  The manager:
 * executes missing points through the **one scheduler**,
   :class:`repro.farm.FarmManager`, and only chooses its workers: an
   in-process worker whose point function attaches a tracer (default:
-  live time-series streaming + a per-job Perfetto trace), local worker
-  processes (``workers > 1``) or farm hosts (``farm_hosts``) — the
-  manager writes every point through the same cache keys, so results
-  are bit-identical to ``run_sweep`` whichever worker computes them;
+  live time-series streaming + a per-job Perfetto trace, on whichever
+  backend each point's config names), local worker processes
+  (``workers > 1``) or farm hosts (``farm_hosts``), which attach none
+  and say so in the job record (``untraced``) — the manager writes
+  every point through the same cache keys, so results are
+  bit-identical to ``run_sweep`` whichever worker computes them;
 * streams **progress / sample / status events** through an
   :class:`~repro.service.sse.EventBroker` topic per job id;
 * **drains gracefully**: shutdown finishes the running job, then
@@ -57,7 +59,6 @@ from repro.sim.parallel import (
 from repro.sim.results import RunResult
 from repro.sim.sweep import summarize_window
 from repro.telemetry import Tracer, to_perfetto
-from repro.util.errors import UnsupportedFeatureError
 
 #: name of the persisted submission queue inside the jobs directory.
 QUEUE_FILENAME = "queue.json"
@@ -109,6 +110,8 @@ class Job:
     results: list[RunResult | None] = field(default_factory=list)
     keys: list[str] = field(default_factory=list)
     trace_path: str | None = None
+    #: why the job has no trace, once it is known that it will have none.
+    untraced: str | None = None
 
     @property
     def total(self) -> int:
@@ -134,7 +137,9 @@ class Job:
             "created": self.created,
             "started": self.started,
             "finished": self.finished,
+            "backends": sorted({c.backend for c in self.spec.configs}),
             "trace": self.trace_path,
+            "untraced": self.untraced,
         }
         if with_results:
             out["results"] = [
@@ -295,6 +300,7 @@ class JobManager:
             # Fully deduplicated: the cache already holds every point.
             job.state = DONE
             job.started = job.finished = job.created
+            job.untraced = "every point came from the cache; nothing ran"
             self._publish_status(job)
             self._publish(job, "done", job.to_dict())
             self._persist_record(job)
@@ -388,8 +394,12 @@ class JobManager:
         workers: list[FarmWorker]
         if self.farm_hosts is not None:
             workers = parse_hosts(self.farm_hosts)
+            job.untraced = f"farm hosts ({self.farm_hosts}) attach no tracer"
         elif self.workers > 1:
             workers = [LocalPoolWorker(workers=self.workers)]
+            job.untraced = (
+                f"worker processes (workers={self.workers}) attach no tracer"
+            )
         else:
             workers = [LocalPoolWorker(
                 point_fn=self._traced_point_fn(job, loop, point_traces)
@@ -420,11 +430,13 @@ class JobManager:
         """The in-process worker's point function: ``run_point`` with a
         tracer attached.
 
-        Telemetry hooks are non-perturbing (the PR-4 guarantee, pinned
-        by the backend-equivalence suite), so the traced result is
+        Telemetry hooks are non-perturbing on both backends (pinned by
+        the backend-equivalence suite), so the traced result is
         bit-identical to ``run_point``; the tracer buys live
         time-series samples on the job's SSE stream and the per-job
-        Perfetto trace.
+        Perfetto trace.  A tracer the engine refuses (flit level on the
+        vector backend) fails the point, and with it the job, with the
+        engine's message.
         """
         # first index of each distinct config (a point function is not
         # told which campaign index it computes)
@@ -434,7 +446,7 @@ class JobManager:
         def traced_point(config: SimConfig, warmup: int,
                          measure: int) -> RunResult:
             idx = index[config]
-            tracer: Tracer | None = _StreamingTracer(
+            tracer = _StreamingTracer(
                 lambda sample: loop.call_soon_threadsafe(
                     self._publish_sample, job, idx, sample
                 ),
@@ -442,15 +454,9 @@ class JobManager:
                 capacity=TRACE_CAPACITY,
             )
             engine = build_engine(config)
-            try:
-                engine.attach_tracer(tracer)
-            except UnsupportedFeatureError:
-                # e.g. the vector backend refuses tracing; the point
-                # still runs (progress streams, no samples/trace).
-                tracer = None
+            engine.attach_tracer(tracer)
             window = engine.run_measured(warmup, measure)
-            if tracer is not None:
-                point_traces.append((idx, config, to_perfetto(tracer)))
+            point_traces.append((idx, config, to_perfetto(tracer)))
             return summarize_window(config, engine, window)
 
         return traced_point
@@ -582,5 +588,6 @@ class JobManager:
                 finished=payload.get("finished"),
                 results=results,
                 trace_path=payload.get("trace"),
+                untraced=payload.get("untraced"),
             )
             self.jobs[job.id] = job

@@ -92,12 +92,56 @@ The rules, each with the reason the step it skips is a no-op:
 missing (bit-identical results, also after ``quiesce``);
 ``tests/test_vector_gating.py`` that almost no step is wasted.
 
-The introspection layers (telemetry tracing, fault injection, runtime
-invariants, the liveness watchdog, CWG detection) are reference-only:
-they reach into per-flit object state that the vector backend does not
-materialize.  Requesting any of them raises
-:class:`~repro.util.errors.UnsupportedFeatureError` at construction —
-never a silent no-op.
+Tracing
+-------
+``attach_tracer`` takes a message-level :class:`~repro.telemetry.Tracer`
+and the run records the events and samples the reference engine
+records, byte for byte (``tests/test_backend_equivalence.py``, traced
+cells).  Every lifecycle, recovery and token event comes from endpoint
+and scheme code the two engines share; three things do not, and each is
+reported where the reference reports it:
+
+* *Allocation outcomes.*  Grants and failed attempts happen inside the
+  kernel.  ``attach_tracer`` sets the ``H_TRACE`` header flag and the
+  kernel then emits ``EV_GRANT``/``EV_BLOCKED`` for them, in frontier
+  order among the claims, so ``_drain_events`` replays the reference's
+  tracer calls in the reference's order (the tracer folds the per-cycle
+  ``blocked`` calls into spans itself).  Untraced, the kernel emits
+  exactly the events it always did.
+* *Detections.*  The reference reports a detector the first cycle it is
+  fired.  DR and NONE already visit a detector on exactly that cycle
+  (the bank's calendar) and report there.  PR does not: the token asks
+  "is this node fired?" lazily through :class:`_FiredView`, which can
+  answer at any later cycle from ``since`` alone and never needs the
+  moment of firing.  So while a tracer listens ``_pr_step`` uses
+  ``collect_due`` — the same materialization as ``drain_dirty`` plus the
+  calendar DR uses — which changes no detector state the view reads and
+  yields each detector on the cycle ``now - since`` first exceeds its
+  threshold.  ``episode_counted`` de-duplicates as in the reference.
+  Attaching re-dirties every node so detectors that were already
+  counting get their calendar entry.
+* *``since`` at a token capture.*  Two values a capture reports are not
+  current on this backend until asked for.  At a router, while a header
+  waits in the network only the kernel's ``m_blocked`` is current; the
+  message's ``blocked_since`` is stale until ``detach_frontier`` copies
+  it back, which is after ``token_captured`` has reported it — so the
+  kernel-routed ``_blocked_at_router`` copies it before returning the
+  sender.  At an NI, the capture reports the ``since`` of the first
+  detector whose head is rescuable, which need not be the fired one;
+  the reference re-stamps a detector whose conditions are false every
+  cycle, the bank only when it is next evaluated — so the wrapped
+  ``_capture_at_ni`` stamps the node's condition-false detectors with
+  ``now`` first (the value ``materialize`` would give them anyway).
+  Nothing but the trace payload reads either field in between, so no
+  result can tell.
+
+The other introspection layers (flit-level tracing, fault injection,
+runtime invariants, the liveness watchdog, CWG detection, the CMH and
+timeout detectors) are reference-only: they reach into per-flit object
+state that the vector backend does not materialize.  Requesting any of
+them raises :class:`~repro.util.errors.UnsupportedFeatureError` — at
+construction, or at ``attach_tracer`` for a flit-level tracer — never a
+silent no-op.
 """
 
 from __future__ import annotations
@@ -107,25 +151,35 @@ from heapq import heappop, heappush
 from repro.config import SimConfig
 from repro.endpoint.interface import NetworkInterface
 from repro.sim.engine import Engine
-from repro.sim.vector.fabric import VectorFabric
+from repro.sim.vector.fabric import H_TRACE, VectorFabric
 from repro.util.errors import UnsupportedFeatureError
 
 
-def _check_supported(config: SimConfig) -> None:
-    unsupported = []
+def reference_only_features(config: SimConfig) -> list[str]:
+    """What ``config`` requests that only the reference engine has.
+
+    Empty means the point can run on the vector backend; the scenario
+    library (:mod:`repro.service.scenarios`) picks the backend with it.
+    """
+    features = []
     if config.faults:
-        unsupported.append("fault injection (faults=...)")
+        features.append("fault injection (faults=...)")
     if config.invariants_every:
-        unsupported.append("runtime invariants (invariants_every=...)")
+        features.append("runtime invariants (invariants_every=...)")
     if config.watchdog_timeout:
-        unsupported.append("the liveness watchdog (watchdog_timeout=...)")
+        features.append("the liveness watchdog (watchdog_timeout=...)")
     if config.cwg_interval:
-        unsupported.append("CWG detection (cwg_interval=...)")
+        features.append("CWG detection (cwg_interval=...)")
     if config.detector != "endpoint":
         # The lazy detector bank mirrors only the endpoint state
         # machine; CMH probes and timeout sites need the reference
         # engine's per-cycle visibility.
-        unsupported.append(f"non-default detectors (detector={config.detector!r})")
+        features.append(f"non-default detectors (detector={config.detector!r})")
+    return features
+
+
+def _check_supported(config: SimConfig) -> None:
+    unsupported = reference_only_features(config)
     if unsupported:
         raise UnsupportedFeatureError(
             "the vector backend does not support "
@@ -471,10 +525,20 @@ class VectorEngine(Engine):
         )
 
     def attach_tracer(self, tracer) -> None:
-        raise UnsupportedFeatureError(
-            "telemetry tracing is not supported by the vector backend; "
-            "run traced experiments with backend='reference'"
-        )
+        """Message-level tracing, event for event the reference's."""
+        if tracer.flit_level:
+            raise UnsupportedFeatureError(
+                "flit-level tracing (VC grants, token hops) is not "
+                "supported by the vector backend; use level='message' or "
+                "backend='reference'"
+            )
+        super().attach_tracer(tracer)
+        self.fabric._hdr[H_TRACE] = 1
+        if self._det_bank is not None:
+            # Re-evaluate every detector next cycle, so one that is
+            # already counting (PR keeps no calendar while untraced) is
+            # on the calendar that reports its firing.
+            self._det_bank.dirty.update(self._det_bank.by_node)
 
     def cwg_knots(self) -> None:
         """No wait-for graph yet: ``core.cwg`` walks per-flit objects
@@ -507,9 +571,9 @@ class VectorEngine(Engine):
     def step(self) -> None:
         """Reference cycle order with the endpoint phase gated.
 
-        The skipped layers (faults, CWG, tracer, invariants) are
-        rejected at construction, so this matches ``Engine.step``
-        exactly for every supported configuration.
+        The skipped layers (faults, CWG, invariants) are rejected at
+        construction, so this matches ``Engine.step`` exactly for every
+        supported configuration.
         """
         self.now += 1
         now = self.now
@@ -537,6 +601,8 @@ class VectorEngine(Engine):
         self.fabric.step(now)
         self._scheme_step(now)
         self.stats.on_cycle(now)
+        if self.tracer is not None:
+            self.tracer.on_cycle(now)
 
     def _step_node(self, ni, node: int, now: int) -> None:
         """One reference NI step, minus redundant mid-service work.
@@ -614,12 +680,15 @@ class VectorEngine(Engine):
         due.sort()
         scheme = self.scheme
         stats = self.stats
+        tracer = scheme.tracer
         for i in due:
             det = bank.dets[i]
             if not det.episode_counted:
                 det.episode_counted = True
                 scheme.deadlocks_detected += 1
                 stats.on_deadlock(now, resolved=False)
+                if tracer is not None:
+                    self._trace_detection(tracer, det, now)
         # Counted detectors stay fired silently, as in the reference; a
         # new episode passes through a condition change, which dirties
         # the node and re-arms the calendar.
@@ -630,6 +699,7 @@ class VectorEngine(Engine):
         if not due:
             return
         controller = self.scheme.controller
+        tracer = self.scheme.tracer
         drain = self.scheme.config.recovery_policy == "drain"
         dirty = bank.dirty
         heap = bank.heap
@@ -649,6 +719,9 @@ class VectorEngine(Engine):
                 self._rearm_midloop(bank, det.ni.node, now, pending, processed, i)
                 if not bank.fired(i, now):
                     continue
+            if tracer is not None and not det.episode_counted:
+                det.episode_counted = True
+                self._trace_detection(tracer, det, now)
             if controller._try_deflect(det, now):
                 if drain:
                     out_q = det.ni.out_bank.queue(det.out_cls)
@@ -676,10 +749,25 @@ class VectorEngine(Engine):
             else:
                 pending.discard(j)
 
+    @staticmethod
+    def _trace_detection(tracer, det, now: int) -> None:
+        tracer.detection(det.ni.node, det.in_cls, det.out_cls, det.since, now)
+
     def _pr_step(self, now: int) -> None:
         bank = self._det_bank
-        bank.drain_dirty(now)
         pc = self.scheme.controller
+        tracer = pc.tracer
+        if tracer is None:
+            bank.drain_dirty(now)
+        else:
+            # The token polls firing lazily (_FiredView), which never
+            # learns *when* a detector fired; a listener needs the
+            # cycle, so the bank keeps its calendar (module docstring).
+            for i in sorted(bank.collect_due(now)):
+                det = bank.dets[i]
+                if not det.episode_counted:
+                    det.episode_counted = True
+                    self._trace_detection(tracer, det, now)
         pc._fired = _FiredView(bank, now)
         if pc.phase == pc.IDLE:
             pc._circulate(now)
@@ -693,7 +781,9 @@ class VectorEngine(Engine):
         # SERVICE: nothing to do; the MC callback advances the machine.
 
     def _install_pr_hooks(self) -> None:
-        """Route the router-capture scan through the kernel."""
+        """Route the router-capture scan through the kernel, and bring
+        what a capture reports to a tracer up to date first (module
+        docstring, "Tracing")."""
         pc = self.scheme.controller
         fabric = self.fabric
         lib = fabric._lib
@@ -702,6 +792,29 @@ class VectorEngine(Engine):
 
         def _blocked_at_router(router: int, now: int):
             sid = lib.k_longest_blocked(k, router, now, timeout)
-            return None if sid < 0 else fabric._handle(sid)
+            if sid < 0:
+                return None
+            sender = fabric._handle(sid)
+            # The capture reports msg.blocked_since, which only the
+            # kernel has kept current (module docstring).
+            sender.owner.blocked_since = int(
+                fabric._m_blocked[fabric._s_owner[sid]]
+            )
+            return sender
 
         pc._blocked_at_router = _blocked_at_router
+
+        capture_at_ni = pc._capture_at_ni
+
+        def _capture_at_ni(stop, now: int) -> None:
+            # The capture reports the ``since`` of the first detector at
+            # the node whose head is rescuable, fired or not.  The
+            # reference re-stamps a detector whose conditions are false
+            # every cycle; the bank lets it go stale, so catch up here.
+            bank = self._det_bank
+            for i in bank.by_node.get(stop.ident, ()):
+                if not bank.snap[i]:
+                    bank.dets[i].since = now
+            capture_at_ni(stop, now)
+
+        pc._capture_at_ni = _capture_at_ni

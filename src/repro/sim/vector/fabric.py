@@ -44,6 +44,8 @@ from repro.sim.vector.kernel import load_kernel
 # Header cells (must match kernel.c).
 H_PN = 0
 H_OCC = 2
+H_BUSYN = 3
+H_TRACE = 4
 H_MISS_R = 6
 H_MISS_DSTR = 7
 H_MISS_CLS = 8
@@ -62,6 +64,8 @@ C_ALLOCFAIL = 3
 EV_CLAIM = 1
 EV_DELIVER = 2
 EV_INJDONE = 3
+EV_GRANT = 4
+EV_BLOCKED = 5
 
 #: Routing-memo keys are densely indexed; refuse configurations whose
 #: key space would not fit comfortably in memory (4 bytes per key).
@@ -228,7 +232,12 @@ class VectorFabric:
         self.routing = routing
         self.soa = TopologySoA(topology, num_vcs)
         self._queue_class_of = queue_class_of
-        self.tracer = None  # never set; VectorEngine rejects tracers
+        #: telemetry hook (repro.telemetry.Tracer) or None, as on the
+        #: reference fabric.  Injection is reported from Python; grants
+        #: and failed allocations happen inside the kernel, which
+        #: reports them as events only while the engine's
+        #: ``attach_tracer`` has set ``H_TRACE``.
+        self.tracer = None
         #: engine wake hook ``wake_node(node)``: called when an
         #: injection channel frees up so the gated NI reloads it.
         self.wake_node = None
@@ -265,8 +274,11 @@ class VectorFabric:
         # the queue capacity (plus the transient over-commit of
         # reservation vacating).
         epcap = C * (queue_capacity + 4) + 8
-        evcap = S + 2 * N + L + 32
         scap = S + 8
+        # Per cycle: one tail per ejection port, one allocation outcome
+        # per pending sender (claims only, unless traced), one injected
+        # flit — so at most one released injection channel — per node.
+        evcap = scap + 2 * N
 
         z = lambda n: np.zeros(n, dtype=np.int32)  # noqa: E731
         self._s_owner = np.full(S, -1, dtype=np.int32)
@@ -415,6 +427,8 @@ class VectorFabric:
         self._pending[pn] = sid
         self._hdr[H_PN] = pn + 1
         chan.owner = msg
+        if self.tracer is not None:
+            self.tracer.message_injected(msg, now)
 
     # ------------------------------------------------------------------
     # Cycle
@@ -436,6 +450,7 @@ class VectorFabric:
     def _drain_events(self, evn: int, now: int) -> None:
         vids = self._vids
         NVC = self.NVC
+        tracer = self.tracer
         # One bulk read: (type, vid, sid) triples as Python ints.
         flat = iter(self._ev[: 3 * evn].tolist())
         for etype, vid, sid in zip(flat, flat, flat):
@@ -449,14 +464,21 @@ class VectorFabric:
                         "slot mirror diverged from queue state"
                     )  # pragma: no cover - mirror is exact
                 msg.blocked_since = -1
+                if tracer is not None:
+                    tracer.message_unblocked(msg, now)
             elif etype == EV_DELIVER:
                 msg.flits_ejected = int(self._m_ejected[vid])
                 if sid >= NVC:  # direct local delivery: free the injector
                     self._release_injector(sid)
                 self._free_vid(vid)
                 self._deliver_hooks[msg.dst](msg, now)
-            else:  # EV_INJDONE: tail left the injection channel
+            elif etype == EV_INJDONE:  # tail left the injection channel
                 self._release_injector(sid)
+            # The last two kinds arrive only while a tracer is attached.
+            elif etype == EV_BLOCKED:  # ``sid`` cell carries the router
+                tracer.message_blocked(msg, sid, now)
+            else:  # EV_GRANT
+                tracer.message_unblocked(msg, now)
 
     def _release_injector(self, sid: int) -> None:
         chan = self._inj_by_sid[sid]
@@ -538,6 +560,10 @@ class VectorFabric:
 
     def occupancy(self) -> int:
         return int(self._hdr[H_OCC])
+
+    def busy_link_count(self) -> int:
+        """Links that currently have at least one sender routed over them."""
+        return int(self._hdr[H_BUSYN])
 
     @property
     def flits_forwarded(self) -> int:

@@ -22,6 +22,12 @@
  * inline (deliveries precede claims precede link events in the buffer,
  * matching the reference phase order).
  *
+ * With the H_TRACE header flag set (a tracer is attached) allocation
+ * also reports its other two outcomes, in frontier order between the
+ * claims: EV_GRANT for a VC grant and EV_BLOCKED for every failed
+ * attempt — the calls the reference fabric makes on its tracer, which
+ * de-duplicates them into blocked spans.
+ *
  * The route table (network/soa.py) is complete before the first cycle:
  * a missing (router, dst_router, class, dateline-mask) key makes k_step
  * return K_ROUTE_MISS with the key in the header, and Python raises.
@@ -36,6 +42,7 @@
 #define H_EVN 1       /* event count */
 #define H_OCC 2       /* VC flit occupancy */
 #define H_BUSYN 3     /* busy link count */
+#define H_TRACE 4     /* nonzero: report EV_GRANT / EV_BLOCKED too */
 #define H_MISS_R 6    /* key of a route-table miss (fatal; Python raises) */
 #define H_MISS_DSTR 7
 #define H_MISS_CLS 8
@@ -56,6 +63,8 @@
 #define EV_CLAIM 1
 #define EV_DELIVER 2
 #define EV_INJDONE 3
+#define EV_GRANT 4    /* traced only */
+#define EV_BLOCKED 5  /* traced only; third cell is the router, not the sid */
 
 typedef struct {
     /* dims */
@@ -231,6 +240,7 @@ static int32_t k_alloc(void *h, int32_t now)
     const int32_t NVC = k->NVC, V = k->V, C = k->C, EPCAP = k->EPCAP;
     const int32_t R = k->R, VCLS = k->VCLS, ndim = k->ndim;
     const int32_t STRIDE = k->STRIDE;
+    const int32_t trace = k->hdr[H_TRACE];
     int32_t pn = k->hdr[H_PN];
     int32_t sn = 0;
     for (int32_t i = 0; i < pn; i++) {
@@ -305,6 +315,8 @@ static int32_t k_alloc(void *h, int32_t now)
                     k->busy_order[k->hdr[H_BUSYN]++] = lid;
                 }
                 k->m_blocked[vid] = -1;
+                if (trace)
+                    emit(k, EV_GRANT, vid, sid);
                 continue;
             }
         }
@@ -312,6 +324,8 @@ static int32_t k_alloc(void *h, int32_t now)
         if (k->m_blocked[vid] < 0)
             k->m_blocked[vid] = now;
         k->cnt[C_ALLOCFAIL]++;
+        if (trace)
+            emit(k, EV_BLOCKED, vid, r);
         k->still[sn++] = sid;
     }
     /* rotate for fairness, exactly as the reference */

@@ -16,7 +16,10 @@ Hook sites live in ``sim/engine.py`` (sampling), ``network/fabric.py``
 controller}.py`` (lifecycle), ``core/{schemes,deflection,progressive,
 token}.py`` (detection and recovery) and ``faults/injector.py``; each
 site guards its call with one ``if tracer is not None`` test, which is
-all the healthy untraced hot path ever pays.
+all the healthy untraced hot path ever pays.  The vector backend
+(``sim/vector/``) shares the endpoint and scheme sites and makes the
+fabric's and the detectors' calls itself, in the same order, at message
+level only (see its engine docstring, "Tracing").
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ class MetricsSampler:
         fabric = engine.fabric
         stats = engine.stats
 
-        busy_links = len(fabric._busy_links)
+        busy_links = fabric.busy_link_count()
         # Per-NI queue occupancy, input and output banks combined:
         # (occupied, held, reserved) per node.
         ni_occupancy: list[tuple[int, int, int]] = []

@@ -22,7 +22,6 @@ class SyntheticTraffic:
         self.load = load
         self.rng = make_rng(seed, "traffic")
         self.engine = None
-        self.transactions: list = []
         self.generated = 0
 
     def attach(self, engine) -> None:
@@ -51,7 +50,6 @@ class SyntheticTraffic:
         txn = self.pattern.build_transaction(
             requester=node, home=home, third=third, created_cycle=now, length=length
         )
-        self.transactions.append(txn)
         self.generated += 1
         self.engine.interfaces[node].enqueue_root(txn.root)
 

@@ -70,7 +70,6 @@ class TraceTraffic:
         self.engine = None
         self._idx = 0
         self.load = 1.0  # sentinel: nonzero means "replaying"
-        self.transactions: list = []
         self.generated = 0
 
     def attach(self, engine) -> None:
@@ -95,7 +94,6 @@ class TraceTraffic:
             result = self.coherence.access(rec.cpu, rec.op, rec.block, now)
             if result is None:
                 continue
-            self.transactions.append(result.transaction)
             self.generated += 1
             ni = self.engine.interfaces[result.requester]
             for root in result.roots:

@@ -20,6 +20,29 @@ def build_engine(**kwargs) -> Engine:
     return Engine(SimConfig(**defaults))
 
 
+def record_transactions(engine: Engine, wrap=lambda txn: txn) -> list:
+    """The transactions whose roots reach an NI from now on, in order.
+
+    The traffic sources keep no list themselves (a long run would hold
+    every finished transaction alive); tests that inspect finished
+    transactions record them through this hook instead.  ``wrap`` is
+    what to keep of each (``weakref.ref`` to not keep it alive).
+    """
+    seen: list = []
+    last = None
+    for ni in engine.interfaces:
+        def enqueue_root(root, _enqueue=ni.enqueue_root) -> None:
+            nonlocal last
+            # a multi-root transaction enqueues its roots back to back
+            if root.transaction.uid != last:
+                last = root.transaction.uid
+                seen.append(wrap(root.transaction))
+            _enqueue(root)
+
+        ni.enqueue_root = enqueue_root
+    return seen
+
+
 def deliver_direct(engine: Engine, node: int, msg) -> None:
     """Place a message straight into a node's input queue."""
     cls = engine.scheme.queue_class_of(msg.mtype)

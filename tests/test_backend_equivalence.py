@@ -13,27 +13,36 @@ These tests compare deep snapshots of both engines after identical runs:
   exact endpoint waking depends on (MSHRs, queue sizes and modes,
   service times, bristling, detector and recovery settings), compared
   again after ``quiesce``,
-* the full seeded smoke campaign grid (marked ``campaign``; run by the
+* traced cells: a message-level tracer records the same events and
+  samples, exports the same Perfetto document and stitches the same
+  episodes on both backends, and changes no result on either,
+* the full seeded smoke campaign grid and every vector-capable point of
+  the scenario library, traced (marked ``campaign``; run by the
   ``backend-equivalence`` CI job, deselected from the default suite).
 
 There is no tolerance anywhere: any field that differs is a failure.
 The only documented divergence between backends is feature *support* —
-telemetry, faults, invariants, the watchdog and CWG detection raise
-``UnsupportedFeatureError`` on the vector backend (see
-``test_unsupported_features_raise``) instead of silently diverging.
+flit-level tracing, faults, invariants, the watchdog, CWG detection and
+the non-endpoint detectors raise ``UnsupportedFeatureError`` on the
+vector backend (see ``test_unsupported_features_raise``) instead of
+silently diverging.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 from repro.config import SimConfig
+from repro.experiments.common import SCALES
+from repro.service.scenarios import SCENARIOS
 from repro.sim.engine import build_engine
-from repro.sim.sweep import run_point
+from repro.sim.sweep import run_point, summarize_window
+from repro.telemetry import Tracer, stitch_episodes, to_perfetto
 from repro.util.errors import ConfigurationError, UnsupportedFeatureError
 
 pytestmark = []
@@ -83,17 +92,40 @@ def assert_snapshots_equal(ref, vec, what: str) -> dict:
     return a
 
 
-def assert_backends_identical(cycles: int, drain: int = 0, **cfg) -> dict:
+def assert_traces_equal(ref: Tracer, vec: Tracer, what: str) -> None:
+    """Everything a tracer holds and everything built from it."""
+    for i, (a, b) in enumerate(zip(ref.events, vec.events)):
+        assert a == b, f"trace divergence {what}: event {i}: {a!r} != {b!r}"
+    assert len(ref.events) == len(vec.events), what
+    assert ref.events_recorded == vec.events_recorded, what
+    assert ref.samples == vec.samples, what
+    assert json.dumps(to_perfetto(ref), sort_keys=True) == json.dumps(
+        to_perfetto(vec), sort_keys=True
+    ), what
+    assert stitch_episodes(ref) == stitch_episodes(vec), what
+
+
+def assert_backends_identical(cycles: int, drain: int = 0,
+                              trace: bool = False, **cfg) -> dict:
     """Run both backends ``cycles`` and compare; with ``drain``, stop
-    traffic, ``quiesce(drain)`` both and compare again."""
+    traffic, ``quiesce(drain)`` both and compare again.  With ``trace``
+    both runs carry a tracer, which must see the same things too."""
     ref = build_engine(SimConfig(backend="reference", **cfg))
     vec = build_engine(SimConfig(backend="vector", **cfg))
+    if trace:
+        tracers = Tracer(sample_every=100), Tracer(sample_every=100)
+        ref.attach_tracer(tracers[0])
+        vec.attach_tracer(tracers[1])
     ref.run(cycles)
     vec.run(cycles)
+    if trace:
+        assert_traces_equal(*tracers, f"for {cfg}")
     snap = assert_snapshots_equal(ref, vec, f"for {cfg}")
     if drain:
         assert bool(ref.quiesce(drain)) == bool(vec.quiesce(drain)), cfg
         assert_snapshots_equal(ref, vec, f"after quiesce for {cfg}")
+        if trace:
+            assert_traces_equal(*tracers, f"after quiesce for {cfg}")
     return snap
 
 
@@ -209,6 +241,7 @@ def test_run_point_results_identical():
     # admission, per-type queues with several injection pairs, short
     # and long services, several nodes per router, detector and
     # recovery timing.
+    trace=st.booleans(),
     knobs=st.fixed_dictionaries(dict(
         max_outstanding=st.sampled_from([1, 2, 4, 16]),
         queue_capacity=st.sampled_from([2, 4, 8, 16]),
@@ -227,7 +260,8 @@ def test_run_point_results_identical():
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_random_points_bit_identical(scheme, dims, load, seed, pattern, knobs):
+def test_random_points_bit_identical(scheme, dims, load, seed, pattern,
+                                     trace, knobs):
     cfg = dict(
         scheme=scheme, pattern=pattern, dims=dims,
         num_vcs=8 if scheme == "SA" else 4, load=load, seed=seed, **knobs,
@@ -236,7 +270,7 @@ def test_random_points_bit_identical(scheme, dims, load, seed, pattern, knobs):
         build_engine(SimConfig(**cfg))
     except ConfigurationError:
         reject()  # e.g. SA with shared queues: not a point, not a failure
-    assert_backends_identical(900, drain=3000, **cfg)
+    assert_backends_identical(900, drain=3000, trace=trace, **cfg)
 
 
 def test_failed_drain_reports_on_both_backends():
@@ -277,9 +311,136 @@ def test_unsupported_features_raise():
     ):
         with pytest.raises(UnsupportedFeatureError):
             build_engine(SimConfig(backend="vector", **base, **extra))
+    # Message-level tracing is supported; VC grants and token hops are
+    # not, and say so when the tracer is attached, not mid-run.
     engine = build_engine(SimConfig(backend="vector", **base))
-    with pytest.raises(UnsupportedFeatureError):
-        engine.attach_tracer(object())
+    with pytest.raises(UnsupportedFeatureError, match="flit-level"):
+        engine.attach_tracer(Tracer(level="flit"))
+    assert engine.tracer is None and engine.fabric.tracer is None
+    engine.run(50)  # and the refused tracer left nothing behind
+
+
+# ----------------------------------------------------------------------
+# Traced runs: the vector backend reports what the reference reports.
+# ----------------------------------------------------------------------
+
+def traced_point(config: SimConfig, warmup: int, measure: int):
+    """``run_point`` with a sampling message-level tracer attached."""
+    engine = build_engine(config)
+    tracer = Tracer(level="message", sample_every=100)
+    engine.attach_tracer(tracer)
+    window = engine.run_measured(warmup, measure)
+    return tracer, summarize_window(config, engine, window)
+
+
+def assert_traced_point_identical(config: SimConfig, warmup: int,
+                                  measure: int) -> Tracer:
+    """Same trace and result on both backends, and the result of the
+    untraced run: a tracer observes, it never perturbs."""
+    ref_tracer, ref = traced_point(config.with_(backend="reference"),
+                                   warmup, measure)
+    vec_tracer, vec = traced_point(config.with_(backend="vector"),
+                                   warmup, measure)
+    assert_traces_equal(ref_tracer, vec_tracer, f"for {config}")
+    assert ref == vec == run_point(
+        config.with_(backend="vector"), warmup, measure
+    ), config
+    return ref_tracer
+
+
+def event_kinds(tracer: Tracer) -> set[str]:
+    return {kind for _, kind, _ in tracer.events}
+
+
+_ADVERSARIAL = dict(dims=(4, 4), pattern="PAT271", num_vcs=4,
+                    queue_capacity=8, flit_buffer_depth=1, load=0.03)
+
+#: (config, warmup, measure, event kinds the cell must have produced)
+TRACED_CELLS = {
+    # router captures: the payload's ``since`` is the kernel's m_blocked
+    "PR-721-8x8": (dict(scheme="PR", pattern="PAT721", dims=(8, 8),
+                        num_vcs=4, load=0.014, seed=3),
+                   1000, 1500, {"token_capture", "rescue_leg", "blocked"}),
+    "PR-271-8x8-long": (dict(scheme="PR", pattern="PAT271", dims=(8, 8),
+                             num_vcs=4, load=0.012, seed=3),
+                        1000, 4000, {"detect", "token_capture", "rescue_leg"}),
+    "DR-271-8x8-long": (dict(scheme="DR", pattern="PAT271", dims=(8, 8),
+                             num_vcs=4, load=0.016, seed=3),
+                        1000, 4000, {"detect", "deflect"}),
+    "DR-drain": (dict(scheme="DR", pattern="PAT271", dims=(8, 8), num_vcs=4,
+                      load=0.022, seed=4, recovery_policy="drain"),
+                 1000, 2000, {"detect", "deflect"}),
+    "SA-8vc": (dict(scheme="SA", pattern="PAT721", dims=(4, 4), num_vcs=8,
+                    load=0.02, seed=1),
+               500, 2000, {"blocked", "unblocked", "consumed"}),
+    "NONE": (dict(scheme="NONE", pattern="PAT721", dims=(4, 4), num_vcs=4,
+                  load=0.05, seed=2),
+             500, 2000, {"detect"}),
+    "adversarial-NONE": (dict(scheme="NONE", **_ADVERSARIAL),
+                         500, 2000, {"detect"}),
+    "adversarial-DR": (dict(scheme="DR", **_ADVERSARIAL),
+                       500, 2000, {"blocked"}),
+    "adversarial-PR": (dict(scheme="PR", **_ADVERSARIAL),
+                       500, 2000, {"detect", "token_capture"}),
+    # NI captures whose rescued head sits at a detector that is not the
+    # fired one: the payload's ``since`` is a condition-false detector's
+    "PR-ni-capture": (dict(scheme="PR", pattern="PAT721", dims=(3, 3),
+                           num_vcs=4, load=0.04, seed=0, max_outstanding=1,
+                           queue_capacity=2, service_time=1,
+                           flit_buffer_depth=1, queue_mode="per-type",
+                           detection_threshold=5),
+                      100, 500, {"detect", "token_capture"}),
+    "fat-tree": (dict(topology="fat_tree", dims=(2, 4), scheme="PR",
+                      pattern="PAT271", num_vcs=4, load=0.012, seed=2),
+                 500, 2000, {"token_capture"}),
+    "irregular": (dict(topology="irregular", scheme="PR", pattern="PAT271",
+                       num_vcs=4, load=0.05, seed=2),
+                  500, 2000, {"detect", "token_capture"}),
+}
+
+
+@pytest.mark.parametrize("cell", TRACED_CELLS)
+def test_traced_cells_identical(cell):
+    cfg, warmup, measure, kinds = TRACED_CELLS[cell]
+    tracer = assert_traced_point_identical(SimConfig(**cfg), warmup, measure)
+    assert tracer.samples and tracer.dropped_events == 0
+    assert kinds <= event_kinds(tracer), "cell too light for what it pins"
+
+
+def test_tracer_attached_mid_run_identical():
+    """A tracer attached after the network filled up: the vector bank
+    re-arms its calendar at attach, so a detector already counting
+    reports its firing on the cycle the reference reports it."""
+    cfg = dict(scheme="PR", **_ADVERSARIAL)
+    engines = [build_engine(SimConfig(backend=b, **cfg))
+               for b in ("reference", "vector")]
+    tracers = []
+    for engine in engines:
+        engine.run(700)
+        tracers.append(Tracer(sample_every=100))
+        engine.attach_tracer(tracers[-1])
+        engine.run(800)
+    assert_traces_equal(*tracers, "attached at cycle 700")
+    assert_snapshots_equal(*engines, "attached at cycle 700")
+    assert "detect" in event_kinds(tracers[0])
+
+
+def scenario_points() -> list:
+    """Every point the scenario library runs on the vector backend."""
+    return [
+        pytest.param(config, id=f"{name}-{i}")
+        for name, scenario in SCENARIOS.items()
+        for i, config in enumerate(scenario.points(SCALES["smoke"])[0])
+        if config.backend == "vector"
+    ]
+
+
+@pytest.mark.campaign
+@pytest.mark.parametrize("config", scenario_points())
+def test_scenario_point_traced_identical(config):
+    """What ``repro serve`` runs by default, at the smoke window."""
+    scale = SCALES["smoke"]
+    assert_traced_point_identical(config, scale.warmup, scale.measure)
 
 
 # ----------------------------------------------------------------------

@@ -171,6 +171,12 @@ class TestWorkflow:
         assert "stream_events" in runs
         assert '"sample" in kinds' in runs and '"done" in kinds' in runs
         assert "client.trace(" in runs
+        # The job ran traced on the vector backend, and its trace is the
+        # one the reference engine produces for the same campaign.
+        assert 'job["backends"] == ["vector"]' in runs
+        assert 'job["untraced"] is None' in runs
+        assert 'c.with_(backend="reference")' in runs
+        assert "trace == asyncio.run(reference_trace())" in runs
         assert "client.shutdown()" in runs
         assert "srv.wait" in runs
         upload = next(

@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -113,27 +116,32 @@ class TestCommands:
         )
 
     def test_run_json_on_vector_backend(self, tmp_path, capsys):
-        """--json must work on the vector backend (episodes excepted).
-
-        The tracer is only *implied* by --json for episode stitching;
-        the vector backend refuses tracers, so the JSON carries every
-        reference field except `episodes` (empty).  Explicit --trace
-        stays a loud UnsupportedFeatureError (covered in the backend
-        equivalence suite).
-        """
+        """--json on the vector backend is the reference's document,
+        recovery episodes included (it used to drop them silently), and
+        so are the trace and the time series."""
         base = [
             "run", "--scheme", "PR", "--pattern", "PAT271", "--vcs", "4",
-            "--dims", "4x4", "--load", "0.012", "--warmup", "600",
-            "--measure", "2000",
+            "--dims", "4x4", "--load", "0.02", "--warmup", "600",
+            "--measure", "2000", "--sample-every", "100",
         ]
-        ref, vec = tmp_path / "ref.json", tmp_path / "vec.json"
-        assert main(base + ["--json", str(ref)]) == 0
-        assert main(base + ["--json", str(vec), "--backend", "vector"]) == 0
-        a = json.loads(ref.read_text())
-        b = json.loads(vec.read_text())
-        assert b.pop("episodes") == []
-        a.pop("episodes")
-        assert a == b
+        out = {}
+        for backend in ("reference", "vector"):
+            paths = [tmp_path / f"{backend}.{ext}"
+                     for ext in ("json", "trace.json", "csv")]
+            assert main(base + [
+                "--backend", backend, "--json", str(paths[0]),
+                "--trace", str(paths[1]), "--timeseries", str(paths[2]),
+            ]) == 0
+            out[backend] = [p.read_text() for p in paths]
+        assert out["reference"] == out["vector"]
+        assert json.loads(out["vector"][0])["episodes"]
+
+    def test_run_flit_trace_on_vector_backend_is_refused(self, tmp_path):
+        from repro.util.errors import UnsupportedFeatureError
+
+        with pytest.raises(UnsupportedFeatureError, match="flit-level"):
+            main(["run", "--dims", "4x4", "--backend", "vector", "--trace",
+                  str(tmp_path / "t.json"), "--trace-level", "flit"])
 
     def test_run_trace_and_timeseries_artifacts(self, tmp_path, capsys):
         trace = tmp_path / "run.trace.json"
@@ -217,3 +225,44 @@ class TestCdgCheck:
                    "--load", "0.004", "--warmup", "200", "--measure", "500"])
         assert rc == 0
         assert "FullMesh" in capsys.readouterr().out
+
+
+class TestStartUp:
+    def test_default_runs_never_import_networkx(self):
+        """0.13 s and 15 MiB of every process, for graph functions (CWG,
+        CDG search, ``to_networkx``) that no default run calls."""
+        code = (
+            "import sys; import repro.cli\n"
+            "from repro.config import SimConfig\n"
+            "from repro.sim.engine import build_engine\n"
+            "for backend in ('reference', 'vector'):\n"
+            "    build_engine(SimConfig(dims=(4, 4), backend=backend)).run(10)\n"
+            "sys.exit('networkx' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == 0, proc.stderr or "networkx was imported"
+
+    def test_serve_loads_the_kernel_before_it_takes_jobs(self, monkeypatch,
+                                                         capsys):
+        """No job pays the compile; without a compiler the service still
+        starts (reference jobs run) and says what will fail."""
+        from repro.service import http
+        from repro.sim.vector import kernel
+
+        calls = []
+
+        async def run_service(**kwargs):
+            calls.append("serve")
+
+        def load_kernel():
+            calls.append("load")
+            raise kernel.KernelBuildError("no C compiler found")
+
+        monkeypatch.setattr(http, "run_service", run_service)
+        monkeypatch.setattr(kernel, "load_kernel", load_kernel)
+        assert main(["serve", "--port", "0"]) == 0
+        assert calls == ["load", "serve"]
+        assert "no C compiler found" in capsys.readouterr().err

@@ -65,6 +65,32 @@ class TestSweepScheme:
                              queue_mode="per-type")
         assert sweep.label.startswith("PR-QA/")
 
+    def test_vector_backend_unless_told_otherwise(self, monkeypatch):
+        from repro.experiments import common
+
+        seen = []
+        monkeypatch.setattr(
+            common, "run_sweep",
+            lambda config, *args, **kwargs: seen.append(config.backend),
+        )
+        sweep_scheme("PR", "PAT721", 4, TINY)
+        sweep_scheme("PR", "PAT721", 4, TINY, backend="reference")
+        assert seen == ["vector", "reference"]
+
+    @pytest.mark.parametrize("scheme, num_vcs",
+                             [("SA", 8), ("DR", 4), ("PR", 4)])
+    def test_curve_equal_on_both_backends(self, scheme, num_vcs):
+        """The figures' entry point, 8x8 torus, light load to past
+        saturation: the default backend draws the reference's curve."""
+        short = Scale("short", warmup=500, measure=1000, sweep_points=3,
+                      trace_duration=6000)
+        vector, reference = (
+            sweep_scheme(scheme, "PAT721", num_vcs, short, seed=3, **kwargs)
+            for kwargs in ({}, {"backend": "reference"})
+        )
+        assert vector.to_dict() == reference.to_dict()
+        assert len(vector.points) == 3
+
 
 class TestCharacterizationExperiments:
     def test_table1_runs_at_tiny_scale(self):

@@ -14,6 +14,7 @@ from repro.faults import EVENT_KINDS, FAULT_KINDS, FaultSpec, parse_fault
 from repro.sim.engine import Engine
 from repro.sim.invariants import capture_dump, conservation_delta
 from repro.util.errors import ConfigurationError, InvariantViolation
+from tests.helpers import record_transactions
 
 SEED = 11
 #: mid-fabric consumer stall used by most scenarios: long enough that
@@ -196,6 +197,7 @@ class TestSchemeRecovery:
         # reachable and deflection unsticks it.
         e = faulted_engine(scheme="DR", max_outstanding=12,
                            invariants_every=250)
+        txns = record_transactions(e)
         e.run(4000)
         ctl = e.scheme.controller
         assert ctl.deflections > 0
@@ -203,19 +205,19 @@ class TestSchemeRecovery:
         assert e.quiesce(100_000)
         assert conservation_delta(e) == 0
         # Exactly one extra message (the BRP) per recovered transaction.
-        txns = e.traffic.transactions
         assert sum(t.deflections for t in txns) == ctl.deflections
         for txn in txns:
             assert txn.messages_used == txn.chain_length + txn.deflections
 
     def test_pr_recovers_without_killing_messages(self):
         e = faulted_engine(invariants_every=250)
+        txns = record_transactions(e)
         e.run(4000)
         ctl = e.scheme.controller
         assert ctl.rescues > 0
         assert e.quiesce(100_000)
         assert conservation_delta(e) == 0     # the no-kill guarantee
-        for txn in e.traffic.transactions:
+        for txn in txns:
             assert txn.messages_used == txn.chain_length  # no extras either
 
     def test_pr_regenerates_a_lost_token(self):

@@ -9,7 +9,7 @@ absolute values).
 from repro import SimConfig
 from repro.core.token import Token
 from repro.sim.sweep import run_point
-from tests.helpers import build_engine
+from tests.helpers import build_engine, record_transactions
 
 
 class TestStressBehaviour:
@@ -42,15 +42,18 @@ class TestStressBehaviour:
     def test_pr_rescued_messages_are_not_extra(self):
         e = build_engine(scheme="PR", pattern="PAT271", num_vcs=4,
                          load=0.018, seed=3)
+        txns = record_transactions(e)
         e.run(4000)
-        for txn in e.traffic.transactions:
+        assert txns
+        for txn in txns:
             assert txn.messages_used == txn.chain_length
 
     def test_dr_deflections_add_messages(self):
         e = build_engine(scheme="DR", pattern="PAT271", num_vcs=4,
                          load=0.022, seed=4)
+        txns = record_transactions(e)
         e.run(4000)
-        deflected = [t for t in e.traffic.transactions if t.deflections]
+        deflected = [t for t in txns if t.deflections]
         assert deflected
         for txn in deflected:
             assert txn.messages_used == txn.chain_length + txn.deflections

@@ -10,7 +10,7 @@ from repro.protocol.chains import GENERIC_MSI
 from repro.protocol.message import Message, MessageSpec, Transaction
 from repro.protocol.transactions import PAT721
 from repro.sim.engine import Engine
-from tests.helpers import build_engine, stall_endpoint
+from tests.helpers import build_engine, record_transactions, stall_endpoint
 
 M1 = GENERIC_MSI.type_named("m1")
 M2 = GENERIC_MSI.type_named("m2")
@@ -128,9 +128,11 @@ def test_conservation_property(dims, scheme, seed):
     injected is delivered exactly once and consumed exactly once."""
     e = Engine(SimConfig(dims=dims, scheme=scheme, pattern="PAT721",
                          load=0.004, seed=seed))
+    txns = record_transactions(e)
     e.run(600)
     assert e.quiesce(max_cycles=80_000)
     total = e.stats.total
     assert total.messages_consumed == total.messages_delivered
-    for txn in e.traffic.transactions:
+    assert len(txns) == e.traffic.generated
+    for txn in txns:
         assert txn.completed

@@ -9,6 +9,7 @@ thread, exactly as the CLI uses it.
 import asyncio
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +49,13 @@ def tiny_campaign(load: float = 0.008, seed: int = 3,
                         measure=TINY.measure, name="tiny")
 
 
+def vector_campaign(spec: CampaignSpec) -> CampaignSpec:
+    return CampaignSpec(
+        configs=tuple(c.with_(backend="vector") for c in spec.configs),
+        warmup=spec.warmup, measure=spec.measure, name=f"{spec.name}-vector",
+    )
+
+
 class TestScenarioRegistry:
     def test_every_name_resolves(self):
         for name in scenario_names():
@@ -57,6 +65,31 @@ class TestScenarioRegistry:
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError):
             get_scenario("no-such-scenario")
+
+    def test_backend_of_every_scenario(self):
+        """Vector unless a point asks for something only the reference
+        engine has, and then the listing names that feature.  A feature
+        landing on the vector backend moves its scenarios here."""
+        reference_only = {
+            "fault-storm": "fault injection (faults=...)",
+            "cdg-torus4x4-duato": "CWG detection (cwg_interval=...)",
+            "cdg-mesh2d4x4-duato": "CWG detection (cwg_interval=...)",
+            "cdg-irregular9-updown": "CWG detection (cwg_interval=...)",
+        }
+        on_vector = {"baseline-pr", "scheme-ladder", "splash-mix",
+                     "adversarial-worstcase", "fat-tree",
+                     "cdg-torus4x4-tfar", "cdg-irregular9-tfar"}
+        assert set(reference_only) | on_vector == set(scenario_names())
+        for entry in describe_scenarios():
+            name = entry["name"]
+            backends = {c.backend for c in build_campaign(name, TINY).configs}
+            assert backends == {entry["backend"]}, name
+            if name in on_vector:
+                assert entry["backend"] == "vector", name
+                assert entry["reference_only"] is None, name
+            else:
+                assert entry["backend"] == "reference", name
+                assert entry["reference_only"] == reference_only[name]
 
     def test_expected_categories_present(self):
         categories = {s.category for s in SCENARIOS.values()}
@@ -346,25 +379,66 @@ class TestJobManager:
             assert job.trace_path is not None
         else:
             assert not samples and job.trace_path is None
+            assert job.untraced  # and the record says why
 
-    def test_vector_backend_job_runs_untraced(self, tmp_path):
-        # the vector engine refuses a tracer; the point still runs
-        spec = CampaignSpec(
-            configs=tuple(c.with_(backend="vector")
-                          for c in tiny_campaign().configs),
-            warmup=TINY.warmup, measure=TINY.measure, name="tiny-vector",
+    def test_vector_backend_job_is_traced(self, tmp_path):
+        """No dark jobs: a vector job streams the samples and writes
+        the trace the same campaign produces on the reference engine."""
+        reference = tiny_campaign()
+        vector = vector_campaign(reference)
+
+        async def body(manager):
+            out = []
+            for spec in (reference, vector):
+                job, _ = manager.submit(spec)
+                sub = manager.broker.subscribe(job.id)
+                await self._wait_done(manager, job)
+                samples = [d async for _, e, d in sub if e == "sample"]
+                out.append((job, samples))
+            return out
+
+        (ref_job, ref_samples), (vec_job, vec_samples) = self.run_manager(
+            tmp_path, body
         )
+        assert ref_job.id != vec_job.id  # the cache key covers the backend
+        assert vec_job.state == "done" and vec_job.results == ref_job.results
+        assert vec_samples and vec_samples == ref_samples
+        assert vec_job.trace_path is not None and vec_job.untraced is None
+        assert json.loads(Path(vec_job.trace_path).read_text()) == json.loads(
+            Path(ref_job.trace_path).read_text()
+        )
+        assert ref_job.to_dict()["backends"] == ["reference"]
+        assert vec_job.to_dict()["backends"] == ["vector"]
+
+    def test_refused_tracer_fails_the_job_with_the_message(self, tmp_path):
+        # the vector engine takes message-level tracers only, and says so
+        async def body(manager):
+            job, _ = manager.submit(vector_campaign(tiny_campaign(points=1)))
+            await self._wait_done(manager, job)
+            return job
+
+        job = self.run_manager(tmp_path, body, trace_level="flit")
+        assert job.state == "failed" and job.trace_path is None
+        assert "flit-level tracing" in job.error
+
+    def test_record_says_why_a_job_has_no_trace(self, tmp_path):
+        spec = tiny_campaign(points=1)
 
         async def body(manager):
             job, _ = manager.submit(spec)
             await self._wait_done(manager, job)
-            return job
+            del manager.jobs[job.id]  # resubmit under the dedup path
+            cached, _ = manager.submit(spec)
+            return job, cached
 
-        job = self.run_manager(tmp_path, body)
+        job, cached = self.run_manager(tmp_path, body, workers=2)
         assert job.state == "done" and job.trace_path is None
-        assert job.results == run_points(
-            list(spec.configs), spec.warmup, spec.measure
+        assert "workers=2" in job.untraced
+        assert "cache" in cached.untraced
+        record = json.loads(
+            (tmp_path / "jobs" / f"job-{job.id}.json").read_text()
         )
+        assert record["trace"] is None and record["untraced"]
 
     def test_perfetto_trace_written_and_valid(self, tmp_path):
         spec = tiny_campaign(points=2)
