@@ -38,134 +38,25 @@ import json
 import sys
 
 from repro.config import ExecutionConfig, SimConfig
-from repro.faults import parse_fault
-from repro.network.topology import TOPOLOGY_KINDS
 from repro.sim.analysis import format_breakdown
 from repro.sim.engine import build_engine
 from repro.sim.invariants import format_dump
-from repro.sim.parallel import DEFAULT_CACHE_DIR
-from repro.sim.sweep import run_sweep
+from repro.sim.sweep import point_dispatch, run_sweep
+from repro.util.atomic import write_json_atomic
 from repro.util.errors import (
     InvariantViolation,
     LivenessError,
     SweepExecutionError,
 )
+from repro.util.options import add_fields, from_args
 
 
-def _add_config_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scheme", default="PR", choices=["SA", "DR", "PR", "NONE"])
-    p.add_argument("--pattern", default="PAT721")
-    p.add_argument("--vcs", type=int, default=4, dest="num_vcs")
-    p.add_argument("--topology", default="torus",
-                   choices=list(TOPOLOGY_KINDS),
-                   help="network substrate ('file' loads a JSON graph"
-                   " from --topology-file)")
-    p.add_argument("--topology-file", metavar="PATH",
-                   help="JSON graph description for --topology=file")
-    p.add_argument("--dims", default="8x8",
-                   help="grid radices, e.g. 8x8 or 4x4x4 (torus/mesh2d;"
-                   " fullmesh uses the product as its router count)")
-    p.add_argument("--bristling", type=int, default=1)
-    p.add_argument("--queue-mode", default="auto",
-                   choices=["auto", "shared", "per-net", "per-type"])
-    p.add_argument("--backend", default="reference",
-                   choices=["reference", "vector"],
-                   help="engine implementation; both are bit-identical"
-                   " (vector is the fast struct-of-arrays backend)")
-    p.add_argument("--queue-capacity", type=int, default=16)
-    p.add_argument("--service-time", type=int, default=40)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--shared-extras", action="store_true")
-    p.add_argument("--recovery-policy", default="minimum",
-                   choices=["minimum", "drain"])
-    p.add_argument("--detector", default="endpoint",
-                   choices=["endpoint", "cmh", "timeout"],
-                   help="deadlock detection mechanism (SA allows only"
-                   " endpoint; cmh/timeout need the reference backend)")
-    p.add_argument("--detection-threshold", type=int, default=25,
-                   metavar="T", help="endpoint detector timeout in cycles")
-    p.add_argument("--timeout-threshold", type=int, default=200,
-                   metavar="T", help="timeout detector's progress timeout")
-    p.add_argument("--cmh-block-threshold", type=int, default=4, metavar="T",
-                   help="cycles a site must be blocked before probing")
-    p.add_argument("--cmh-probe-interval", type=int, default=64, metavar="N",
-                   help="cycles between probe waves of one blocked site")
-    p.add_argument("--cwg-interval", type=int, default=0, metavar="N",
-                   help="run the omniscient CWG ground-truth checker every"
-                   " N cycles (0 = off; reference backend only)")
-    p.add_argument("--fault", action="append", default=[], dest="faults",
-                   metavar="SPEC", type=parse_fault,
-                   help="inject a fault, e.g."
-                   " consumer-stall:target=5,start=600,duration=1500"
-                   " (repeatable)")
-    p.add_argument("--invariants-every", type=int, default=0, metavar="N",
-                   help="run the invariant suite every N cycles (0 = off)")
-    p.add_argument("--watchdog", type=int, default=0, metavar="CYCLES",
-                   help="fail after this many progress-free cycles (0 = off)")
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
-
-
-def _add_execution_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="worker processes for sweep points (1 = serial)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="skip the on-disk result cache")
-    p.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                   help="result cache location (default: %(default)s)")
-    p.add_argument("--point-timeout", type=float, default=None,
-                   metavar="SECONDS",
-                   help="kill and retry a sweep point running longer than"
-                   " this (default: no timeout)")
-
-
-def _execution(args) -> ExecutionConfig:
-    return ExecutionConfig(
-        workers=args.workers,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-        progress=True,
-        point_timeout=args.point_timeout,
-    )
-
-
-def _config(args, load: float) -> SimConfig:
-    dims = tuple(int(k) for k in args.dims.lower().split("x"))
-    return SimConfig(
-        topology=args.topology,
-        topology_file=args.topology_file,
-        dims=dims,
-        bristling=args.bristling,
-        scheme=args.scheme,
-        pattern=args.pattern,
-        num_vcs=args.num_vcs,
-        queue_mode=args.queue_mode,
-        queue_capacity=args.queue_capacity,
-        service_time=args.service_time,
-        backend=args.backend,
-        seed=args.seed,
-        shared_extras=args.shared_extras,
-        recovery_policy=args.recovery_policy,
-        detector=args.detector,
-        detection_threshold=args.detection_threshold,
-        timeout_threshold=args.timeout_threshold,
-        cmh_block_threshold=args.cmh_block_threshold,
-        cmh_probe_interval=args.cmh_probe_interval,
-        cwg_interval=args.cwg_interval,
-        load=load,
-        faults=tuple(args.faults),
-        invariants_every=args.invariants_every,
-        watchdog_timeout=args.watchdog,
-    )
+def load_list(text: str) -> list[float]:
+    return [float(x) for x in text.split(",")]
 
 
 def cmd_run(args) -> int:
-    engine = build_engine(_config(args, args.load))
+    engine = build_engine(from_args(SimConfig, args))
     tracer = None
     if args.trace or args.json or args.timeseries:
         from repro.telemetry import Tracer
@@ -260,15 +151,16 @@ def _export_run_telemetry(args, engine, tracer, window) -> None:
 
 
 def cmd_sweep(args) -> int:
-    loads = [float(x) for x in args.loads.split(",")]
+    config = from_args(SimConfig, args, load=args.loads[0])
+    execution = from_args(ExecutionConfig, args, progress=True)
     try:
         sweep = run_sweep(
-            _config(args, loads[0]),
-            loads,
+            config,
+            args.loads,
             warmup=args.warmup,
             measure=args.measure,
             stop_past_saturation=not args.no_early_stop,
-            execution=_execution(args),
+            execution=execution,
         )
     except SweepExecutionError as exc:
         print(f"FAILED: {exc}", file=sys.stderr)
@@ -288,25 +180,21 @@ def cmd_sweep(args) -> int:
 def cmd_experiments(args) -> int:
     from repro.experiments import runner
 
-    argv = [args.scale, *args.names, f"--workers={args.workers}",
-            f"--cache-dir={args.cache_dir}"]
-    if args.no_cache:
-        argv.append("--no-cache")
-    return runner.main(argv)
+    return runner.run(args.scale, args.names or list(runner.EXPERIMENTS),
+                      from_args(ExecutionConfig, args, progress=True))
 
 
 def cmd_farm_plan(args) -> int:
     from repro.farm import CampaignSpec
 
-    loads = [float(x) for x in args.loads.split(",")]
-    configs = tuple(_config(args, load) for load in loads)
-    spec = CampaignSpec(
-        configs=configs, warmup=args.warmup, measure=args.measure,
-        shard_size=args.shard_size, name=args.name,
-    )
+    base = from_args(SimConfig, args, load=args.loads[0])
+    # window, shard size and name come off the namespace like any field
+    spec = from_args(CampaignSpec, args, configs=tuple(
+        base.with_(load=load) for load in args.loads
+    ))
     path = spec.save(args.dir)
-    shards = -(-len(configs) // args.shard_size)
-    print(f"planned {len(configs)} points in {shards} shards -> {path}")
+    shards = -(-len(args.loads) // spec.shard_size)
+    print(f"planned {len(args.loads)} points in {shards} shards -> {path}")
     return 0
 
 
@@ -315,10 +203,7 @@ def _write_farm_state(directory, report: dict) -> None:
 
     from repro.farm.plan import STATE_FILENAME
 
-    path = Path(directory) / STATE_FILENAME
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(report, indent=1), "utf-8")
-    tmp.replace(path)
+    write_json_atomic(Path(directory) / STATE_FILENAME, report, indent=1)
 
 
 def cmd_farm_run(args) -> int:
@@ -327,31 +212,23 @@ def cmd_farm_run(args) -> int:
         ChaosWorker,
         FarmManager,
         FarmPolicy,
-        parse_hosts,
         parse_worker_fault,
     )
-    from repro.sim.parallel import ResultCache
 
     spec = CampaignSpec.load(args.dir)
-    workers = parse_hosts(
-        args.hosts, point_timeout=args.point_timeout,
-        job_timeout=args.job_timeout,
-    )
+    dispatch = point_dispatch(from_args(ExecutionConfig, args))
+    policy = from_args(FarmPolicy, args)  # --retries, --hang-timeout
+    workers = dispatch["workers"]
     if args.chaos:
         faults = tuple(parse_worker_fault(text) for text in args.chaos)
         workers = [ChaosWorker(w, faults) for w in workers]
-    policy = FarmPolicy(
-        retries=args.retries,
-        hang_timeout=args.hang_timeout,
-    )
     tracer = None
     if args.trace:
         from repro.telemetry import Tracer
 
         tracer = Tracer()
-    cache = ResultCache(args.cache_dir)
     manager = FarmManager(
-        workers, cache=cache, policy=policy, tracer=tracer
+        workers, cache=dispatch["cache"], policy=policy, tracer=tracer
     )
     try:
         results = manager.run(spec)
@@ -416,9 +293,8 @@ def _cdg_adhoc_report(args):
         true_fully_adaptive_routing,
     )
 
-    dims = tuple(int(k) for k in args.dims.lower().split("x"))
     topology = build_topology(
-        args.topology, dims=dims, bristling=args.bristling,
+        args.topology, dims=args.dims, bristling=args.bristling,
         file=args.topology_file,
     )
     if args.routing == "dor":
@@ -485,18 +361,20 @@ def cmd_serve(args) -> int:
     except KernelBuildError as exc:
         print(f"warning: vector-backend jobs will fail: {exc}", file=sys.stderr)
 
+    execution = from_args(ExecutionConfig, args)
+
     def announce(server) -> None:
         print(f"campaign service on http://{server.host}:{server.port}"
-              f" (jobs dir: {args.jobs_dir}, cache: {args.cache_dir})")
+              f" (jobs dir: {args.jobs_dir}, cache: {execution.cache_dir})")
         from repro.service.scenarios import scenario_names
 
         print(f"scenarios: {', '.join(scenario_names())}")
 
     try:
         asyncio.run(run_service(
-            host=args.host, port=args.port, cache_dir=args.cache_dir,
-            jobs_dir=args.jobs_dir, workers=args.workers,
-            farm_hosts=args.hosts, sample_every=args.sample_every,
+            host=args.host, port=args.port, cache_dir=execution.cache_dir,
+            jobs_dir=args.jobs_dir, workers=execution.workers,
+            farm_hosts=execution.farm_hosts, sample_every=args.sample_every,
             announce=announce,
         ))
     except KeyboardInterrupt:
@@ -605,6 +483,24 @@ def cmd_trace(args) -> int:
     return 0
 
 
+def _add_grid_args(p: argparse.ArgumentParser) -> None:
+    """A load grid over one config (``sweep``, ``farm plan``)."""
+    add_fields(p, SimConfig, skip=("load",))
+    p.add_argument("--loads", default="0.002,0.004,0.008,0.012,0.016",
+                   type=load_list,
+                   help="comma-separated applied loads"
+                   " (default: %(default)s)")
+    p.add_argument("--warmup", type=int, default=2000)
+    p.add_argument("--measure", type=int, default=5000)
+
+
+def _add_service_address(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--host", default="127.0.0.1")
+    p.add_argument("--port", type=int, default=8321,
+                   help="service port (serve: 0 picks a free one;"
+                   " default: %(default)s)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -613,8 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="one simulation run")
-    _add_config_args(p)
-    p.add_argument("--load", type=float, default=0.008)
+    add_fields(p, SimConfig, defaults={"load": 0.008})
     p.add_argument("--warmup", type=int, default=2000)
     p.add_argument("--measure", type=int, default=8000)
     p.add_argument("--trace", metavar="PATH",
@@ -631,32 +526,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="load sweep -> Burton curve")
-    _add_config_args(p)
-    p.add_argument("--loads", default="0.002,0.004,0.008,0.012,0.016")
-    p.add_argument("--warmup", type=int, default=2000)
-    p.add_argument("--measure", type=int, default=5000)
+    _add_grid_args(p)
     p.add_argument("--no-early-stop", action="store_true")
     p.add_argument("--json", help="write the sweep result to a JSON file")
-    _add_execution_args(p)
+    add_fields(p, ExecutionConfig)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("experiments", help="regenerate tables/figures")
     p.add_argument("scale", nargs="?", default="smoke",
                    choices=["smoke", "paper"])
     p.add_argument("names", nargs="*")
-    _add_execution_args(p)
+    add_fields(p, ExecutionConfig)
     p.set_defaults(func=cmd_experiments)
 
     p = sub.add_parser("farm", help="distributed sweep campaigns")
     farm_sub = p.add_subparsers(dest="farm_command", required=True)
 
     fp = farm_sub.add_parser("plan", help="write a campaign directory")
-    _add_config_args(fp)
+    _add_grid_args(fp)
     fp.add_argument("dir", help="campaign directory (created if needed)")
-    fp.add_argument("--loads", default="0.002,0.004,0.008,0.012,0.016")
-    fp.add_argument("--warmup", type=int, default=2000)
-    fp.add_argument("--measure", type=int, default=5000)
-    fp.add_argument("--shard-size", type=_positive_int, default=4)
+    fp.add_argument("--shard-size", type=int, default=4)
     fp.add_argument("--name", default="campaign")
     fp.set_defaults(func=cmd_farm_plan)
 
@@ -667,22 +556,18 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         fp = farm_sub.add_parser(verb, help=blurb)
         fp.add_argument("dir", help="campaign directory")
-        fp.add_argument("--hosts", default="local",
-                        help="comma-separated workers: local[:N],"
-                        " ssh:HOST[:python], ext:DIR"
-                        " (default: %(default)s)")
-        fp.add_argument("--retries", type=int, default=2,
-                        help="re-dispatch budget per shard")
+        add_fields(
+            fp, ExecutionConfig,
+            only=("farm_hosts", "retries", "point_timeout", "cache_dir"),
+            defaults={"farm_hosts": "local", "retries": 2},
+        )
         fp.add_argument("--hang-timeout", type=float, default=None,
                         metavar="SECONDS",
-                        help="abandon a dispatch with no answer after"
-                        " this long and retry it elsewhere")
-        fp.add_argument("--point-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="per-point wall-clock limit on local workers")
-        fp.add_argument("--job-timeout", type=float, default=600.0,
-                        metavar="SECONDS",
-                        help="transport deadline for ssh/ext workers")
+                        help="when the manager and the transport both give"
+                        " up on a host: a dispatch with no answer after"
+                        " this long is abandoned and retried elsewhere"
+                        " (default: the manager never abandons; ssh/ext"
+                        " transports stop waiting after 600 s)")
         fp.add_argument("--chaos", action="append", default=[],
                         metavar="SPEC",
                         help="inject a worker fault, e.g."
@@ -690,12 +575,11 @@ def build_parser() -> argparse.ArgumentParser:
         fp.add_argument("--trace", metavar="PATH",
                         help="write the campaign timeline as a"
                         " Perfetto trace-event JSON file")
-        fp.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
         fp.set_defaults(func=cmd_farm_run)
 
     fp = farm_sub.add_parser("status", help="campaign progress from cache")
     fp.add_argument("dir", help="campaign directory")
-    fp.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
+    add_fields(fp, ExecutionConfig, only=("cache_dir",))
     fp.set_defaults(func=cmd_farm_status)
 
     p = sub.add_parser(
@@ -706,36 +590,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true",
                    help="list the built-in (topology, routing) pairs")
     p.add_argument("--routing", choices=["dor", "duato", "tfar", "cano"],
-                   help="check one ad-hoc pair instead of the registry")
-    p.add_argument("--topology", default="torus",
-                   choices=list(TOPOLOGY_KINDS),
-                   help="ad-hoc pair's topology (with --routing)")
-    p.add_argument("--topology-file", metavar="PATH",
-                   help="JSON graph description for --topology=file")
-    p.add_argument("--dims", default="4x4",
-                   help="ad-hoc pair's radices (default: %(default)s)")
-    p.add_argument("--bristling", type=int, default=1)
-    p.add_argument("--vcs", type=int, default=4, dest="num_vcs")
+                   help="check one ad-hoc pair instead of the registry;"
+                   " the topology flags below describe it")
+    add_fields(
+        p, SimConfig,
+        only=("topology", "topology_file", "dims", "bristling", "num_vcs"),
+        defaults={"dims": "4x4"},
+    )
     p.add_argument("--json", metavar="PATH",
                    help="write every report as a JSON artifact")
     p.set_defaults(func=cmd_cdg_check)
 
-    p = sub.add_parser("serve", help="run the campaign service")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8321,
-                   help="listen port (0 picks a free one;"
-                   " default: %(default)s)")
+    p = sub.add_parser(
+        "serve", help="run the campaign service",
+        description="Run the campaign service.  --workers 1 (the default)"
+        " runs points traced, in-process: live time series and Perfetto"
+        " traces.  More workers, or --hosts, stream progress events only.")
+    _add_service_address(p)
     p.add_argument("--jobs-dir", default="service_jobs",
                    help="job records + queue persistence"
                    " (default: %(default)s)")
-    p.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="1 = traced in-process execution (live time"
-                   " series + Perfetto traces); >1 = worker processes"
-                   " (progress events only)")
-    p.add_argument("--hosts", default=None,
-                   help="execute on a farm instead (same syntax as"
-                   " 'farm run --hosts')")
+    add_fields(p, ExecutionConfig,
+               only=("workers", "farm_hosts", "cache_dir"))
     p.add_argument("--sample-every", type=int, default=200, metavar="N",
                    help="metrics sampling period for streamed time series")
     p.set_defaults(func=cmd_serve)
@@ -743,8 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("submit", help="submit a scenario to the service")
     p.add_argument("scenario", help="scenario name (see 'repro jobs"
                    " --scenarios')")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8321)
+    _add_service_address(p)
     p.add_argument("--priority", type=int, default=0,
                    help="higher runs first (default: %(default)s)")
     p.add_argument("--scale", default="smoke", choices=["smoke", "paper"])
@@ -759,8 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("jobs", help="inspect a running service")
     p.add_argument("job_id", nargs="?", default=None,
                    help="job id (omit to list all jobs)")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8321)
+    _add_service_address(p)
     p.add_argument("--scenarios", action="store_true",
                    help="list the scenario library instead")
     p.add_argument("--results", action="store_true",
@@ -783,7 +657,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except argparse.ArgumentError as exc:
+        # flags that parse one by one but make no valid configuration
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -6,22 +6,45 @@ paper's Table 2 ("Default simulation parameters for FlexSim"):
 4-flit requests / 20-flit replies (set on the protocol's message types),
 one processor per node, 40-clock message service, random traffic and
 16-message NI queues.
+
+**One declaration per field.**  A field is ``_opt(default, help, ...)``
+and nothing else names it: ``__post_init__`` validates ``choices`` from
+a table built at import, and every command line that takes the
+dataclass derives the field's option from the same metadata
+(:func:`repro.util.options.add_fields` / ``from_args``), so a new field
+is one edit here.  Metadata keys: ``help``; ``choices`` (valid values);
+``flag`` (spelling, default ``--field-name``; None = not on the command
+line); ``dest`` (namespace attribute, default the field name); ``parse``
+(text -> value, default the type of the default); ``metavar``;
+``repeat`` (the flag may be given several times, collected in a tuple).
+A boolean's flag takes no value and flips the field away from its
+default.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
-from repro.faults.models import FaultSpec
+from repro.faults.models import FaultSpec, parse_fault
+from repro.network.topology import TOPOLOGY_KINDS
 from repro.util.errors import ConfigurationError
 
-_VALID_SCHEMES = ("SA", "DR", "PR", "NONE")
-_VALID_TOPOLOGIES = (
-    "torus", "mesh2d", "fullmesh", "irregular", "fat_tree", "file"
-)
-_VALID_QUEUE_MODES = ("auto", "shared", "per-net", "per-type")
-_VALID_BACKENDS = ("reference", "vector")
-_VALID_DETECTORS = ("endpoint", "cmh", "timeout")
+
+def _opt(default, help, **meta):
+    return field(default=default, metadata={"help": help, **meta})
+
+
+def radices(text: str) -> tuple[int, ...]:
+    """``8x8`` / ``4x4x4`` -> ``(8, 8)`` / ``(4, 4, 4)``."""
+    return tuple(int(k) for k in text.lower().split("x"))
+
+
+def host_spec(text: str) -> str:
+    """A ``--hosts`` value, rejected now rather than hours into a campaign."""
+    from repro.farm import parse_hosts  # the farm imports this module
+
+    parse_hosts(text)
+    return text
 
 
 @dataclass(frozen=True)
@@ -29,145 +52,127 @@ class SimConfig:
     """All parameters of a single simulation run."""
 
     # --- network (Table 2) ---
-    #: network shape: "torus" (the paper's k-ary n-cube), "mesh2d" (open
-    #: mesh, XY escape without datelines), "fullmesh" (direct single-hop
-    #: links, Cano-style routing), "irregular" (the built-in 9-router
-    #: example graph) or "file" (JSON graph named by ``topology_file``).
+    #: "torus" is the paper's k-ary n-cube, "mesh2d" an open mesh (XY
+    #: escape without datelines), "fullmesh" direct single-hop links
+    #: (Cano-style routing), "irregular" the built-in 9-router graph.
     #: See :func:`repro.network.topology.build_topology`.
-    topology: str = "torus"
-    #: JSON topology description for ``topology="file"``.
-    topology_file: str | None = None
-    #: radix per dimension for grid topologies; for "fullmesh" the
-    #: router count is ``prod(dims)``; ignored by "irregular"/"file".
-    dims: tuple[int, ...] = (8, 8)
-    bristling: int = 1
-    num_vcs: int = 4
-    flit_buffer_depth: int = 2
+    topology: str = _opt(
+        "torus", "network substrate ('file' loads a JSON graph from"
+        " --topology-file)", choices=TOPOLOGY_KINDS)
+    topology_file: str | None = _opt(
+        None, "JSON graph description for --topology=file", metavar="PATH")
+    dims: tuple[int, ...] = _opt(
+        (8, 8), "grid radices, e.g. 8x8 or 4x4x4 (torus/mesh2d; fullmesh"
+        " uses the product as its router count; irregular/file ignore it)",
+        parse=radices)
+    bristling: int = _opt(1, "nodes per router")
+    num_vcs: int = _opt(4, "virtual channels per link", flag="--vcs")
+    flit_buffer_depth: int = _opt(2, "flits per virtual-channel buffer")
 
     # --- deadlock handling ---
-    scheme: str = "PR"
-    #: split per-class channel partitioning vs Martinez shared extras.
-    shared_extras: bool = False
-    #: queue organisation; "auto" picks the scheme's default
-    #: (SA: per-type, DR: per-net, PR/NONE: shared).  Setting "per-type"
-    #: for DR/PR yields the paper's Figure 11 "QA" configurations.
-    queue_mode: str = "auto"
-    #: deadlock detection mechanism: "endpoint" is the paper's
-    #: three-condition detector; "cmh" is Chandy-Misra-Haas edge
-    #: chasing with real probe messages; "timeout" is a cheap
-    #: progress-timeout heuristic (false-positive-prone by design).
-    #: The CWG checker (``cwg_interval``) stays available as ground
-    #: truth regardless of this choice.
-    detector: str = "endpoint"
-    #: endpoint detection timeout T (cycles), Section 4.1.
-    detection_threshold: int = 25
-    #: occupancy fraction both queues must exceed (1.0 = full).
-    occupancy_threshold: float = 1.0
-    #: timeout detector: cycles an input queue may hold a waiting
-    #: message with no version change before the detector declares.
-    timeout_threshold: int = 200
-    #: CMH: cycles a site must be locally blocked before it starts an
-    #: edge chase (small — probes, not timers, provide the certainty).
-    cmh_block_threshold: int = 4
-    #: CMH: re-chase period while a site stays blocked undeclared
-    #: (covers probes that died against a then-moving frontier).
-    cmh_probe_interval: int = 64
-    #: PR: cycles a packet header may block in-network before it is
-    #: considered potentially deadlocked (Disha timeout).
-    router_timeout: int = 25
-    #: DR recovery aggressiveness: "minimum" deflects exactly one message
-    #: per detection event (the paper's evaluation setting); "drain"
-    #: keeps deflecting queue heads until one would generate a
-    #: terminating reply or the output request queue falls below its
-    #: threshold (the DASH behaviour of the paper's footnote 4).
-    recovery_policy: str = "minimum"
-    #: PR token ring order: "interleaved" visits each router followed by
-    #: its NIs (default); "routers-first" visits all routers then all
-    #: NIs.  The paper notes the token path is logical and configurable.
-    token_ring: str = "interleaved"
+    scheme: str = _opt("PR", "deadlock-handling scheme",
+                       choices=("SA", "DR", "PR", "NONE"))
+    shared_extras: bool = _opt(
+        False, "Martinez shared extra channels instead of a split per class")
+    #: "per-type" for DR/PR yields the paper's Figure 11 "QA" cells.
+    queue_mode: str = _opt(
+        "auto", "NI queue organisation; auto picks the scheme's own"
+        " (SA: per-type, DR: per-net, PR/NONE: shared)",
+        choices=("auto", "shared", "per-net", "per-type"))
+    #: "endpoint" is the paper's three-condition detector, "cmh"
+    #: Chandy-Misra-Haas edge chasing with real probe messages,
+    #: "timeout" a cheap progress-timeout heuristic (false-positive-
+    #: prone by design).  The CWG checker (``cwg_interval``) stays
+    #: available as ground truth regardless of this choice.
+    detector: str = _opt(
+        "endpoint", "deadlock detection mechanism (SA allows only endpoint;"
+        " cmh/timeout need the reference backend)",
+        choices=("endpoint", "cmh", "timeout"))
+    detection_threshold: int = _opt(
+        25, "endpoint detector timeout T in cycles (Section 4.1)",
+        metavar="T")
+    occupancy_threshold: float = _opt(
+        1.0, "occupancy fraction both coupled queues must exceed"
+        " (1.0 = full)", metavar="F")
+    timeout_threshold: int = _opt(
+        200, "timeout detector: cycles a waiting head may see no queue"
+        " progress", metavar="T")
+    cmh_block_threshold: int = _opt(
+        4, "CMH: cycles a site must be blocked before it probes",
+        metavar="T")
+    cmh_probe_interval: int = _opt(
+        64, "CMH: cycles between probe waves of one blocked site",
+        metavar="N")
+    router_timeout: int = _opt(
+        25, "PR: cycles a header may block in-network before the token"
+        " may rescue it (Disha timeout)", metavar="T")
+    #: "minimum" is the paper's evaluation setting; "drain" keeps
+    #: deflecting queue heads until one would generate a terminating
+    #: reply or the output request queue falls below its threshold (the
+    #: DASH behaviour of the paper's footnote 4).
+    recovery_policy: str = _opt(
+        "minimum", "DR: deflect one message per detection, or drain the"
+        " queue", choices=("minimum", "drain"))
+    #: the paper notes the token path is logical and configurable.
+    token_ring: str = _opt(
+        "interleaved", "PR token order: each router then its NIs, or all"
+        " routers then all NIs", choices=("interleaved", "routers-first"))
 
     # --- traffic ---
-    pattern: str = "PAT721"
-    #: applied load: request messages generated per node per cycle.
-    load: float = 0.005
+    pattern: str = _opt("PAT721", "transaction pattern (Table 3)")
+    load: float = _opt(
+        0.005, "applied load: requests generated per node per cycle")
 
     # --- endpoints ---
-    queue_capacity: int = 16
-    service_time: int = 40
-    #: service duration of terminating messages (MSHR absorption).
-    sink_time: int = 1
-    #: MSHRs per node: bound on concurrently outstanding transactions.
-    max_outstanding: int = 16
+    queue_capacity: int = _opt(16, "messages per NI queue")
+    service_time: int = _opt(40, "memory-controller service time in cycles")
+    sink_time: int = _opt(
+        1, "service time of terminating messages (MSHR absorption)")
+    max_outstanding: int = _opt(
+        16, "MSHRs per node: bound on concurrently outstanding transactions")
 
     # --- run control ---
-    #: engine implementation: "reference" is the object-per-flit engine,
-    #: "vector" the struct-of-arrays backend (:mod:`repro.sim.vector`).
-    #: Both produce bit-identical results; see EXPERIMENTS.md.
-    backend: str = "reference"
-    seed: int = 1
-    #: optional CWG-based detection interval (0 = off; paper used 50).
-    cwg_interval: int = 0
+    #: see EXPERIMENTS.md for the bit-identity contract.
+    backend: str = _opt(
+        "reference", "engine implementation; both are bit-identical"
+        " (vector is the fast struct-of-arrays backend)",
+        choices=("reference", "vector"))
+    seed: int = _opt(1, "seed of every random stream of the run")
+    cwg_interval: int = _opt(
+        0, "run the omniscient CWG ground-truth checker every N cycles"
+        " (0 = off; paper used 50; reference backend only)", metavar="N")
 
     # --- robustness ---
-    #: faults to inject (see :mod:`repro.faults`); empty = healthy run.
-    faults: tuple[FaultSpec, ...] = ()
-    #: run the full invariant suite every N cycles (0 = off).
-    invariants_every: int = 0
-    #: raise :class:`~repro.util.errors.LivenessError` after this many
-    #: progress-free cycles with messages in flight (0 = off).
-    watchdog_timeout: int = 0
+    #: see :mod:`repro.faults`; empty = healthy run.
+    faults: tuple[FaultSpec, ...] = _opt(
+        (), "inject a fault, e.g."
+        " consumer-stall:target=5,start=600,duration=1500 (repeatable)",
+        flag="--fault", parse=parse_fault, metavar="SPEC", repeat=True)
+    invariants_every: int = _opt(
+        0, "run the invariant suite every N cycles (0 = off)", metavar="N")
+    #: raises :class:`~repro.util.errors.LivenessError`.
+    watchdog_timeout: int = _opt(
+        0, "fail after this many progress-free cycles with messages in"
+        " flight (0 = off)", flag="--watchdog", dest="watchdog",
+        metavar="CYCLES")
 
     def __post_init__(self) -> None:
-        if self.topology not in _VALID_TOPOLOGIES:
-            raise ConfigurationError(
-                f"topology {self.topology!r} not in {_VALID_TOPOLOGIES}"
-            )
+        for name, valid in _SIM_CHOICES.items():
+            if getattr(self, name) not in valid:
+                raise ConfigurationError(
+                    f"{name} {getattr(self, name)!r} not in {valid}"
+                )
         if self.topology == "file" and not self.topology_file:
             raise ConfigurationError(
                 "topology 'file' needs topology_file to name a JSON graph"
             )
-        if self.scheme not in _VALID_SCHEMES:
-            raise ConfigurationError(
-                f"scheme {self.scheme!r} not in {_VALID_SCHEMES}"
-            )
-        if self.queue_mode not in _VALID_QUEUE_MODES:
-            raise ConfigurationError(
-                f"queue_mode {self.queue_mode!r} not in {_VALID_QUEUE_MODES}"
-            )
-        if self.backend not in _VALID_BACKENDS:
-            raise ConfigurationError(
-                f"backend {self.backend!r} not in {_VALID_BACKENDS}"
-            )
-        if self.detector not in _VALID_DETECTORS:
-            raise ConfigurationError(
-                f"detector {self.detector!r} not in {_VALID_DETECTORS}"
-            )
-        if self.timeout_threshold < 1:
-            raise ConfigurationError("timeout_threshold must be positive")
-        if self.cmh_block_threshold < 1:
-            raise ConfigurationError("cmh_block_threshold must be positive")
-        if self.cmh_probe_interval < 1:
-            raise ConfigurationError("cmh_probe_interval must be positive")
-        if self.num_vcs < 1:
-            raise ConfigurationError("num_vcs must be positive")
-        if self.flit_buffer_depth < 1:
-            raise ConfigurationError("flit_buffer_depth must be positive")
-        if self.queue_capacity < 1:
-            raise ConfigurationError("queue_capacity must be positive")
+        for name in ("timeout_threshold", "cmh_block_threshold",
+                     "cmh_probe_interval", "num_vcs", "flit_buffer_depth",
+                     "queue_capacity", "max_outstanding"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be positive")
         if not 0.0 <= self.load <= 1.0:
             raise ConfigurationError("load must be a per-cycle probability")
-        if self.max_outstanding < 1:
-            raise ConfigurationError("max_outstanding must be positive")
-        if self.recovery_policy not in ("minimum", "drain"):
-            raise ConfigurationError(
-                f"recovery_policy {self.recovery_policy!r} not in"
-                " ('minimum', 'drain')"
-            )
-        if self.token_ring not in ("interleaved", "routers-first"):
-            raise ConfigurationError(
-                f"token_ring {self.token_ring!r} not in"
-                " ('interleaved', 'routers-first')"
-            )
         if not isinstance(self.faults, tuple):
             # accept any iterable of specs; normalise for hashing/caching.
             object.__setattr__(self, "faults", tuple(self.faults))
@@ -186,6 +191,11 @@ class SimConfig:
         return replace(self, **kwargs)
 
 
+#: field -> valid values, built once from the declarations above.
+_SIM_CHOICES = {f.name: f.metadata["choices"] for f in fields(SimConfig)
+                if "choices" in f.metadata}
+
+
 @dataclass(frozen=True)
 class ExecutionConfig:
     """How sweep points are *executed* (not what they simulate).
@@ -195,25 +205,28 @@ class ExecutionConfig:
     result or leak into a cache key.
     """
 
-    #: worker processes; 1 = run in-process (serial).
-    workers: int = 1
-    #: consult/populate the on-disk result cache.
-    use_cache: bool = True
-    #: cache directory (created on first write).
-    cache_dir: str = ".repro_cache"
-    #: extra attempts for a crashed point before it is reported.
-    retries: int = 1
-    #: emit a progress line (points done/total, ETA, cache hits).
-    progress: bool = False
-    #: wall-clock seconds a single point may run before its worker is
-    #: killed and the point retried (None = no timeout).
-    point_timeout: float | None = None
-    #: compute points on farm hosts (:mod:`repro.farm`) instead of
-    #: ``workers`` local processes: a comma-separated host spec in the ``repro farm --hosts`` syntax
-    #: (``local[:N]``, ``ssh:HOST[:python]``, ``ext:DIR``).  None keeps
-    #: local execution.  Results stay bit-identical either way; like
+    workers: int = _opt(
+        1, "worker processes for sweep points (1 = run in-process)")
+    use_cache: bool = _opt(
+        True, "skip the on-disk result cache", flag="--no-cache",
+        dest="no_cache")
+    cache_dir: str = _opt(
+        ".repro_cache", "result cache location (created on first write)")
+    retries: int = _opt(
+        1, "extra attempts for a failed point or shard before it is reported")
+    #: emit a progress line (points done/total, ETA, cache hits); every
+    #: command line turns it on.
+    progress: bool = _opt(False, "", flag=None)
+    point_timeout: float | None = _opt(
+        None, "kill the local process that sat on one point longer than"
+        " this, then retry the point (default: no timeout)",
+        parse=float, metavar="SECONDS")
+    #: results stay bit-identical wherever a point is computed; like
     #: every other field here, this can never leak into a cache key.
-    farm_hosts: str | None = None
+    farm_hosts: str | None = _opt(
+        None, "compute on farm hosts (repro.farm) instead of --workers"
+        " local processes: comma-separated local[:N], ssh:HOST[:python],"
+        " ext:DIR", flag="--hosts", dest="hosts", parse=host_spec)
 
     def __post_init__(self) -> None:
         if self.workers < 1:

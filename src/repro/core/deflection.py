@@ -35,28 +35,28 @@ class DeflectionController:
         self.deflections = 0
 
     def step(self, now: int) -> None:
-        drain = self.scheme.config.recovery_policy == "drain"
-        tracer = self.scheme.tracer
         self.detector.pre_step(now)
         for det in self.detectors:
-            if not det.step(now):
-                continue
-            if tracer is not None and not det.episode_counted:
-                # First firing of this stalled episode (the reset below
-                # and any queue progress both rearm the flag).
-                det.episode_counted = True
-                tracer.detection(
-                    det.ni.node, det.in_cls, det.out_cls, det.since, now
-                )
-            if self._try_deflect(det, now):
-                if drain:
-                    # DASH behaviour (paper footnote 4): keep removing
-                    # queue heads until one would generate a terminating
-                    # reply or the output queue drops below threshold.
-                    out_q = det.ni.out_bank.queue(det.out_cls)
-                    while out_q.admission_full and self._try_deflect(det, now):
-                        pass
-                det.reset(now)
+            if det.step(now):
+                self.recover(det, now)
+
+    def recover(self, det: DetectorPair, now: int) -> bool:
+        """Act on one fired detector: report it, deflect, re-arm.  False
+        if nothing could be deflected yet (the detector stays fired).
+        Both engines call this for every detector fired at ``now``, in
+        build order."""
+        det.report_firing(self.scheme.tracer, now)
+        if not self._try_deflect(det, now):
+            return False
+        if self.scheme.config.recovery_policy == "drain":
+            # DASH behaviour (paper footnote 4): keep removing queue
+            # heads until one would generate a terminating reply or the
+            # output queue drops below threshold.
+            out_q = det.ni.out_bank.queue(det.out_cls)
+            while out_q.admission_full and self._try_deflect(det, now):
+                pass
+        det.reset(now)
+        return True
 
     # ------------------------------------------------------------------
     def _try_deflect(self, det: DetectorPair, now: int) -> bool:

@@ -108,6 +108,14 @@ class DetectorPair:
         self.since = now
         self.episode_counted = False
 
+    def report_firing(self, tracer, now: int) -> None:
+        """Tell ``tracer`` of a stalled episode's first firing (queue
+        progress or a reset rearms the flag)."""
+        if tracer is not None and not self.episode_counted:
+            self.episode_counted = True
+            tracer.detection(self.ni.node, self.in_cls, self.out_cls,
+                             self.since, now)
+
 
 class TimeoutSite(DetectorPair):
     """Cheap timeout heuristic: any waiting head + no queue progress.

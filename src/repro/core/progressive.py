@@ -178,17 +178,15 @@ class ProgressiveController:
         # Detectors always run so episode timing is continuous.
         self.detector.pre_step(now)
         self._fired = {}
-        tracer = self.tracer
         for det in self.detectors:
             if det.step(now):
                 self._fired[det.ni.node] = True
-                if tracer is not None and not det.episode_counted:
-                    # First firing of this stalled episode (queue
-                    # progress or a reset rearms the flag).
-                    det.episode_counted = True
-                    tracer.detection(
-                        det.ni.node, det.in_cls, det.out_cls, det.since, now
-                    )
+                det.report_firing(self.tracer, now)
+        self.advance(now)
+
+    def advance(self, now: int) -> None:
+        """One cycle of the token and rescue machine, given ``_fired``
+        (both engines call this once per cycle)."""
         if self.phase == ProgressiveController.IDLE:
             self._circulate(now)
         elif self.phase == ProgressiveController.LANE:

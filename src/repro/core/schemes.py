@@ -397,15 +397,16 @@ class DetectionOnly(Scheme):
         self.detector.pre_step(now)
         for det in self.detectors:
             if det.step(now):
-                # Count each stalled episode once, at first firing.
-                if not det.episode_counted:
-                    det.episode_counted = True
-                    self.deadlocks_detected += 1
-                    self.engine.stats.on_deadlock(now, resolved=False)
-                    if self.tracer is not None:
-                        self.tracer.detection(
-                            det.ni.node, det.in_cls, det.out_cls, det.since, now
-                        )
+                self.on_fired(det, now)
+
+    def on_fired(self, det, now: int) -> None:
+        """Count a stalled episode once, at its first firing (both
+        engines call this for every detector fired at ``now``)."""
+        if not det.episode_counted:
+            self.deadlocks_detected += 1
+            self.engine.stats.on_deadlock(now, resolved=False)
+            det.report_firing(self.tracer, now)
+            det.episode_counted = True  # also when nobody listens
 
 
 SCHEMES = {

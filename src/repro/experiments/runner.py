@@ -3,7 +3,8 @@
 Usage::
 
     python -m repro.experiments.runner [smoke|paper] [exp ...] \\
-        [--workers N] [--hosts SPEC] [--no-cache] [--cache-dir DIR]
+        [--workers N] [--hosts SPEC] [--no-cache] [--cache-dir DIR] \\
+        [--retries N] [--point-timeout SECONDS]
 
 With no experiment names, all of them run in order.  ``paper`` scale
 uses the paper's 30,000-cycle measurement windows and takes hours
@@ -14,7 +15,9 @@ lets an interrupted paper-scale run resume instead of restarting.
 fault-tolerant farm (:mod:`repro.farm`) — the same comma-separated
 ``local[:N]``/``ssh:HOST``/``ext:DIR`` syntax as ``repro farm run`` —
 with results bit-identical to local execution and shared through the
-same cache.  ``smoke`` (default) finishes in minutes.
+same cache.  ``smoke`` (default) finishes in minutes.  The execution
+flags are :class:`~repro.config.ExecutionConfig`'s fields, derived from
+their declarations like ``repro sweep``'s.
 
 Exits non-zero on an unknown argument or a failed experiment, so CI
 smoke jobs fail loudly when regeneration breaks.
@@ -22,6 +25,7 @@ smoke jobs fail loudly when regeneration breaks.
 
 from __future__ import annotations
 
+import argparse
 import sys
 import time
 import traceback
@@ -44,9 +48,9 @@ from repro.experiments import (
     topologies,
     trace_deadlocks,
 )
-from repro.farm import parse_hosts
-from repro.sim.parallel import DEFAULT_CACHE_DIR, set_default_execution
-from repro.util.errors import ConfigurationError
+from repro.experiments.common import SCALES
+from repro.sim.parallel import set_default_execution
+from repro.util.options import add_fields, from_args
 
 EXPERIMENTS = {
     "table1": table1_responses,
@@ -66,60 +70,37 @@ EXPERIMENTS = {
     "scenarios": scenario_sweep,
 }
 
-
 def parse_args(argv: list[str]) -> tuple[str, list[str], ExecutionConfig]:
     """Split argv into (scale, experiment names, execution policy)."""
-    scale = "smoke"
-    names: list[str] = []
-    workers = 1
-    use_cache = True
-    cache_dir = DEFAULT_CACHE_DIR
-    farm_hosts: str | None = None
-    it = iter(argv)
-    for arg in it:
-        if arg in ("smoke", "paper"):
-            scale = arg
-        elif arg in EXPERIMENTS:
-            names.append(arg)
-        elif arg == "--no-cache":
-            use_cache = False
-        elif arg == "--workers" or arg.startswith("--workers="):
-            value = arg.partition("=")[2] if "=" in arg else next(it, None)
-            if value is None or not value.isdigit() or int(value) < 1:
-                raise SystemExit("--workers needs a positive integer")
-            workers = int(value)
-        elif arg == "--cache-dir" or arg.startswith("--cache-dir="):
-            value = arg.partition("=")[2] if "=" in arg else next(it, None)
-            if not value:
-                raise SystemExit("--cache-dir needs a path")
-            cache_dir = value
-        elif arg == "--hosts" or arg.startswith("--hosts="):
-            value = arg.partition("=")[2] if "=" in arg else next(it, None)
-            if not value:
-                raise SystemExit("--hosts needs a host specification")
-            # Fail on a malformed spec here, before hours of sweeps.
-            try:
-                parse_hosts(value)
-            except ConfigurationError as exc:
-                raise SystemExit(f"bad --hosts: {exc}") from exc
-            farm_hosts = value
-        else:
-            raise SystemExit(
-                f"unknown argument {arg!r}; experiments: {sorted(EXPERIMENTS)}"
-            )
-    execution = ExecutionConfig(
-        workers=workers,
-        use_cache=use_cache,
-        cache_dir=cache_dir,
-        progress=True,
-        farm_hosts=farm_hosts,
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.experiments.runner",
+        description="Regenerate the paper's tables and figures.",
     )
-    return scale, names or list(EXPERIMENTS), execution
+    parser.add_argument(
+        "what", nargs="*", metavar="smoke|paper|EXPERIMENT",
+        help=f"scale (default: smoke) and experiments (default: all) of"
+        f" {', '.join(EXPERIMENTS)}")
+    add_fields(parser, ExecutionConfig)
+    args = parser.parse_intermixed_args(argv)
+    scales = [word for word in args.what if word in SCALES]
+    names = [word for word in args.what if word not in SCALES]
+    try:
+        execution = from_args(ExecutionConfig, args, progress=True)
+    except argparse.ArgumentError as exc:
+        parser.error(str(exc))
+    return (scales[-1] if scales else "smoke",
+            names or list(EXPERIMENTS), execution)
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    scale, names, execution = parse_args(argv)
+def run(scale: str, names: list[str], execution: ExecutionConfig) -> int:
+    """Run the named experiments under ``execution``; returns the exit
+    status (1 if any failed)."""
+    unknown = [name for name in names if name not in EXPERIMENTS]
+    if unknown:
+        raise SystemExit(
+            f"unknown experiment(s) {unknown}; experiments:"
+            f" {sorted(EXPERIMENTS)}"
+        )
     previous = set_default_execution(execution)
     failed: list[str] = []
     try:
@@ -140,6 +121,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"failed experiments: {', '.join(failed)}", file=sys.stderr)
         return 1
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    return run(*parse_args(sys.argv[1:] if argv is None else argv))
 
 
 if __name__ == "__main__":

@@ -13,22 +13,22 @@ from __future__ import annotations
 
 from repro.experiments.common import Scale, get_scale
 from repro.service.scenarios import SCENARIOS, build_campaign
-from repro.sim.parallel import ResultCache, get_default_execution, run_points
+from repro.sim.parallel import get_default_execution, run_points
+from repro.sim.sweep import point_dispatch
 
 
 def run(scale: str | Scale = "smoke",
         names: list[str] | None = None) -> list[dict]:
     """Execute each named scenario's campaign; one summary row each."""
     sc = get_scale(scale)
-    execution = get_default_execution()
-    cache = ResultCache(execution.cache_dir) if execution.use_cache else None
+    dispatch = point_dispatch(get_default_execution())
+    cache = dispatch["cache"]
     rows = []
     for name in names if names is not None else list(SCENARIOS):
         spec = build_campaign(name, sc)
         hits = cache.hits if cache is not None else 0
         results = run_points(
-            list(spec.configs), spec.warmup, spec.measure,
-            workers=execution.workers, cache=cache,
+            list(spec.configs), spec.warmup, spec.measure, **dispatch,
         )
         rows.append({
             "scenario": name,

@@ -53,8 +53,8 @@ __all__ = [
 ]
 
 
-def parse_hosts(text: str, *, point_timeout: float | None = None,
-                job_timeout: float = 600.0) -> list[FarmWorker]:
+def parse_hosts(text: str, *,
+                point_timeout: float | None = None) -> list[FarmWorker]:
     """Build workers from a comma-separated ``--hosts`` specification."""
     workers: list[FarmWorker] = []
     entries = [entry.strip() for entry in text.split(",") if entry.strip()]
@@ -79,14 +79,11 @@ def parse_hosts(text: str, *, point_timeout: float | None = None,
             host, _, python = rest.partition(":")
             workers.append(SSHHostWorker(
                 f"ssh{n}:{host}", host, python=python or "python3",
-                job_timeout=job_timeout,
             ))
         elif kind == "ext":
             if not rest:
                 raise ConfigurationError(f"ext job dir missing in {entry!r}")
-            workers.append(ExternalWorker(
-                f"ext{n}", rest, job_timeout=job_timeout,
-            ))
+            workers.append(ExternalWorker(f"ext{n}", rest))
         else:
             raise ConfigurationError(
                 f"unknown host kind {kind!r} in {entry!r}"

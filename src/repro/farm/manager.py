@@ -19,7 +19,10 @@ Robustness machinery, in dispatch-loop order:
 * **hang watch** — a dispatch silent past ``hang_timeout`` is abandoned
   (its late answer is discarded) and its shard re-queued.  This is for
   hosts the manager cannot kill; a local worker's ``point_timeout``
-  kills the one wedged process instead and reports the point.
+  kills the one wedged process instead and reports the point.  The
+  number travels in the :class:`ShardJob`, so an ssh or job-dir
+  transport stops waiting when the manager does: one deadline per
+  dispatch, and the dispatch thread returns.
 * **speculation** — once the queue is drained, shards running longer
   than ``straggler_factor`` x the median completed-shard time are
   speculatively re-dispatched to an idle host; first completion wins.
@@ -59,12 +62,18 @@ from dataclasses import dataclass, field
 
 from repro.farm.health import PROBATION, QUARANTINED, SUSPECT, HostHealth
 from repro.farm.plan import CampaignSpec, Shard, plan_shards
-from repro.farm.workers import FarmWorker, ShardJob, ShardOutcome
+from repro.farm.workers import TRANSPORT_TIMEOUT, FarmWorker, ShardJob, ShardOutcome
 from repro.sim.parallel import PointResolution, ResultCache, resolve_points
 from repro.sim.results import RunResult
 from repro.telemetry import events as ev
 from repro.util.backoff import BackoffPolicy
 from repro.util.errors import ConfigurationError, SweepExecutionError
+
+#: wall seconds between heartbeat events per busy host.
+HEARTBEAT_INTERVAL = 0.25
+#: longest the dispatch loop waits for a dispatch to finish before it
+#: looks at its deadlines (backoff, hang, speculation) again.
+TICK = 0.01
 
 
 class ShardFailure(RuntimeError):
@@ -105,24 +114,18 @@ class FarmPolicy:
     backoff: BackoffPolicy = field(
         default_factory=lambda: BackoffPolicy(base=0.2, factor=2.0, cap=10.0)
     )
-    #: seconds of dispatch silence before it is abandoned (None = never).
+    #: seconds of dispatch silence before the manager abandons it and
+    #: the ssh/job-dir transport stops waiting for it (None: the manager
+    #: never abandons; transports wait ``workers.TRANSPORT_TIMEOUT``).
     hang_timeout: float | None = None
     #: speculative re-dispatch once a run exceeds this multiple of the
     #: median completed-shard time (queue must be drained first).
     straggler_factor: float = 3.0
     #: never speculate below this many seconds of runtime.
     straggler_min: float = 1.0
-    #: consecutive failures before a host turns suspect / quarantined.
-    suspect_after: int = 1
-    quarantine_after: int = 2
     #: first quarantine probation delay in seconds (doubles per failed
     #: probe, capped at 30x).
     probation: float = 2.0
-    #: wall seconds between heartbeat events per busy host.
-    heartbeat_interval: float = 0.25
-    #: longest the dispatch loop waits for a dispatch to finish before
-    #: it looks at its deadlines (backoff, hang, speculation) again.
-    tick: float = 0.01
 
     def __post_init__(self) -> None:
         if self.retries < 0:
@@ -131,8 +134,6 @@ class FarmPolicy:
             raise ConfigurationError("hang_timeout must be positive")
         if self.straggler_factor <= 1.0:
             raise ConfigurationError("straggler_factor must exceed 1")
-        if self.tick <= 0 or self.heartbeat_interval <= 0:
-            raise ConfigurationError("tick/heartbeat must be positive")
 
 
 class FarmManager:
@@ -190,8 +191,6 @@ class FarmManager:
         self.health = {
             name: HostHealth(
                 name=name,
-                suspect_after=pol.suspect_after,
-                quarantine_after=pol.quarantine_after,
                 probation_ms=int(pol.probation * 1000),
                 probation_cap_ms=int(pol.probation * 1000) * 30,
             )
@@ -228,7 +227,8 @@ class FarmManager:
                 self._loop()
             finally:
                 # Abandoned (hung) dispatch threads must not block the
-                # campaign's end; they die with the process.
+                # campaign's end: a transport's thread returns at its
+                # job.hang_timeout, one wedged inside a point never.
                 self._pool.shutdown(wait=False, cancel_futures=True)
                 for worker in self.workers.values():
                     worker.close()
@@ -261,7 +261,6 @@ class FarmManager:
     # Dispatch loop
     # ------------------------------------------------------------------
     def _loop(self) -> None:
-        tick = self.policy.tick
         while any(s.status in ("pending", "running")
                   for s in self._states.values()):
             now = self._now_ms()
@@ -274,9 +273,9 @@ class FarmManager:
             # how late a deadline (backoff, hang, straggler) is noticed.
             waiting = [d.future for d in self._inflight.values()]
             if waiting:
-                wait(waiting, timeout=tick, return_when=FIRST_COMPLETED)
+                wait(waiting, timeout=TICK, return_when=FIRST_COMPLETED)
             else:
-                time.sleep(tick)
+                time.sleep(TICK)
 
     def _now_ms(self) -> int:
         return int((self._clock() - self._t0) * 1000)
@@ -500,6 +499,7 @@ class FarmManager:
             warmup=spec.warmup,
             measure=spec.measure,
             dispatch_id=self._dispatch_seq,
+            hang_timeout=self.policy.hang_timeout or TRANSPORT_TIMEOUT,
         )
         worker = self.workers[host]
         disp = _Dispatch(
@@ -518,7 +518,7 @@ class FarmManager:
 
     # -- heartbeat -----------------------------------------------------
     def _heartbeat(self, now) -> None:
-        interval = int(self.policy.heartbeat_interval * 1000)
+        interval = int(HEARTBEAT_INTERVAL * 1000)
         if now - self._last_heartbeat_ms < interval:
             return
         self._last_heartbeat_ms = now

@@ -25,6 +25,7 @@ from pathlib import Path
 from repro.config import SimConfig
 from repro.faults.models import FaultSpec
 from repro.sim.parallel import code_version, point_key
+from repro.util.atomic import write_json_atomic
 from repro.util.errors import ConfigurationError
 
 #: on-disk name of a planned campaign inside its farm directory.
@@ -132,12 +133,8 @@ class CampaignSpec:
 
     def save(self, directory: str | Path) -> Path:
         """Write the plan into ``directory`` (created if needed)."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / PLAN_FILENAME
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(self.to_dict(), indent=1), "utf-8")
-        tmp.replace(path)
+        path = Path(directory) / PLAN_FILENAME
+        write_json_atomic(path, self.to_dict(), indent=1)
         return path
 
     @classmethod

@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.farm.plan import config_from_dict
+from repro.util.atomic import write_json_atomic
 
 
 def execute_job(job: dict[str, Any]) -> dict[str, Any]:
@@ -56,12 +57,6 @@ def execute_job(job: dict[str, Any]) -> dict[str, Any]:
         return {"ok": True, "results": results}
     except Exception:
         return {"ok": False, "error": traceback.format_exc(limit=8)}
-
-
-def _write_atomic(path: Path, payload: dict[str, Any]) -> None:
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(payload), "utf-8")
-    tmp.replace(path)
 
 
 def serve_job_dir(
@@ -101,7 +96,7 @@ def serve_job_dir(
                 job = json.loads(job_file.read_text("utf-8"))
             except (OSError, ValueError):
                 continue  # half-written: the next poll sees the rename
-            _write_atomic(result_file, execute_job(job))
+            write_json_atomic(result_file, execute_job(job))
             served += 1
             progressed = True
             if max_jobs is not None and served >= max_jobs:

@@ -51,7 +51,12 @@ from repro.config import SimConfig
 from repro.farm.plan import Shard, config_to_dict
 from repro.sim.parallel import PointFn
 from repro.sim.results import RunResult
+from repro.util.atomic import write_json_atomic
 from repro.util.errors import ConfigurationError, PointTimeoutError
+
+#: seconds an ssh/job-dir transport waits for an answer when the
+#: campaign's policy sets no ``hang_timeout``.
+TRANSPORT_TIMEOUT = 600.0
 
 
 class ShardTransportError(RuntimeError):
@@ -71,6 +76,10 @@ class ShardJob:
     measure: int
     #: campaign-unique dispatch ordinal (re-dispatches get fresh ids).
     dispatch_id: int = 0
+    #: seconds after which nobody waits for this dispatch's answer: the
+    #: manager's ``FarmPolicy.hang_timeout`` (it abandons the dispatch
+    #: then), so the ssh and job-dir transports stop waiting then too.
+    hang_timeout: float = TRANSPORT_TIMEOUT
 
     def __post_init__(self) -> None:
         if len(self.configs) != len(self.shard.points):
@@ -325,11 +334,9 @@ class SSHHostWorker(FarmWorker):
                  python: str = "python3",
                  remote_pythonpath: str | None = None,
                  command: list[str] | None = None,
-                 job_timeout: float | None = 600.0,
                  connect_timeout: float = 10.0) -> None:
         self.name = name
         self.host = host or name
-        self.job_timeout = job_timeout
         if command is not None:
             self.command = list(command)
         else:
@@ -348,11 +355,11 @@ class SSHHostWorker(FarmWorker):
                 self.command,
                 input=json.dumps(job.to_wire()).encode("utf-8"),
                 capture_output=True,
-                timeout=self.job_timeout,
+                timeout=job.hang_timeout,
             )
         except subprocess.TimeoutExpired as exc:
             raise ShardTransportError(
-                f"{self.host}: no answer within {self.job_timeout:g}s"
+                f"{self.host}: no answer within {job.hang_timeout:g}s"
             ) from exc
         except OSError as exc:
             raise ShardTransportError(f"{self.host}: {exc}") from exc
@@ -380,26 +387,19 @@ class ExternalWorker(FarmWorker):
     """
 
     def __init__(self, name: str, root: str | Path, *,
-                 job_timeout: float = 600.0,
                  poll_interval: float = 0.05,
                  clock=time.monotonic, sleep=time.sleep) -> None:
         self.name = name
         self.root = Path(root)
-        self.job_timeout = job_timeout
         self.poll_interval = poll_interval
         self._clock = clock
         self._sleep = sleep
 
     def run_shard(self, job: ShardJob) -> ShardOutcome:
-        jobs_dir = self.root / "jobs"
-        jobs_dir.mkdir(parents=True, exist_ok=True)
         stem = f"{self.name}-{job.dispatch_id}.json"
-        job_path = jobs_dir / stem
-        tmp = job_path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(job.to_wire()), "utf-8")
-        tmp.replace(job_path)
+        write_json_atomic(self.root / "jobs" / stem, job.to_wire())
         result_path = self.root / "results" / stem
-        deadline = self._clock() + self.job_timeout
+        deadline = self._clock() + job.hang_timeout
         while self._clock() < deadline:
             if result_path.exists():
                 try:
@@ -411,5 +411,5 @@ class ExternalWorker(FarmWorker):
             self._sleep(self.poll_interval)
         raise ShardTransportError(
             f"{self.name}: no result for {stem}"
-            f" within {self.job_timeout:g}s"
+            f" within {job.hang_timeout:g}s"
         )

@@ -59,6 +59,7 @@ from repro.sim.parallel import (
 from repro.sim.results import RunResult
 from repro.sim.sweep import summarize_window
 from repro.telemetry import Tracer, to_perfetto
+from repro.util.atomic import write_json_atomic
 
 #: name of the persisted submission queue inside the jobs directory.
 QUEUE_FILENAME = "queue.json"
@@ -515,15 +516,9 @@ class JobManager:
 
     def _write_trace(self, job: Job,
                      point_traces: list[tuple[int, SimConfig, dict]]) -> None:
-        self.jobs_dir.mkdir(parents=True, exist_ok=True)
         path = self.trace_file(job.id)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(
-            json.dumps(_merge_point_traces(point_traces),
-                       separators=(",", ":")),
-            "utf-8",
-        )
-        tmp.replace(path)
+        write_json_atomic(path, _merge_point_traces(point_traces),
+                          separators=(",", ":"))
         job.trace_path = str(path)
 
     def _persist_queue(self) -> None:
@@ -533,11 +528,7 @@ class JobManager:
              "scenario": job.scenario}
             for job in self.list_jobs() if job.state in (QUEUED, RUNNING)
         ]
-        self.jobs_dir.mkdir(parents=True, exist_ok=True)
-        path = self._queue_path()
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps({"queued": entries}, indent=1), "utf-8")
-        tmp.replace(path)
+        write_json_atomic(self._queue_path(), {"queued": entries}, indent=1)
 
     def _load_queue(self) -> None:
         try:
@@ -553,12 +544,8 @@ class JobManager:
                         scenario=entry.get("scenario"))
 
     def _persist_record(self, job: Job) -> None:
-        self.jobs_dir.mkdir(parents=True, exist_ok=True)
-        path = self._record_path(job.id)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(job.to_dict(with_results=True), indent=1),
-                       "utf-8")
-        tmp.replace(path)
+        write_json_atomic(self._record_path(job.id),
+                          job.to_dict(with_results=True), indent=1)
 
     def _load_records(self) -> None:
         """Rehydrate terminal job records written by earlier runs."""

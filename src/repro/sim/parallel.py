@@ -42,8 +42,8 @@ from repro.util.progress import ProgressReporter
 if TYPE_CHECKING:
     from repro.farm.workers import FarmWorker
 
-#: default location of the on-disk result cache.
-DEFAULT_CACHE_DIR = ".repro_cache"
+#: default location of the on-disk result cache (declared on the field).
+DEFAULT_CACHE_DIR: str = ExecutionConfig.cache_dir
 
 PointFn = Callable[[SimConfig, int, int], RunResult]
 

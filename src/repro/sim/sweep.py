@@ -16,7 +16,7 @@ curve at the same point a serial sweep would.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
+from typing import Any
 
 from repro.config import ExecutionConfig, SimConfig
 from repro.sim.engine import build_engine
@@ -24,8 +24,27 @@ from repro.sim.parallel import ResultCache, get_default_execution, run_points
 from repro.sim.results import RunResult, SweepResult
 from repro.util.progress import ProgressReporter
 
-if TYPE_CHECKING:
-    from repro.farm.workers import FarmWorker
+
+def point_dispatch(execution: ExecutionConfig) -> dict[str, Any]:
+    """:func:`run_points`' ``cache``/``workers``/``retries``/``timeout``
+    for an execution policy — the one place it is interpreted."""
+    workers: Any = execution.workers
+    if execution.farm_hosts is not None:
+        # Imported lazily: the farm depends on this module's point
+        # function, and sweeps that never leave the local machine
+        # shouldn't pay for transports.
+        from repro.farm import parse_hosts
+
+        workers = parse_hosts(
+            execution.farm_hosts, point_timeout=execution.point_timeout
+        )
+    return {
+        "cache": (ResultCache(execution.cache_dir)
+                  if execution.use_cache else None),
+        "workers": workers,
+        "retries": execution.retries,
+        "timeout": execution.point_timeout,
+    }
 
 
 def run_point(config: SimConfig, warmup: int, measure: int) -> RunResult:
@@ -88,22 +107,13 @@ def run_sweep(
     """
     execution = execution or get_default_execution()
     label = label or f"{config.scheme}/{config.pattern}/{config.num_vcs}vc"
-    cache = ResultCache(execution.cache_dir) if execution.use_cache else None
     reporter = ProgressReporter(
         total=len(loads), label=label, enabled=execution.progress
     )
-    workers: int | list[FarmWorker] = execution.workers
-    chunk = max(1, execution.workers)
-    if execution.farm_hosts is not None:
-        # Imported lazily: the farm depends on this module's point
-        # function, and sweeps that never leave the local machine
-        # shouldn't pay for transports.
-        from repro.farm import parse_hosts
-
-        workers = parse_hosts(
-            execution.farm_hosts, point_timeout=execution.point_timeout
-        )
-        chunk = sum(worker.slots for worker in workers)
+    dispatch = point_dispatch(execution)
+    workers = dispatch["workers"]
+    chunk = (workers if isinstance(workers, int)
+             else sum(worker.slots for worker in workers))
     sweep = SweepResult(label=label)
     best = 0.0
     ordered = sorted(loads)
@@ -114,11 +124,8 @@ def run_sweep(
                 [config.with_(load=load) for load in batch],
                 warmup,
                 measure,
-                workers=workers,
-                cache=cache,
-                retries=execution.retries,
                 reporter=reporter,
-                timeout=execution.point_timeout,
+                **dispatch,
             )
             for point in points:
                 sweep.points.append(point)

@@ -673,25 +673,12 @@ class VectorEngine(Engine):
     # Scheme steps (reference recovery actions, lazy detection)
     # ------------------------------------------------------------------
     def _none_step(self, now: int) -> None:
-        bank = self._det_bank
-        due = bank.collect_due(now)
-        if not due:
-            return
-        due.sort()
-        scheme = self.scheme
-        stats = self.stats
-        tracer = scheme.tracer
-        for i in due:
-            det = bank.dets[i]
-            if not det.episode_counted:
-                det.episode_counted = True
-                scheme.deadlocks_detected += 1
-                stats.on_deadlock(now, resolved=False)
-                if tracer is not None:
-                    self._trace_detection(tracer, det, now)
         # Counted detectors stay fired silently, as in the reference; a
         # new episode passes through a condition change, which dirties
         # the node and re-arms the calendar.
+        bank = self._det_bank
+        for i in sorted(bank.collect_due(now)):
+            self.scheme.on_fired(bank.dets[i], now)
 
     def _dr_step(self, now: int) -> None:
         bank = self._det_bank
@@ -699,10 +686,7 @@ class VectorEngine(Engine):
         if not due:
             return
         controller = self.scheme.controller
-        tracer = self.scheme.tracer
-        drain = self.scheme.config.recovery_policy == "drain"
         dirty = bank.dirty
-        heap = bank.heap
         pending = set(due)
         processed: set[int] = set()
         # Ascending index = detector build order = the reference loop's
@@ -719,20 +703,11 @@ class VectorEngine(Engine):
                 self._rearm_midloop(bank, det.ni.node, now, pending, processed, i)
                 if not bank.fired(i, now):
                     continue
-            if tracer is not None and not det.episode_counted:
-                det.episode_counted = True
-                self._trace_detection(tracer, det, now)
-            if controller._try_deflect(det, now):
-                if drain:
-                    out_q = det.ni.out_bank.queue(det.out_cls)
-                    while out_q.admission_full and controller._try_deflect(det, now):
-                        pass
-                det.reset(now)
-                # The pops/pushes dirtied the node; the next drain
-                # re-arms whatever is still stressed.
-            else:
-                # The reference retries a fired detector every cycle.
-                heappush(heap, (now + 1, i, bank.gen[i]))
+            # A deflection's pops/pushes dirtied the node, so the next
+            # drain re-arms whatever is still stressed; without one the
+            # reference retries the fired detector every cycle.
+            if not controller.recover(det, now):
+                heappush(bank.heap, (now + 1, i, bank.gen[i]))
 
     @staticmethod
     def _rearm_midloop(bank, node, now, pending, processed, cur) -> None:
@@ -749,36 +724,19 @@ class VectorEngine(Engine):
             else:
                 pending.discard(j)
 
-    @staticmethod
-    def _trace_detection(tracer, det, now: int) -> None:
-        tracer.detection(det.ni.node, det.in_cls, det.out_cls, det.since, now)
-
     def _pr_step(self, now: int) -> None:
         bank = self._det_bank
         pc = self.scheme.controller
-        tracer = pc.tracer
-        if tracer is None:
+        if pc.tracer is None:
             bank.drain_dirty(now)
         else:
             # The token polls firing lazily (_FiredView), which never
             # learns *when* a detector fired; a listener needs the
             # cycle, so the bank keeps its calendar (module docstring).
             for i in sorted(bank.collect_due(now)):
-                det = bank.dets[i]
-                if not det.episode_counted:
-                    det.episode_counted = True
-                    self._trace_detection(tracer, det, now)
+                bank.dets[i].report_firing(pc.tracer, now)
         pc._fired = _FiredView(bank, now)
-        if pc.phase == pc.IDLE:
-            pc._circulate(now)
-        elif pc.phase == pc.LANE:
-            if pc.lane.step(now):
-                pc._on_lane_arrival(now)
-        elif pc.phase == pc.RETURN:
-            pc._return_timer -= 1
-            if pc._return_timer <= 0:
-                pc._on_token_returned(now)
-        # SERVICE: nothing to do; the MC callback advances the machine.
+        pc.advance(now)
 
     def _install_pr_hooks(self) -> None:
         """Route the router-capture scan through the kernel, and bring

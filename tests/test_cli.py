@@ -8,6 +8,8 @@ import sys
 import pytest
 
 from repro.cli import build_parser, main
+from repro.config import SimConfig
+from repro.util.options import from_args
 
 
 class TestParser:
@@ -21,10 +23,7 @@ class TestParser:
 
     def test_dims_parsing(self):
         args = build_parser().parse_args(["run", "--dims", "4x4x2"])
-        from repro.cli import _config
-
-        cfg = _config(args, 0.001)
-        assert cfg.dims == (4, 4, 2)
+        assert from_args(SimConfig, args).dims == (4, 4, 2)
 
     def test_bad_scheme_rejected(self):
         with pytest.raises(SystemExit):
@@ -36,9 +35,7 @@ class TestParser:
             "--fault", "token-loss:start=900",
             "--invariants-every", "250", "--watchdog", "8000",
         ])
-        from repro.cli import _config
-
-        cfg = _config(args, 0.001)
+        cfg = from_args(SimConfig, args, load=0.001)
         assert [f.kind for f in cfg.faults] == ["consumer-stall", "token-loss"]
         assert cfg.invariants_every == 250 and cfg.watchdog_timeout == 8000
 

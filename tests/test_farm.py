@@ -383,11 +383,28 @@ class TestFarmManager:
 
     def test_farm_trace_exports_to_perfetto(self, tmp_path):
         spec = tiny_spec()
-        tracer = Tracer()
+        quarantined = threading.Event()
+
+        class QuarantineWatch(Tracer):
+            def farm_event(self, kind, now_ms, **payload):
+                super().farm_event(kind, now_ms, **payload)
+                if kind == "farm_quarantine":
+                    quarantined.set()
+
+        class AfterQuarantine(LocalPoolWorker):
+            """Healthy, but answers nothing until w0 is quarantined: w0
+            takes (and crashes) dispatches while this host is busy, so
+            the quarantine does not depend on who finishes first."""
+
+            def run_shard(self, job):
+                assert quarantined.wait(timeout=30)
+                return super().run_shard(job)
+
+        tracer = QuarantineWatch()
         workers = [
             ChaosWorker(LocalPoolWorker("w0"),
                         [parse_worker_fault("crash:host=w0,at=0,count=3")]),
-            LocalPoolWorker("w1"),
+            AfterQuarantine("w1"),
         ]
         manager = FarmManager(
             workers, cache=ResultCache(tmp_path / "cache"), tracer=tracer,
@@ -406,6 +423,39 @@ class TestFarmManager:
         assert any(e["ph"] == "i" and e["name"] == "farm_quarantine"
                    for e in farm)
 
+    def test_unserved_transport_gives_up_with_the_manager(self, tmp_path):
+        """One deadline per dispatch: ``hang_timeout`` is when the
+        manager abandons it *and* when the job-dir transport stops
+        polling, so no dispatch thread outlives the campaign by the old
+        600 s ``job_timeout``."""
+        spec = tiny_spec(loads=LOADS[:3], shard_size=1)
+        workers = [
+            ExternalWorker("ext0", tmp_path / "nobody-serves",
+                           poll_interval=0.01),
+            LocalPoolWorker("w1"),
+        ]
+        manager = FarmManager(
+            workers, cache=ResultCache(tmp_path / "cache"),
+            policy=FarmPolicy(retries=4, hang_timeout=0.3, **FAST),
+        )
+        assert manager.run(spec) == serial_results(LOADS[:3])
+        attribution = manager.attribution()
+        assert attribution["w1"]["shards_ok"] == 3
+        assert attribution["ext0"]["shards_ok"] == 0
+        assert attribution["ext0"]["shards_failed"] >= 1
+        # manager and transport give up at the same moment; whichever
+        # notices first words the one charge
+        error = attribution["ext0"]["last_error"]
+        assert "hang: no answer in 0.3s" in error or "within 0.3s" in error
+        # every ext dispatch thread has returned, or does within its own
+        # 0.3 s deadline (generously bounded for a loaded machine)
+        give_up = time.monotonic() + 10
+        while time.monotonic() < give_up and any(
+                t.name.startswith("farm") for t in threading.enumerate()):
+            time.sleep(0.02)
+        assert not [t.name for t in threading.enumerate()
+                    if t.name.startswith("farm")]
+
 
 def _pipe_command():
     """Run ``repro.farm.remote`` in-process-equivalent via a subprocess
@@ -422,8 +472,7 @@ def _pipe_command():
 class TestTransports:
     def test_ssh_worker_full_wire_round_trip(self, tmp_path):
         spec = tiny_spec(loads=(0.004, 0.006), shard_size=2)
-        worker = SSHHostWorker("pipe", command=_pipe_command(),
-                               job_timeout=120)
+        worker = SSHHostWorker("pipe", command=_pipe_command())
         manager = FarmManager(
             [worker], cache=ResultCache(tmp_path / "cache"),
         )
@@ -458,8 +507,7 @@ class TestTransports:
         agent.start()
         try:
             spec = tiny_spec(loads=(0.004, 0.006), shard_size=1)
-            worker = ExternalWorker("ext0", root, job_timeout=60,
-                                    poll_interval=0.01)
+            worker = ExternalWorker("ext0", root, poll_interval=0.01)
             manager = FarmManager(
                 [worker], cache=ResultCache(tmp_path / "cache"),
             )
@@ -545,15 +593,20 @@ class TestFarmExecutor:
             key = point_key(config.with_(load=load), WARMUP, MEASURE)
             assert cache.get(key) is not None
 
-    def test_runner_accepts_hosts_flag(self):
+    def test_runner_accepts_hosts_flag(self, capsys):
         from repro.experiments import runner
 
         _, _, execution = runner.parse_args(["--hosts", "local:2,local"])
         assert execution.farm_hosts == "local:2,local"
-        with pytest.raises(SystemExit, match="--hosts"):
-            runner.parse_args(["--hosts"])
-        with pytest.raises(SystemExit, match="bad --hosts"):
-            runner.parse_args(["--hosts", "warp:9"])
+        # the same two rejections as ever, now argparse's: exit status
+        # 2 and a message naming the flag (and, for a bad spec, why)
+        for argv, why in ((["--hosts"], "expected one argument"),
+                          (["--hosts", "warp:9"], "unknown host kind")):
+            with pytest.raises(SystemExit) as excinfo:
+                runner.parse_args(argv)
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert "--hosts" in err and why in err
 
     def test_execution_config_rejects_blank_hosts(self):
         with pytest.raises(ConfigurationError):
