@@ -604,8 +604,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve", help="run the campaign service",
         description="Run the campaign service.  --workers 1 (the default)"
-        " runs points traced, in-process: live time series and Perfetto"
-        " traces.  More workers, or --hosts, stream progress events only.")
+        " runs points in-process and streams live time series; more"
+        " workers, or --hosts, stream progress events only.  No job"
+        " traces: a finished job's Perfetto trace is computed by the"
+        " first request for it (one traced re-run), for every worker kind.")
     _add_service_address(p)
     p.add_argument("--jobs-dir", default="service_jobs",
                    help="job records + queue persistence"
@@ -642,7 +644,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--follow", action="store_true",
                    help="stream the job's events")
     p.add_argument("--trace", metavar="PATH",
-                   help="download the job's Perfetto trace to PATH")
+                   help="write the finished job's Perfetto trace to PATH"
+                   " (the service builds it on the first request)")
     p.set_defaults(func=cmd_jobs)
 
     p = sub.add_parser("trace", help="generate a synthetic app trace")

@@ -149,6 +149,17 @@ class Scheme(ABC):
         queues = self._reply_queues(node, in_bank, continuation)
         return all(q.free_slots >= queues.count(q) for q in queues)
 
+    def reservation_blocker(self, node: int, in_bank, continuation,
+                            vacating=None) -> int | None:
+        """Input class :meth:`make_reservations` would fail on now, or
+        None when it would succeed.  No side effects (deadlock dumps)."""
+        if self._reserves:
+            queues = self._reply_queues(node, in_bank, continuation)
+            for q in queues:
+                if q.free_slots + (q is vacating) < queues.count(q):
+                    return in_bank.queues.index(q)
+        return None
+
     # ------------------------------------------------------------------
     # Runtime
     # ------------------------------------------------------------------

@@ -152,6 +152,26 @@ class MemoryController:
         self.busy_until = now + self._duration(msg)
         return True
 
+    def head_waits_for(self, cls: int) -> str | None:
+        """What keeps this controller, idle, from starting the head of
+        input class ``cls``: :meth:`_try_begin`'s checks without their
+        side effects, for deadlock dumps.  None when it is busy, stalled
+        or has no such head, or nothing local is in the head's way."""
+        queue = self.in_bank.queue(cls)
+        msg = queue.peek()
+        if msg is None or self.current is not None or self.stalled:
+            return None
+        wanted = [self.policy.queue_class_of(s.mtype) for s in msg.continuation]
+        for out_cls in wanted:
+            if self.out_bank.queues[out_cls].free_slots < wanted.count(out_cls):
+                return f"an output slot in class {out_cls}"
+        blocker = self.policy.reservation_blocker(
+            self.node, self.in_bank, msg.continuation, vacating=queue
+        )
+        if blocker is not None:
+            return f"a reservation into input class {blocker}"
+        return None
+
     # ------------------------------------------------------------------
     def _complete(self, now: int) -> None:
         msg = self.current

@@ -118,14 +118,14 @@ def _corrupt(outcome: ShardOutcome) -> ShardOutcome:
 class ChaosWorker(FarmWorker):
     """Wrap ``inner`` and misbehave according to ``faults``."""
 
-    def __init__(self, inner: FarmWorker,
-                 faults: tuple[WorkerFaultSpec, ...] | list[WorkerFaultSpec],
-                 *, sleep=time.sleep) -> None:
+    def __init__(
+        self, inner: FarmWorker,
+        faults: tuple[WorkerFaultSpec, ...] | list[WorkerFaultSpec],
+    ) -> None:
         self.inner = inner
         self.name = inner.name
         self.slots = inner.slots
         self.faults = tuple(faults)
-        self._sleep = sleep
         self.dispatches = 0
         #: what actually fired, for asserting a chaos run did its job.
         self.activations: list[str] = []
@@ -137,7 +137,7 @@ class ChaosWorker(FarmWorker):
         for fault in active:
             if fault.kind == "hang":
                 self.activations.append(fault.describe())
-                self._sleep(fault.duration)
+                time.sleep(fault.duration)
         for fault in active:
             if fault.kind == "crash":
                 self.activations.append(fault.describe())

@@ -332,21 +332,15 @@ class SSHHostWorker(FarmWorker):
 
     def __init__(self, name: str, host: str = "", *,
                  python: str = "python3",
-                 remote_pythonpath: str | None = None,
-                 command: list[str] | None = None,
-                 connect_timeout: float = 10.0) -> None:
+                 command: list[str] | None = None) -> None:
         self.name = name
         self.host = host or name
         if command is not None:
             self.command = list(command)
         else:
-            remote = f"{python} -m repro.farm.remote"
-            if remote_pythonpath:
-                remote = f"PYTHONPATH={remote_pythonpath} {remote}"
             self.command = [
-                "ssh", "-o", "BatchMode=yes",
-                "-o", f"ConnectTimeout={int(connect_timeout)}",
-                self.host, remote,
+                "ssh", "-o", "BatchMode=yes", "-o", "ConnectTimeout=10",
+                self.host, f"{python} -m repro.farm.remote",
             ]
 
     def run_shard(self, job: ShardJob) -> ShardOutcome:
@@ -387,20 +381,17 @@ class ExternalWorker(FarmWorker):
     """
 
     def __init__(self, name: str, root: str | Path, *,
-                 poll_interval: float = 0.05,
-                 clock=time.monotonic, sleep=time.sleep) -> None:
+                 poll_interval: float = 0.05) -> None:
         self.name = name
         self.root = Path(root)
         self.poll_interval = poll_interval
-        self._clock = clock
-        self._sleep = sleep
 
     def run_shard(self, job: ShardJob) -> ShardOutcome:
         stem = f"{self.name}-{job.dispatch_id}.json"
         write_json_atomic(self.root / "jobs" / stem, job.to_wire())
         result_path = self.root / "results" / stem
-        deadline = self._clock() + job.hang_timeout
-        while self._clock() < deadline:
+        deadline = time.monotonic() + job.hang_timeout
+        while time.monotonic() < deadline:
             if result_path.exists():
                 try:
                     payload = json.loads(result_path.read_text("utf-8"))
@@ -408,7 +399,7 @@ class ExternalWorker(FarmWorker):
                     pass  # torn read is impossible post-rename; retry
                 else:
                     return ShardOutcome.from_wire(payload)
-            self._sleep(self.poll_interval)
+            time.sleep(self.poll_interval)
         raise ShardTransportError(
             f"{self.name}: no result for {stem}"
             f" within {job.hang_timeout:g}s"

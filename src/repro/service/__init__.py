@@ -3,10 +3,10 @@
 A long-running asyncio front-end over the simulator's existing
 execution substrate.  Campaigns are submitted (by scenario name or raw
 spec) with priorities, deduplicated against ``.repro_cache`` *before*
-scheduling, executed by the farm manager on in-process (traced), local
+scheduling, executed by the farm manager on in-process (sampled), local
 process or farm-host workers, and observed live over Server-Sent Events — job
-progress plus :class:`~repro.telemetry.MetricsSampler` time series —
-with a merged Perfetto trace downloadable per job.
+progress plus :class:`~repro.telemetry.MetricsSampler` time series.  Jobs
+trace nothing; any finished job's Perfetto trace is computed on request.
 
 Everything is stdlib: :mod:`asyncio` sockets on the server,
 :mod:`http.client` in the client, shared SSE framing in between.

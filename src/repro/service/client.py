@@ -99,9 +99,12 @@ class ServiceClient:
         suffix = "?results=1" if results else ""
         return self._request("GET", f"/api/jobs/{job_id}{suffix}")
 
-    def trace(self, job_id: str) -> dict[str, Any]:
-        """Download the job's merged Perfetto trace (parsed JSON)."""
-        return self._request("GET", f"/api/jobs/{job_id}/trace")
+    def trace(self, job_id: str,
+              point: int | None = None) -> dict[str, Any]:
+        """The finished job's Perfetto trace, or one point's (parsed
+        JSON).  The service builds it on the first request."""
+        suffix = "" if point is None else f"?point={point}"
+        return self._request("GET", f"/api/jobs/{job_id}/trace{suffix}")
 
     def shutdown(self) -> dict[str, Any]:
         return self._request("POST", "/api/shutdown")

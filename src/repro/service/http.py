@@ -16,7 +16,8 @@ Routes
 ``GET  /api/jobs``              all jobs, submission order
 ``GET  /api/jobs/<id>``         one job (``?results=1`` embeds results)
 ``GET  /api/jobs/<id>/events``  SSE: status / progress / sample / done
-``GET  /api/jobs/<id>/trace``   merged Perfetto trace for the job
+``GET  /api/jobs/<id>/trace``   the job's Perfetto trace, built on the
+                                first request (``?point=k``: one point's)
 ``POST /api/shutdown``          graceful drain + exit
 """
 
@@ -45,7 +46,7 @@ class _HttpError(Exception):
 
 _STATUS_TEXT = {
     200: "OK", 201: "Created", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 413: "Payload Too Large",
+    405: "Method Not Allowed", 409: "Conflict", 413: "Payload Too Large",
     500: "Internal Server Error",
 }
 
@@ -241,19 +242,20 @@ class CampaignServer:
         elif action == "events":
             await self._stream_events(jid, writer)
         elif action == "trace":
-            self._send_trace(job, writer)
+            await self._send_trace(job, params.get("point"), writer)
         else:
             raise _HttpError(404, f"unknown job action {action!r}")
 
-    def _send_trace(self, job, writer: asyncio.StreamWriter) -> None:
-        path = self.manager.trace_file(job.id)
-        if job.trace_path is None or not path.exists():
-            raise _HttpError(
-                404,
-                "no trace for this job (cached points and worker"
-                " processes/hosts run untraced)",
-            )
-        writer.write(_response(200, path.read_bytes()))
+    async def _send_trace(self, job, point: str | None,
+                          writer: asyncio.StreamWriter) -> None:
+        if job.state not in _TERMINAL:
+            raise _HttpError(409, f"job {job.id} is {job.state}; its trace"
+                             " is built from the finished job")
+        if point is not None and not point.isdigit():
+            raise _HttpError(400, f"point must be an index, not {point!r}")
+        writer.write(_response(200, await self.manager.trace(
+            job, None if point is None else int(point)
+        )))
 
     async def _stream_events(self, jid: str,
                              writer: asyncio.StreamWriter) -> None:

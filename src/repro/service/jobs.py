@@ -13,15 +13,19 @@ execution.  The manager:
   cached campaign completes without touching the executor at all);
 * executes missing points through the **one scheduler**,
   :class:`repro.farm.FarmManager`, and only chooses its workers: an
-  in-process worker whose point function attaches a tracer (default:
-  live time-series streaming + a per-job Perfetto trace, on whichever
-  backend each point's config names), local worker processes
-  (``workers > 1``) or farm hosts (``farm_hosts``), which attach none
-  and say so in the job record (``untraced``) — the manager writes
-  every point through the same cache keys, so results are
-  bit-identical to ``run_sweep`` whichever worker computes them;
+  in-process worker whose point function attaches a sampler-only tap
+  (default: live time-series streaming, on whichever backend each
+  point's config names), local worker processes (``workers > 1``) or
+  farm hosts (``farm_hosts``) — the manager writes every point through
+  the same cache keys, so results are bit-identical to ``run_sweep``
+  whichever worker computes them;
 * streams **progress / sample / status events** through an
   :class:`~repro.service.sse.EventBroker` topic per job id;
+* builds a job's **Perfetto trace when it is asked for**
+  (:meth:`JobManager.trace`): a trace is a pure function of a point, so
+  no job pays for one while it runs, and a worker-process, farm-host or
+  fully cached job has one like any other — the first request re-runs
+  the points traced and checks every re-run against the stored result;
 * **drains gracefully**: shutdown finishes the running job, then
   persists the still-queued submissions to ``queue.json`` so a
   restarted service resumes them (cached points making the resume
@@ -35,7 +39,7 @@ import hashlib
 import heapq
 import json
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
@@ -54,12 +58,14 @@ from repro.sim.parallel import (
     PointFn,
     PointResolution,
     ResultCache,
+    point_key,
     resolve_points,
 )
 from repro.sim.results import RunResult
 from repro.sim.sweep import summarize_window
-from repro.telemetry import Tracer, to_perfetto
+from repro.telemetry import SampleTap, Tracer, to_perfetto
 from repro.util.atomic import write_json_atomic
+from repro.util.errors import ConfigurationError, SimulationError
 
 #: name of the persisted submission queue inside the jobs directory.
 QUEUE_FILENAME = "queue.json"
@@ -110,9 +116,6 @@ class Job:
     finished: float | None = None
     results: list[RunResult | None] = field(default_factory=list)
     keys: list[str] = field(default_factory=list)
-    trace_path: str | None = None
-    #: why the job has no trace, once it is known that it will have none.
-    untraced: str | None = None
 
     @property
     def total(self) -> int:
@@ -139,8 +142,6 @@ class Job:
             "started": self.started,
             "finished": self.finished,
             "backends": sorted({c.backend for c in self.spec.configs}),
-            "trace": self.trace_path,
-            "untraced": self.untraced,
         }
         if with_results:
             out["results"] = [
@@ -148,51 +149,6 @@ class Job:
             ]
             out["spec"] = self.spec.to_dict()
         return out
-
-
-def _merge_point_traces(
-    point_traces: list[tuple[int, SimConfig, dict[str, Any]]],
-) -> dict[str, Any]:
-    """Fold per-point engine traces into one job-level Perfetto trace.
-
-    Every point keeps its full track layout, shifted to its own pid
-    block (point *k* lives at pids ``1000*(k+1) + original``), with a
-    process-name prefix naming the point, so the job trace opens as one
-    document with one process group per executed point.
-    """
-    events: list[dict[str, Any]] = []
-    other: dict[str, Any] = {"points": len(point_traces)}
-    for idx, config, trace in point_traces:
-        base = 1000 * (idx + 1)
-        label = f"point{idx} load={config.load:g} {config.scheme}"
-        for event in trace["traceEvents"]:
-            ev = dict(event)
-            ev["pid"] = base + ev["pid"]
-            if event.get("ph") == "M" and event.get("name") == "process_name":
-                ev = dict(ev)
-                ev["args"] = {"name": f"{label}: {event['args']['name']}"}
-            events.append(ev)
-        other[f"point{idx}"] = trace.get("otherData", {})
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": other,
-    }
-
-
-class _StreamingTracer(Tracer):
-    """A tracer that hands each metric sample on as it is taken."""
-
-    def __init__(self, on_sample: Callable[[dict[str, Any]], None],
-                 **kwargs: Any) -> None:
-        super().__init__(**kwargs)
-        self._on_sample = on_sample
-
-    def on_cycle(self, now: int) -> None:
-        taken = len(self.samples)
-        super().on_cycle(now)
-        if len(self.samples) > taken:
-            self._on_sample(self.samples[-1])
 
 
 class JobManager:
@@ -225,6 +181,8 @@ class JobManager:
         self._stopping = False
         self._task: asyncio.Task | None = None
         self.current: Job | None = None
+        #: job id -> the one build of its trace file now in flight.
+        self._trace_builds: dict[str, asyncio.Future] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -281,6 +239,10 @@ class JobManager:
                 existing.priority = priority
                 self._push(existing)
             return existing, False
+        if existing is not None:
+            # Re-queued: a trace built from the failed run's finished
+            # points will not describe this one.
+            self.trace_file(jid).unlink(missing_ok=True)
 
         resolution = resolve_points(
             spec.configs, spec.warmup, spec.measure, self.cache, keys=keys
@@ -301,7 +263,6 @@ class JobManager:
             # Fully deduplicated: the cache already holds every point.
             job.state = DONE
             job.started = job.finished = job.created
-            job.untraced = "every point came from the cache; nothing ran"
             self._publish_status(job)
             self._publish(job, "done", job.to_dict())
             self._persist_record(job)
@@ -391,19 +352,14 @@ class JobManager:
         if not missing:
             return
         loop = asyncio.get_running_loop()
-        point_traces: list[tuple[int, SimConfig, dict[str, Any]]] = []
         workers: list[FarmWorker]
         if self.farm_hosts is not None:
             workers = parse_hosts(self.farm_hosts)
-            job.untraced = f"farm hosts ({self.farm_hosts}) attach no tracer"
         elif self.workers > 1:
             workers = [LocalPoolWorker(workers=self.workers)]
-            job.untraced = (
-                f"worker processes (workers={self.workers}) attach no tracer"
-            )
         else:
             workers = [LocalPoolWorker(
-                point_fn=self._traced_point_fn(job, loop, point_traces)
+                point_fn=self._sampled_point_fn(job, loop)
             )]
 
         def landed(idx: int, result: RunResult, elapsed: float) -> None:
@@ -421,46 +377,35 @@ class JobManager:
                 on_point=landed,
             ),
         )
-        if point_traces:
-            self._write_trace(job, point_traces)
 
-    def _traced_point_fn(
-        self, job: Job, loop: asyncio.AbstractEventLoop,
-        point_traces: list[tuple[int, SimConfig, dict[str, Any]]],
-    ) -> PointFn:
+    def _sampled_point_fn(self, job: Job,
+                          loop: asyncio.AbstractEventLoop) -> PointFn:
         """The in-process worker's point function: ``run_point`` with a
-        tracer attached.
+        sampler-only tap attached.
 
-        Telemetry hooks are non-perturbing on both backends (pinned by
-        the backend-equivalence suite), so the traced result is
-        bit-identical to ``run_point``; the tracer buys live
-        time-series samples on the job's SSE stream and the per-job
-        Perfetto trace.  A tracer the engine refuses (flit level on the
-        vector backend) fails the point, and with it the job, with the
-        engine's message.
+        The tap reads the engine every ``sample_every`` cycles for the
+        job's SSE stream and hooks no event site, so the point runs its
+        untraced paths and its result is ``run_point``'s.
         """
         # first index of each distinct config (a point function is not
         # told which campaign index it computes)
         index = {config: idx for idx, config
                  in reversed(list(enumerate(job.spec.configs)))}
 
-        def traced_point(config: SimConfig, warmup: int,
-                         measure: int) -> RunResult:
+        def sampled_point(config: SimConfig, warmup: int,
+                          measure: int) -> RunResult:
             idx = index[config]
-            tracer = _StreamingTracer(
+            engine = build_engine(config)
+            engine.attach_tracer(SampleTap(
+                self.sample_every,
                 lambda sample: loop.call_soon_threadsafe(
                     self._publish_sample, job, idx, sample
                 ),
-                level=self.trace_level, sample_every=self.sample_every,
-                capacity=TRACE_CAPACITY,
-            )
-            engine = build_engine(config)
-            engine.attach_tracer(tracer)
+            ))
             window = engine.run_measured(warmup, measure)
-            point_traces.append((idx, config, to_perfetto(tracer)))
             return summarize_window(config, engine, window)
 
-        return traced_point
+        return sampled_point
 
     def _point_landed(self, job: Job, idx: int, elapsed: float) -> None:
         """One computed point is in the cache: count it, tell the stream."""
@@ -494,6 +439,92 @@ class JobManager:
         self._publish(job, "sample", payload)
 
     # ------------------------------------------------------------------
+    # Traces, on request
+    # ------------------------------------------------------------------
+    async def trace(self, job: Job, point: int | None = None) -> bytes:
+        """The Perfetto document of a finished ``job``, or of one point.
+
+        Nothing is traced while a job runs.  The first request for a
+        job's document re-runs its finished points traced, off the event
+        loop, and writes ``job-<id>.trace.json``; requests arriving
+        meanwhile share that one build, later ones (and a restarted
+        service) are served the file.  One point's document is built per
+        request and never stored.
+        """
+        wanted = [i for i, r in enumerate(job.results)
+                  if r is not None and point in (None, i)]
+        if not wanted:
+            raise ConfigurationError(
+                f"job {job.id} has no finished point"
+                + ("" if point is None else f" {point}")
+            )
+        loop = asyncio.get_running_loop()
+        if point is not None:
+            return await loop.run_in_executor(None, lambda: json.dumps(
+                self._trace_points(job, wanted), separators=(",", ":")
+            ).encode("utf-8"))
+        path = self.trace_file(job.id)
+        if not path.exists():
+            build = self._trace_builds.get(job.id)
+            if build is None:
+                build = self._trace_builds[job.id] = loop.run_in_executor(
+                    None, lambda: write_json_atomic(
+                        path, self._trace_points(job, wanted),
+                        separators=(",", ":"),
+                    ))
+                build.add_done_callback(
+                    lambda _: self._trace_builds.pop(job.id, None)
+                )
+            # Shielded: a requester that disconnects must not cancel the
+            # build the others are waiting for.
+            await asyncio.shield(build)
+        return await loop.run_in_executor(None, path.read_bytes)
+
+    def _trace_points(self, job: Job, indices: list[int]) -> dict[str, Any]:
+        """Re-run ``indices`` traced; their traces side by side.
+
+        Point *k* owns the pid block ``1000*(k+1)`` and its process
+        names say which point they belong to, so the document opens as
+        one process group per point.  Every re-run must reproduce the
+        stored result — a trace of a run that went differently would be
+        a trace of something else — which makes each request a
+        determinism check as well.
+        """
+        spec = job.spec
+        events: list[dict[str, Any]] = []
+        other: dict[str, Any] = {"points": len(indices)}
+        for idx in indices:
+            config = spec.configs[idx]
+            tracer = Tracer(level=self.trace_level,
+                            sample_every=self.sample_every,
+                            capacity=TRACE_CAPACITY)
+            # Only the reference engine traces flits; the backends agree
+            # on results by contract, and the check below holds them to it.
+            engine = build_engine(
+                config.with_(backend="reference") if tracer.flit_level
+                else config
+            )
+            engine.attach_tracer(tracer)
+            window = engine.run_measured(spec.warmup, spec.measure)
+            if summarize_window(config, engine, window) != job.results[idx]:
+                raise SimulationError(
+                    f"traced re-run of point {idx} (key "
+                    f"{point_key(config, spec.warmup, spec.measure)}) does"
+                    " not reproduce the job's stored result"
+                )
+            trace = to_perfetto(
+                tracer, pid_base=1000 * (idx + 1),
+                label=f"point{idx} load={config.load:g} {config.scheme}",
+            )
+            events += trace["traceEvents"]
+            other[f"point{idx}"] = trace["otherData"]
+        return {
+            "traceEvents": events,
+            "displayTimeUnit": "ms",
+            "otherData": other,
+        }
+
+    # ------------------------------------------------------------------
     # Events
     # ------------------------------------------------------------------
     def _publish(self, job: Job, event: str, data: dict[str, Any]) -> None:
@@ -513,13 +544,6 @@ class JobManager:
 
     def trace_file(self, jid: str) -> Path:
         return self.jobs_dir / f"job-{jid}.trace.json"
-
-    def _write_trace(self, job: Job,
-                     point_traces: list[tuple[int, SimConfig, dict]]) -> None:
-        path = self.trace_file(job.id)
-        write_json_atomic(path, _merge_point_traces(point_traces),
-                          separators=(",", ":"))
-        job.trace_path = str(path)
 
     def _persist_queue(self) -> None:
         """Snapshot queued + running submissions for restart resume."""
@@ -574,7 +598,5 @@ class JobManager:
                 started=payload.get("started"),
                 finished=payload.get("finished"),
                 results=results,
-                trace_path=payload.get("trace"),
-                untraced=payload.get("untraced"),
             )
             self.jobs[job.id] = job

@@ -149,20 +149,25 @@ def capture_dump(engine, reason: str = "") -> dict:
     if hasattr(controller, "deflections"):
         dump["counters"]["deflections"] = controller.deflections
 
-    # Per-NI queue heads: only NIs holding anything, only non-empty rows.
+    # Per-NI queue heads: only NIs holding anything, only rows with a
+    # slot in use — queued, held *or reserved*: reservations alone can
+    # wedge a node whose queues are empty.
     interfaces: dict[int, dict] = {}
     for ni in engine.interfaces:
         rows = []
         for cls in range(ni.in_bank.num_classes):
             q = ni.in_bank.queue(cls)
             out_q = ni.out_bank.queue(cls) if cls < ni.out_bank.num_classes else None
-            if q.occupancy == 0 and (out_q is None or out_q.occupancy == 0):
+            if q.free_slots == q.capacity and (
+                out_q is None or out_q.free_slots == out_q.capacity
+            ):
                 continue
             head = q.peek()
             rows.append({
                 "class": cls,
                 "in": f"{len(q.entries)}+{q.held}h+{q.reserved}r/{q.capacity}",
                 "in_head": _describe_message(head) if head else None,
+                "in_head_waits": ni.controller.head_waits_for(cls),
                 "out": (
                     f"{len(out_q.entries)}+{out_q.held}h+{out_q.reserved}r"
                     f"/{out_q.capacity}" if out_q is not None else None
@@ -256,9 +261,11 @@ def format_dump(dump: dict) -> str:
             + (f" serving {ctl['current']}" if ctl["current"] else "")
         )
         for row in info["queues"]:
+            waits = row.get("in_head_waits")
             lines.append(
                 f"    class {row['class']}: in={row['in']} out={row['out']}"
                 f" head={row['in_head']}"
+                + (f", waiting for {waits}" if waits else "")
             )
     for entry in dump.get("blocked_frontiers", ()):
         lines.append(

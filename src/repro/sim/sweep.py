@@ -57,9 +57,9 @@ def run_point(config: SimConfig, warmup: int, measure: int) -> RunResult:
 def summarize_window(config: SimConfig, engine, window) -> RunResult:
     """Fold one measured window into a :class:`RunResult`.
 
-    Shared by :func:`run_point` and the campaign service's traced
-    point execution (:mod:`repro.service.jobs`), so a streamed job and
-    a plain sweep summarize identically by construction.
+    Shared by :func:`run_point` and the campaign service's sampled
+    and traced point runs (:mod:`repro.service.jobs`), so a streamed
+    job and a plain sweep summarize identically by construction.
     """
     nodes = engine.topology.num_nodes
     return RunResult(

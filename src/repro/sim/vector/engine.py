@@ -97,9 +97,11 @@ Tracing
 ``attach_tracer`` takes a message-level :class:`~repro.telemetry.Tracer`
 and the run records the events and samples the reference engine
 records, byte for byte (``tests/test_backend_equivalence.py``, traced
-cells).  Every lifecycle, recovery and token event comes from endpoint
-and scheme code the two engines share; three things do not, and each is
-reported where the reference reports it:
+cells).  A :class:`~repro.telemetry.SampleTap` hooks no event site, so
+attaching one changes nothing below but the per-cycle ``on_cycle``.
+Every lifecycle, recovery and token event comes from endpoint and scheme
+code the two engines share; three things do not, and each is reported
+where the reference reports it:
 
 * *Allocation outcomes.*  Grants and failed attempts happen inside the
   kernel.  ``attach_tracer`` sets the ``H_TRACE`` header flag and the
@@ -533,6 +535,10 @@ class VectorEngine(Engine):
                 "backend='reference'"
             )
         super().attach_tracer(tracer)
+        if self.fabric.tracer is None:
+            # A sampler-only tap hooks no event site: the kernel keeps
+            # its untraced event stream and PR its lazy detector bank.
+            return
         self.fabric._hdr[H_TRACE] = 1
         if self._det_bank is not None:
             # Re-evaluate every detector next cycle, so one that is

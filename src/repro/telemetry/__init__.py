@@ -28,7 +28,7 @@ from repro.telemetry.episodes import (
     format_episodes,
     stitch_episodes,
 )
-from repro.telemetry.events import TRACE_LEVELS, Tracer
+from repro.telemetry.events import TRACE_LEVELS, SampleTap, Tracer
 from repro.telemetry.export import (
     export_perfetto,
     export_timeseries_csv,
@@ -40,6 +40,7 @@ from repro.telemetry.samplers import MetricsSampler
 __all__ = [
     "TRACE_LEVELS",
     "Tracer",
+    "SampleTap",
     "MetricsSampler",
     "RecoveryEpisode",
     "stitch_episodes",

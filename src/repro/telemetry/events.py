@@ -373,3 +373,28 @@ class Tracer:
             and now % self.sample_every == 0
         ):
             self.samples.append(self._sampler.sample(now))
+
+
+class SampleTap(Tracer):
+    """The sampling half of a tracer and nothing else.
+
+    ``attach`` installs no event hook, so the fabric, the NIs, their
+    controllers and the scheme keep ``tracer = None`` and run their
+    untraced paths; each sample goes to ``on_sample`` instead of a
+    list.  It is still a :class:`Tracer` because a few rare sites
+    report through ``engine.tracer`` itself (fault injection, the
+    episodes of a deadlock dump): what they record lands in a one-slot
+    ring.
+    """
+
+    def __init__(self, sample_every: int, on_sample) -> None:
+        super().__init__(sample_every=sample_every, capacity=1)
+        self._on_sample = on_sample
+
+    def attach(self, engine) -> None:
+        self.engine = engine
+        self._sampler = MetricsSampler(engine)
+
+    def on_cycle(self, now: int) -> None:
+        if self.sample_every and now % self.sample_every == 0:
+            self._on_sample(self._sampler.sample(now))

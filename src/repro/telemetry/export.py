@@ -73,16 +73,30 @@ def _meta(pid: int, name: str, tid: int | None = None) -> dict[str, Any]:
     return out
 
 
-def to_perfetto(tracer) -> dict[str, Any]:
-    """Fold a tracer's ring buffer and samples into a trace-event dict."""
+def to_perfetto(tracer, pid_base: int = 0,
+                label: str | None = None) -> dict[str, Any]:
+    """Fold a tracer's ring buffer and samples into a trace-event dict.
+
+    ``pid_base`` shifts every process id and ``label`` prefixes every
+    process name, so the traces of several runs concatenate into one
+    document (one process group per run) without a second pass.
+    """
+    pid_messages = pid_base + PID_MESSAGES
+    pid_scheme = pid_base + PID_SCHEME
+    pid_metrics = pid_base + PID_METRICS
+    pid_farm = pid_base + PID_FARM
+
+    def process(pid: int, name: str) -> dict[str, Any]:
+        return _meta(pid, name if label is None else f"{label}: {name}")
+
     out: list[dict[str, Any]] = [
-        _meta(PID_MESSAGES, "messages"),
-        _meta(PID_SCHEME, "scheme"),
-        _meta(PID_SCHEME, "detection", TID_DETECTION),
-        _meta(PID_SCHEME, "recovery", TID_RECOVERY),
-        _meta(PID_SCHEME, "token", TID_TOKEN),
-        _meta(PID_SCHEME, "faults", TID_FAULTS),
-        _meta(PID_METRICS, "metrics"),
+        process(pid_messages, "messages"),
+        process(pid_scheme, "scheme"),
+        _meta(pid_scheme, "detection", TID_DETECTION),
+        _meta(pid_scheme, "recovery", TID_RECOVERY),
+        _meta(pid_scheme, "token", TID_TOKEN),
+        _meta(pid_scheme, "faults", TID_FAULTS),
+        process(pid_metrics, "metrics"),
     ]
     open_spans: set[int] = set()
     open_blocks: set[int] = set()
@@ -99,20 +113,20 @@ def to_perfetto(tracer) -> dict[str, Any]:
         tid = farm_tids.get(host)
         if tid is None:
             if not farm_tids:
-                out.append(_meta(PID_FARM, "farm"))
-                out.append(_meta(PID_FARM, "campaign", 0))
+                out.append(process(pid_farm, "farm"))
+                out.append(_meta(pid_farm, "campaign", 0))
             if host == "campaign":
                 tid = farm_tids[host] = 0
             else:
                 tid = farm_tids[host] = max(farm_tids.values(), default=0) + 1
-                out.append(_meta(PID_FARM, host, tid))
+                out.append(_meta(pid_farm, host, tid))
         return tid
 
     def begin_span(mid: int, ts: int) -> None:
         open_spans.add(mid)
         out.append({
             "name": tracer.label_of(mid), "cat": "message", "ph": "b",
-            "id": mid, "ts": ts, "pid": PID_MESSAGES, "tid": 0, "args": {},
+            "id": mid, "ts": ts, "pid": pid_messages, "tid": 0, "args": {},
         })
 
     for cycle, kind, payload in tracer.events:
@@ -125,7 +139,7 @@ def to_perfetto(tracer) -> dict[str, Any]:
             open_spans.discard(mid)
             out.append({
                 "name": tracer.label_of(mid), "cat": "message", "ph": "e",
-                "id": mid, "ts": cycle, "pid": PID_MESSAGES, "tid": 0,
+                "id": mid, "ts": cycle, "pid": pid_messages, "tid": 0,
                 "args": {},
             })
         elif kind in _SPAN_MILESTONES:
@@ -133,7 +147,7 @@ def to_perfetto(tracer) -> dict[str, Any]:
                 begin_span(mid, cycle)
             out.append({
                 "name": kind, "cat": "message", "ph": "n",
-                "id": mid, "ts": cycle, "pid": PID_MESSAGES, "tid": 0,
+                "id": mid, "ts": cycle, "pid": pid_messages, "tid": 0,
                 "args": dict(payload),
             })
         elif kind == ev.BLOCKED:
@@ -143,7 +157,7 @@ def to_perfetto(tracer) -> dict[str, Any]:
             out.append({
                 "name": f"blocked {tracer.label_of(mid)}", "cat": "blocked",
                 "ph": "b", "id": mid, "ts": cycle,
-                "pid": PID_MESSAGES, "tid": 0,
+                "pid": pid_messages, "tid": 0,
                 "args": {"router": payload.get("router")},
             })
         elif kind == ev.UNBLOCKED:
@@ -152,13 +166,13 @@ def to_perfetto(tracer) -> dict[str, Any]:
                 out.append({
                     "name": f"blocked {tracer.label_of(mid)}",
                     "cat": "blocked", "ph": "e", "id": mid, "ts": cycle,
-                    "pid": PID_MESSAGES, "tid": 0, "args": {},
+                    "pid": pid_messages, "tid": 0, "args": {},
                 })
         elif kind in _INSTANT_TRACKS:
             name, tid = _INSTANT_TRACKS[kind]
             out.append({
                 "name": name, "ph": "i", "ts": cycle,
-                "pid": PID_SCHEME, "tid": tid, "s": "t",
+                "pid": pid_scheme, "tid": tid, "s": "t",
                 "args": dict(payload),
             })
         elif kind in ev.FARM_EVENT_KINDS:
@@ -173,11 +187,11 @@ def to_perfetto(tracer) -> dict[str, Any]:
                     out.append({
                         "name": f"shard {shard}", "cat": "farm", "ph": "X",
                         "ts": start, "dur": max(0, cycle - start),
-                        "pid": PID_FARM, "tid": tid, "args": dict(payload),
+                        "pid": pid_farm, "tid": tid, "args": dict(payload),
                     })
             out.append({
                 "name": kind, "ph": "i", "ts": cycle,
-                "pid": PID_FARM, "tid": tid, "s": "t",
+                "pid": pid_farm, "tid": tid, "s": "t",
                 "args": dict(payload),
             })
 
@@ -186,13 +200,13 @@ def to_perfetto(tracer) -> dict[str, Any]:
     for mid in sorted(open_blocks):
         out.append({
             "name": f"blocked {tracer.label_of(mid)}", "cat": "blocked",
-            "ph": "e", "id": mid, "ts": end, "pid": PID_MESSAGES, "tid": 0,
+            "ph": "e", "id": mid, "ts": end, "pid": pid_messages, "tid": 0,
             "args": {"truncated": True},
         })
     for mid in sorted(open_spans):
         out.append({
             "name": tracer.label_of(mid), "cat": "message", "ph": "e",
-            "id": mid, "ts": end, "pid": PID_MESSAGES, "tid": 0,
+            "id": mid, "ts": end, "pid": pid_messages, "tid": 0,
             "args": {"truncated": True},
         })
 
@@ -202,13 +216,13 @@ def to_perfetto(tracer) -> dict[str, Any]:
                        "blocked_frontiers"):
             out.append({
                 "name": metric, "ph": "C", "ts": ts,
-                "pid": PID_METRICS, "tid": 0,
+                "pid": pid_metrics, "tid": 0,
                 "args": {metric: sample[metric]},
             })
         if "token_pos" in sample:
             out.append({
                 "name": "token_pos", "ph": "C", "ts": ts,
-                "pid": PID_METRICS, "tid": 0,
+                "pid": pid_metrics, "tid": 0,
                 "args": {"token_pos": sample["token_pos"]},
             })
 

@@ -165,23 +165,34 @@ class TestWorkflow:
     def test_service_smoke_runs_suite_and_http_flow(self, workflow):
         job = workflow["jobs"]["service-smoke"]
         runs = " ".join(s.get("run") or "" for s in job["steps"])
-        # The deterministic suite (framing, backpressure, job manager).
-        assert "tests/test_service.py" in runs
-        # And the operator path: a real serve process, a scenario
-        # submitted over HTTP, SSE progress + samples asserted, the
-        # Perfetto artifact shape-checked, and a clean drain (server
-        # exit code 0).
+        # The deterministic suite (framing, backpressure, job manager)
+        # is the `test` matrix's; this job keeps only what needs a real
+        # subprocess.
+        assert "pytest" not in runs
+        test_runs = " ".join(
+            s.get("run") or "" for s in workflow["jobs"]["test"]["steps"]
+        )
+        assert "python -m pytest" in test_runs
+        # The operator path: a real serve process, a scenario submitted
+        # over HTTP, SSE progress + samples asserted, and a clean drain
+        # (server exit code 0).
         assert '"serve"' in runs
         assert "client.submit(" in runs
         assert "stream_events" in runs
         assert '"sample" in kinds' in runs and '"done" in kinds' in runs
-        assert "client.trace(" in runs
-        # The job ran traced on the vector backend, and its trace is the
-        # one the reference engine produces for the same campaign.
+        # The job ran on the vector backend and traced nothing: the
+        # trace is built by the first request, served from the file by
+        # the second, and is the one the reference engine produces for
+        # the same campaign — also for a fully cached job.
         assert 'job["backends"] == ["vector"]' in runs
-        assert 'job["untraced"] is None' in runs
-        assert 'c.with_(backend="reference")' in runs
-        assert "trace == asyncio.run(reference_trace())" in runs
+        assert '"untraced" not in job' in runs
+        assert "assert not os.path.exists(trace_file)" in runs
+        assert runs.count("client.trace(jid)") == 2
+        assert "st_mtime_ns == built" in runs
+        assert 'in_process("reference", "ci_reference_cache")' in runs
+        assert "trace == reference_trace" in runs
+        assert "cached.computed == 0" in runs
+        assert "cached_trace == trace" in runs
         assert "client.shutdown()" in runs
         assert "srv.wait" in runs
         upload = next(

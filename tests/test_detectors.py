@@ -251,6 +251,81 @@ class TestCmhChase:
         assert det.probes_dropped > before
 
 
+class TestCmhSelfDependence:
+    """The three questions the Chandy-Misra-Haas implementations in
+    SNIPPETS.md leave open, answered for :class:`CmhSite`.  A site's
+    dependent set is ``CmhDetector._dependents``: the nodes its stuck
+    output traffic is addressed to, *minus its own node* — a probe is a
+    message on the overlay, and a node has no wire to itself."""
+
+    @staticmethod
+    def blocked_site(det, node):
+        det.pre_step(1)
+        site = next(s for s in det.sites if s.ni.node == node)
+        assert site.blocked_since == 1  # idle in CMH's sense: blocked
+        return site
+
+    def test_dependent_set_containing_itself_declares_on_the_other_edge(self):
+        # Self plus a real cycle through node 6: the self-edge is
+        # dropped, the chase runs through 6 and declares exactly as it
+        # would without it.  The self-edge neither helps nor hinders.
+        e = build_engine(scheme="NONE", detector="cmh")
+        wedge_pair(e, 5, 6)
+        out = e.interfaces[5].out_bank.queue(0).entries
+        for msg in list(out)[::2]:
+            msg.dst = 5
+        det = e.detector
+        site = self.blocked_site(det, 5)
+        assert 5 in site.ni.frontier_destinations(site.out_cls)
+        assert det._dependents(site) == [6]
+        declared, _ = chase_until_declared(det)
+        assert declared is not None
+
+    def test_site_depending_only_on_itself_never_declares(self):
+        # Everything node 5 is stuck on is addressed to node 5: a
+        # one-node cycle, and a real one (its output cannot drain until
+        # its input does, and the reverse).  With the self-edge dropped
+        # the dependent set is empty, so no probe is ever sent and CMH
+        # stays silent — a blind spot, not a proof of liveness.  The
+        # liveness watchdog is what reports this state.
+        e = build_engine(scheme="NONE", detector="cmh")
+        stall_endpoint(e, 5, make_txn=make_txn_factory(e, 5))
+        ni = e.interfaces[5]
+        for msg in ni.out_bank.queue(0).entries:
+            msg.dst = 5
+        e.fabric.injection_channel(5, 0).owner.dst = 5
+        det = e.detector
+        site = self.blocked_site(det, 5)
+        assert site.ni.frontier_destinations(site.out_cls) == {5}
+        assert det._dependents(site) == []
+        for cycle in range(2, 200):
+            det.pre_step(cycle)
+        assert site.blocked_since == 1 and site.declared_at < 0
+        assert det.probes_sent == 0
+
+    def test_blocked_site_with_an_empty_dependent_set_never_declares(self):
+        # Blocked on slots rather than on messages: the output queue is
+        # full of *held* slots and holds no message, so there is no
+        # destination to chase.  This is the shape of the DR reservation
+        # wedge (ROADMAP item 1): blocked for ever with no wait-for edge
+        # CMH can name.  It sends nothing and declares nothing; a knot
+        # through slot ownership needs an oracle that models slots.
+        e = build_engine(scheme="NONE", detector="cmh")
+        ni = e.interfaces[5]
+        in_q, out_q = ni.in_bank.queue(0), ni.out_bank.queue(0)
+        factory = make_txn_factory(e, 5)
+        while in_q.free_slots > 0:
+            in_q.push(factory(len(in_q.entries)).root)
+        out_q.held = out_q.capacity
+        det = e.detector
+        site = self.blocked_site(det, 5)
+        assert det._dependents(site) == []
+        for cycle in range(2, 200):
+            det.pre_step(cycle)
+        assert site.blocked_since == 1 and site.declared_at < 0
+        assert det.probes_sent == 0
+
+
 # ----------------------------------------------------------------------
 # The timeout heuristic
 # ----------------------------------------------------------------------

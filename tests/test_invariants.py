@@ -221,6 +221,75 @@ class TestDumps:
         assert f"captures={token.captures}" in text
         assert f"regen={token.regenerations}" in text
 
+    def test_reservations_on_an_empty_queue_and_the_waiting_head_show(self):
+        """The DR long-window wedge in one node: every reply slot reserved
+        for this node's own outstanding transactions, so the reply queue
+        is empty and full at once, and a 4-chain ``m1`` head (whose
+        ``m3`` comes back here) can never start.  The dump must show the
+        reservations and say what the head waits for."""
+        from repro.protocol.transactions import PAT271
+
+        e = Engine(SimConfig(dims=(4, 4), scheme="DR", pattern="PAT271",
+                             num_vcs=4, load=0.0))
+        ni = e.interfaces[5]
+        replies = ni.in_bank.queue(1)
+        replies.reserved = replies.capacity
+        head = PAT271.build_transaction(3, 5, 9, 0, length=4).root
+        ni.in_bank.queue(0).push(head)
+        e.run(10)
+        assert ni.controller.idle and ni.in_bank.queue(0).peek() is head
+        dump = capture_dump(e, reason="probe")
+        rows = {row["class"]: row for row in dump["interfaces"][5]["queues"]}
+        assert rows[1]["in"] == "0+0h+16r/16" and rows[1]["in_head"] is None
+        assert rows[0]["in_head_waits"] == "a reservation into input class 1"
+        text = format_dump(dump)
+        assert "class 1: in=0+0h+16r/16" in text
+        assert ("head=m1 3->5 @0, waiting for a reservation into input"
+                " class 1") in text
+        # with one reply slot to reserve the same head starts at once
+        replies.reserved -= 1
+        e.run(1)
+        assert not ni.controller.idle
+        assert "waiting for" not in format_dump(capture_dump(e, reason="probe"))
+
+    def test_head_waiting_for_an_output_slot_says_so(self):
+        from repro.protocol.transactions import PAT721
+        from tests.helpers import stall_endpoint
+
+        e = Engine(SimConfig(dims=(4, 4), scheme="NONE", pattern="PAT721",
+                             load=0.0))
+        stall_endpoint(e, 5, make_txn=lambda i: PAT721.build_transaction(
+            6, 5, 9, 0, length=3))
+        e.run(5)
+        row = capture_dump(e, reason="probe")["interfaces"][5]["queues"][0]
+        assert row["in_head_waits"] == "an output slot in class 0"
+
+    @pytest.mark.campaign
+    def test_dr_long_window_wedge_dump_shows_the_reserved_reply_slots(self):
+        """ROADMAP item 1's cell: DR/PAT271/4 VCs on 8x8 at load 0.012,
+        seed 3, stops delivering near cycle 8000 with no detection; the
+        watchdog's dump must show what no detector sees — reply queues
+        empty yet fully reserved, heads waiting for a reservation."""
+        e = Engine(SimConfig(dims=(8, 8), scheme="DR", pattern="PAT271",
+                             num_vcs=4, load=0.012, seed=3,
+                             watchdog_timeout=1500))
+        with pytest.raises(LivenessError) as excinfo:
+            e.run(12_000)
+        assert 8000 < e.now < 10_000
+        dump = excinfo.value.dump
+        assert dump["first_deadlock_cycle"] is None
+        wedged = [
+            info for info in dump["interfaces"].values()
+            if any(row["class"] == 1 and row["in"] == "0+0h+16r/16"
+                   for row in info["queues"])
+        ]
+        assert wedged
+        assert any(row["in_head_waits"] == "a reservation into input class 1"
+                   for info in wedged for row in info["queues"])
+        text = format_dump(dump)
+        assert "class 1: in=0+0h+16r/16" in text
+        assert "waiting for a reservation into input class 1" in text
+
     def test_untraced_dump_has_no_episodes(self):
         e = busy_engine()
         dump = capture_dump(e, reason="probe")

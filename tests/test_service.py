@@ -9,7 +9,6 @@ thread, exactly as the CLI uses it.
 import asyncio
 import json
 import threading
-from pathlib import Path
 
 import pytest
 
@@ -26,9 +25,12 @@ from repro.service.scenarios import (
     scenario_names,
 )
 from repro.service.sse import EventBroker, format_sse, parse_sse
-from repro.sim.parallel import ResultCache, run_points
+from repro.sim.engine import build_engine
+from repro.sim.parallel import ResultCache, point_key, run_points
 from repro.sim.sweep import run_point
-from repro.util.errors import ConfigurationError
+from repro.sim.vector.fabric import H_TRACE
+from repro.telemetry import Tracer, to_perfetto
+from repro.util.errors import ConfigurationError, SimulationError
 
 #: tiny windows keep every service test interactive-fast while still
 #: simulating real traffic (deliveries > 0 at these loads).
@@ -54,6 +56,39 @@ def vector_campaign(spec: CampaignSpec) -> CampaignSpec:
         configs=tuple(c.with_(backend="vector") for c in spec.configs),
         warmup=spec.warmup, measure=spec.measure, name=f"{spec.name}-vector",
     )
+
+
+def traced_run(spec: CampaignSpec, idx: int, level: str = "message",
+               sample_every: int = 50) -> Tracer:
+    """Point ``idx`` of ``spec`` run here, under a full tracer."""
+    tracer = Tracer(level=level, sample_every=sample_every, capacity=20_000)
+    engine = build_engine(spec.configs[idx])
+    engine.attach_tracer(tracer)
+    engine.run_measured(spec.warmup, spec.measure)
+    return tracer
+
+
+def eager_job_trace(spec: CampaignSpec, indices, **tracer_kwargs) -> bytes:
+    """The document the service wrote at the end of every in-process job
+    before traces were built on request, kept as the reference: each
+    point's stand-alone Perfetto trace, copied event by event into the
+    point's pid block with its process names prefixed."""
+    events = []
+    other = {"points": len(indices)}
+    for idx in indices:
+        config = spec.configs[idx]
+        trace = to_perfetto(traced_run(spec, idx, **tracer_kwargs))
+        base = 1000 * (idx + 1)
+        label = f"point{idx} load={config.load:g} {config.scheme}"
+        for event in trace["traceEvents"]:
+            ev = dict(event)
+            ev["pid"] = base + ev["pid"]
+            if event.get("ph") == "M" and event.get("name") == "process_name":
+                ev["args"] = {"name": f"{label}: {event['args']['name']}"}
+            events.append(ev)
+        other[f"point{idx}"] = trace["otherData"]
+    doc = {"traceEvents": events, "displayTimeUnit": "ms", "otherData": other}
+    return json.dumps(doc, separators=(",", ":")).encode("utf-8")
 
 
 class TestScenarioRegistry:
@@ -374,16 +409,18 @@ class TestJobManager:
         assert kinds.index("progress") < kinds.index("done")
         samples = [d for e, d in events if e == "sample"]
         if kind == dict(workers=1):
-            # the in-process kind also traces: samples and a job trace
+            # the in-process kind also streams each point's time series
             assert {d["point"] for d in samples} == {1, 2}
-            assert job.trace_path is not None
         else:
-            assert not samples and job.trace_path is None
-            assert job.untraced  # and the record says why
+            assert not samples
+        # no kind traces while it runs; any of them can be asked later
+        assert not (tmp_path / "jobs" / f"job-{job.id}.trace.json").exists()
+        assert "trace" not in job.to_dict() and "untraced" not in job.to_dict()
 
     def test_vector_backend_job_is_traced(self, tmp_path):
-        """No dark jobs: a vector job streams the samples and writes
-        the trace the same campaign produces on the reference engine."""
+        """No dark jobs: a vector job streams the samples and answers
+        with the trace the same campaign produces on the reference
+        engine."""
         reference = tiny_campaign()
         vector = vector_campaign(reference)
 
@@ -394,51 +431,116 @@ class TestJobManager:
                 sub = manager.broker.subscribe(job.id)
                 await self._wait_done(manager, job)
                 samples = [d async for _, e, d in sub if e == "sample"]
-                out.append((job, samples))
+                out.append((job, samples, await manager.trace(job)))
             return out
 
-        (ref_job, ref_samples), (vec_job, vec_samples) = self.run_manager(
-            tmp_path, body
-        )
+        (ref_job, ref_samples, ref_trace), (vec_job, vec_samples, vec_trace) \
+            = self.run_manager(tmp_path, body)
         assert ref_job.id != vec_job.id  # the cache key covers the backend
         assert vec_job.state == "done" and vec_job.results == ref_job.results
         assert vec_samples and vec_samples == ref_samples
-        assert vec_job.trace_path is not None and vec_job.untraced is None
-        assert json.loads(Path(vec_job.trace_path).read_text()) == json.loads(
-            Path(ref_job.trace_path).read_text()
-        )
+        assert vec_trace == ref_trace
         assert ref_job.to_dict()["backends"] == ["reference"]
         assert vec_job.to_dict()["backends"] == ["vector"]
 
-    def test_refused_tracer_fails_the_job_with_the_message(self, tmp_path):
-        # the vector engine takes message-level tracers only, and says so
+    @pytest.mark.parametrize("backend", ["reference", "vector"])
+    def test_running_job_hooks_no_event_site_and_streams_the_tracers_samples(
+            self, tmp_path, monkeypatch, backend):
+        """A job pays for sampling only: no tracer on any event site
+        (and the kernel's trace flag clear), yet the ``sample`` events
+        are, payload for payload, what a full tracer samples."""
+        from repro.service import jobs
+
+        spec = tiny_campaign()
+        if backend == "vector":
+            spec = vector_campaign(spec)
+        engines = []
+
+        def recording_build(config):
+            engines.append(build_engine(config))
+            return engines[-1]
+
+        monkeypatch.setattr(jobs, "build_engine", recording_build)
+
         async def body(manager):
-            job, _ = manager.submit(vector_campaign(tiny_campaign(points=1)))
+            job, _ = manager.submit(spec)
+            sub = manager.broker.subscribe(job.id)
             await self._wait_done(manager, job)
-            return job
+            return [d async for _, e, d in sub if e == "sample"]
 
-        job = self.run_manager(tmp_path, body, trace_level="flit")
-        assert job.state == "failed" and job.trace_path is None
-        assert "flit-level tracing" in job.error
+        samples = self.run_manager(tmp_path, body)
+        assert len(engines) == len(spec.configs)
+        for engine in engines:
+            assert engine.fabric.tracer is None
+            assert engine.scheme.tracer is None
+            assert engine.scheme.controller.tracer is None
+            assert all(ni.tracer is None and ni.controller.tracer is None
+                       for ni in engine.interfaces)
+            if backend == "vector":
+                assert engine.fabric._hdr[H_TRACE] == 0
+        expected = []
+        for idx in range(len(spec.configs)):
+            for sample in traced_run(spec, idx).samples:
+                expected.append({
+                    "point": idx,
+                    **{k: sample[k] for k in (
+                        "cycle", "channel_utilization", "flit_occupancy",
+                        "live_messages", "blocked_frontiers")},
+                    "ni_occupied": sum(o for o, _, _ in sample["ni_occupancy"]),
+                    "token_pos": sample["token_pos"],
+                })
+        assert samples and samples == expected
 
-    def test_record_says_why_a_job_has_no_trace(self, tmp_path):
-        spec = tiny_campaign(points=1)
+    @pytest.mark.parametrize("backend", ["reference", "vector"])
+    @pytest.mark.parametrize("kind", ["in-process", "processes", "cached"])
+    def test_trace_on_request_is_the_traced_rerun_byte_for_byte(
+            self, tmp_path, backend, kind):
+        """Whatever computed the job's points — this process, worker
+        processes, or nobody (every point cached) — the trace it answers
+        with is the one an in-process traced run of the points gives."""
+        spec = tiny_campaign()
+        if backend == "vector":
+            spec = vector_campaign(spec)
+        if kind == "cached":
+            run_points(list(spec.configs), spec.warmup, spec.measure,
+                       cache=ResultCache(tmp_path / "cache"))
 
         async def body(manager):
             job, _ = manager.submit(spec)
             await self._wait_done(manager, job)
-            del manager.jobs[job.id]  # resubmit under the dedup path
-            cached, _ = manager.submit(spec)
-            return job, cached
+            path = manager.trace_file(job.id)
+            assert not path.exists()  # nothing was traced on the way
+            first = await manager.trace(job)
+            assert path.read_bytes() == first
+            stamp = path.stat().st_mtime_ns
+            assert await manager.trace(job) == first  # now from the file
+            assert path.stat().st_mtime_ns == stamp
+            return job, first
 
-        job, cached = self.run_manager(tmp_path, body, workers=2)
-        assert job.state == "done" and job.trace_path is None
-        assert "workers=2" in job.untraced
-        assert "cache" in cached.untraced
-        record = json.loads(
-            (tmp_path / "jobs" / f"job-{job.id}.json").read_text()
+        job, trace = self.run_manager(
+            tmp_path, body, workers=2 if kind == "processes" else 1
         )
-        assert record["trace"] is None and record["untraced"]
+        assert job.state == "done"
+        assert job.computed == (0 if kind == "cached" else 2)
+        assert trace == eager_job_trace(spec, [0, 1])
+
+    def test_flit_level_trace_of_a_vector_job_reruns_on_the_reference(
+            self, tmp_path):
+        # the kernel records no flit-level event, and by the equivalence
+        # contract need not: the reference engine's run is the same run
+        spec = vector_campaign(tiny_campaign(points=1))
+
+        async def body(manager):
+            job, _ = manager.submit(spec)
+            await self._wait_done(manager, job)
+            return job, await manager.trace(job)
+
+        job, trace = self.run_manager(tmp_path, body, trace_level="flit")
+        assert job.state == "done"
+        assert trace == eager_job_trace(tiny_campaign(points=1), [0],
+                                        level="flit")
+        assert any(e["name"] == "vc_grant"
+                   for e in json.loads(trace)["traceEvents"])
 
     def test_perfetto_trace_written_and_valid(self, tmp_path):
         spec = tiny_campaign(points=2)
@@ -446,17 +548,106 @@ class TestJobManager:
         async def body(manager):
             job, _ = manager.submit(spec)
             await self._wait_done(manager, job)
+            await manager.trace(job)
             return job
 
         job = self.run_manager(tmp_path, body)
-        assert job.trace_path is not None
         trace = json.loads(
             (tmp_path / "jobs" / f"job-{job.id}.trace.json").read_text()
         )
         assert set(trace) == {"traceEvents", "displayTimeUnit", "otherData"}
         assert trace["otherData"]["points"] == 2
         pids = {e["pid"] // 1000 for e in trace["traceEvents"]}
-        assert pids == {1, 2}  # one pid block per executed point
+        assert pids == {1, 2}  # one pid block per point
+
+    def test_one_point_trace_is_that_points_pid_block(self, tmp_path):
+        spec = tiny_campaign(points=3)
+
+        async def body(manager):
+            job, _ = manager.submit(spec)
+            await self._wait_done(manager, job)
+            one = await manager.trace(job, point=1)
+            assert not manager.trace_file(job.id).exists()  # never stored
+            with pytest.raises(ConfigurationError, match="finished point 3"):
+                await manager.trace(job, point=3)
+            return json.loads(one), json.loads(await manager.trace(job))
+
+        one, whole = self.run_manager(tmp_path, body)
+        assert one["traceEvents"] == [
+            e for e in whole["traceEvents"] if e["pid"] // 1000 == 2
+        ]
+        assert one["otherData"] == {
+            "points": 1, "point1": whole["otherData"]["point1"],
+        }
+
+    def test_concurrent_trace_requests_share_one_build(self, tmp_path,
+                                                       monkeypatch):
+        """Two requests for a trace not built yet run the points once,
+        off the event loop: other coroutines keep running meanwhile."""
+        from repro.service import jobs
+
+        spec = tiny_campaign(points=3)
+        built = []
+
+        def counting_build(config):
+            built.append(config)
+            return build_engine(config)
+
+        async def body(manager):
+            job, _ = manager.submit(spec)
+            await self._wait_done(manager, job)
+            monkeypatch.setattr(jobs, "build_engine", counting_build)
+            ticks = 0
+
+            async def ticker():
+                nonlocal ticks
+                while True:
+                    await asyncio.sleep(0.001)
+                    ticks += 1
+
+            tick_task = asyncio.ensure_future(ticker())
+            first, second = await asyncio.gather(
+                manager.trace(job), manager.trace(job)
+            )
+            tick_task.cancel()
+            assert first == second
+            assert not manager._trace_builds  # the shared future is gone
+            return ticks
+
+        ticks = self.run_manager(tmp_path, body)
+        assert built == list(spec.configs)
+        assert ticks >= 3, "the event loop stalled while the trace was built"
+
+    def test_trace_of_a_tampered_record_fails_naming_the_point(self,
+                                                               tmp_path):
+        """The re-run must reproduce the stored result; a record that
+        says otherwise gets an error with the point's key, never a trace
+        of a different run."""
+        spec = tiny_campaign(points=2)
+
+        async def first(manager):
+            job, _ = manager.submit(spec)
+            await self._wait_done(manager, job)
+            return job.id
+
+        jid = self.run_manager(tmp_path, first)
+        record_path = tmp_path / "jobs" / f"job-{jid}.json"
+        record = json.loads(record_path.read_text())
+        record["results"][1]["messages_delivered"] += 1
+        record_path.write_text(json.dumps(record))
+
+        async def second(manager):  # a restart rehydrates the record
+            job = manager.jobs[jid]
+            with pytest.raises(SimulationError) as err:
+                await manager.trace(job)
+            assert not manager.trace_file(jid).exists()
+            # the untouched point still answers
+            assert await manager.trace(job, point=0)
+            return str(err.value)
+
+        message = self.run_manager(tmp_path, second)
+        assert point_key(spec.configs[1], spec.warmup, spec.measure) in message
+        assert "point 1" in message
 
     def test_failed_point_fails_job_with_error(self, tmp_path):
         from repro.config import SimConfig
@@ -587,8 +778,12 @@ class TestHttpApi:
             assert len(job["results"]) == 2
             assert all(r is not None for r in job["results"])
 
+            trace_file = tmp_path / "jobs" / f"job-{jid}.trace.json"
+            assert not trace_file.exists()  # built by the first request
             trace = client.trace(jid)
             assert trace["otherData"]["points"] == 2
+            assert json.loads(trace_file.read_text()) == trace
+            assert client.trace(jid, point=1)["otherData"]["points"] == 1
 
             again = client.submit(spec=spec.to_dict())
             assert again["created"] is False
@@ -628,6 +823,24 @@ class TestHttpApi:
 
         s1, s2, s3 = ServerFixture(tmp_path).run(body)
         assert (s1, s2, s3) == (404, 400, 404)
+
+    def test_trace_of_an_unfinished_job_is_a_409(self, tmp_path):
+        def body(client):
+            client.submit(spec=tiny_campaign(points=3).to_dict(), priority=5)
+            # queued behind the first: cannot finish before it is asked
+            waiting = client.submit(spec=tiny_campaign(seed=8).to_dict())
+            jid = waiting["job"]["id"]
+            with pytest.raises(ServiceError) as early:
+                client.trace(jid)
+            client.wait(jid)
+            with pytest.raises(ServiceError) as bad_point:
+                client._request("GET", f"/api/jobs/{jid}/trace?point=x")
+            assert client.trace(jid)["otherData"]["points"] == 2
+            return early.value, bad_point.value.status
+
+        early, bad_point = ServerFixture(tmp_path).run(body)
+        assert early.status == 409 and "queued" in str(early)
+        assert bad_point == 400
 
     def test_trace_404_before_any_execution(self, tmp_path):
         spec = tiny_campaign(points=1)
