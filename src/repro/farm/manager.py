@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 from repro.farm.health import PROBATION, QUARANTINED, SUSPECT, HostHealth
 from repro.farm.plan import CampaignSpec, Shard, plan_shards
 from repro.farm.workers import TRANSPORT_TIMEOUT, FarmWorker, ShardJob, ShardOutcome
-from repro.sim.parallel import PointResolution, ResultCache, resolve_points
+from repro.sim.parallel import PointResolution, ResultCache, point_identity, resolve_points
 from repro.sim.results import RunResult
 from repro.telemetry import events as ev
 from repro.util.backoff import BackoffPolicy
@@ -404,10 +404,8 @@ class FarmManager:
             if not isinstance(result, RunResult):
                 return f"point {idx} missing from results"
             config = self._spec.configs[idx]
-            identity = (result.scheme, result.pattern, result.num_vcs,
-                        result.load)
-            expected = (config.scheme, config.pattern, config.num_vcs,
-                        config.load)
+            identity = point_identity(result)
+            expected = point_identity(config)
             if identity != expected:
                 return (f"point {idx} identity {identity!r}"
                         f" != dispatched {expected!r}")

@@ -19,12 +19,12 @@ them.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.config import SimConfig
 from repro.faults.models import FaultSpec
-from repro.sim.parallel import code_version, point_key
+from repro.sim.parallel import code_version, config_to_dict, point_key
 from repro.util.atomic import write_json_atomic
 from repro.util.errors import ConfigurationError
 
@@ -34,13 +34,9 @@ PLAN_FILENAME = "campaign.json"
 STATE_FILENAME = "state.json"
 
 
-def config_to_dict(config: SimConfig) -> dict:
-    """JSON-able dict for one config (inverse of :func:`config_from_dict`)."""
-    return asdict(config)
-
-
 def config_from_dict(payload: dict) -> SimConfig:
-    """Rebuild a :class:`SimConfig` from :func:`config_to_dict` output."""
+    """Rebuild a :class:`SimConfig` from what
+    :func:`~repro.sim.parallel.config_to_dict` returned."""
     data = dict(payload)
     data["dims"] = tuple(data["dims"])
     data["faults"] = tuple(

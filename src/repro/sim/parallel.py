@@ -25,15 +25,18 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import tempfile
 from collections.abc import Callable, Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import repro
 from repro.config import ExecutionConfig, SimConfig
+from repro.faults.models import FaultSpec
 from repro.sim.results import RunResult
 from repro.util.backoff import BackoffPolicy
 from repro.util.errors import SweepExecutionError
@@ -92,34 +95,59 @@ def code_version() -> str:
     return digest_sources(Path(repro.__file__).resolve().parent)
 
 
+#: ``SimConfig``'s field names in declaration order, taken once: what a
+#: key hashes and an entry records is each field's value read by name,
+#: never ``dataclasses.asdict`` (a recursive copy, ~65 calls a config).
+_CONFIG_FIELDS = tuple(f.name for f in fields(SimConfig))
+_config_values = attrgetter(*_CONFIG_FIELDS)
+_FAULT_FIELDS = tuple(f.name for f in fields(FaultSpec))
+_fault_values = attrgetter(*_FAULT_FIELDS)
+#: a ``FaultSpec`` is the one config value JSON cannot take as it is.
+_encode_key = json.JSONEncoder(default=_fault_values).encode
+_detector_values = attrgetter(
+    "detector", "detection_threshold", "occupancy_threshold",
+    "timeout_threshold", "cmh_block_threshold", "cmh_probe_interval",
+)
+#: the fields a :class:`RunResult` shares with the config it answers.
+point_identity = attrgetter("scheme", "pattern", "num_vcs", "load")
+
+
+def config_to_dict(config: SimConfig) -> dict:
+    """JSON-able dict for one config: what ``dataclasses.asdict`` returns,
+    without the copy (:func:`repro.farm.plan.config_from_dict` inverts it)."""
+    payload = dict(zip(_CONFIG_FIELDS, _config_values(config)))
+    payload["faults"] = tuple(
+        dict(zip(_FAULT_FIELDS, _fault_values(spec)))
+        for spec in config.faults
+    )
+    return payload
+
+
 def point_key(config: SimConfig, warmup: int, measure: int,
               code: str | None = None) -> str:
     """Stable cache key for one (config, warmup, measure) point.
 
-    ``asdict(config)`` already folds in every config field, but the
-    detector configuration is additionally spelled out: two runs that
-    differ only in detection mechanism or thresholds produce different
-    results, and a key omitting them (as a refactor of the config
-    serialization could silently reintroduce) would alias their cache
-    entries.  The explicit section makes that collision structurally
-    impossible; ``tests/test_parallel.py`` pins it.
+    The hash covers every config field's value, in declaration order
+    (nested ones too: ``dims``, and each field of each
+    :class:`~repro.faults.models.FaultSpec` through the ``default``
+    hook), and no dict or set, so it does not move with
+    ``PYTHONHASHSEED``.  The detector configuration is additionally
+    spelled out: two runs that differ only in detection mechanism or
+    thresholds produce different results, and a key omitting them (as a
+    refactor of the field walk could silently reintroduce) would alias
+    their cache entries.  The explicit section makes that collision
+    structurally impossible; ``tests/test_parallel.py`` pins it.
     """
-    payload = {
-        "config": asdict(config),
-        "detector": {
-            "kind": config.detector,
-            "detection_threshold": config.detection_threshold,
-            "occupancy_threshold": config.occupancy_threshold,
-            "timeout_threshold": config.timeout_threshold,
-            "cmh_block_threshold": config.cmh_block_threshold,
-            "cmh_probe_interval": config.cmh_probe_interval,
-        },
-        "warmup": int(warmup),
-        "measure": int(measure),
-        "code": code if code is not None else code_version(),
-    }
-    blob = json.dumps(payload, sort_keys=True, default=str)
+    blob = _encode_key((
+        _config_values(config), _detector_values(config), int(warmup),
+        int(measure), code if code is not None else code_version(),
+    ))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+#: how every entry starts and ends; see :meth:`ResultCache.get`.
+_ENTRY_HEAD, _ENTRY_TAIL = b'{"result": ', b"}\n"
+_decode_value = json.JSONDecoder().raw_decode
 
 
 class ResultCache:
@@ -139,11 +167,31 @@ class ResultCache:
         return self.root / f"{key}.json"
 
     def get(self, key: str) -> RunResult | None:
-        path = self.path_for(key)
+        """The entry's result; None (a miss) for anything but a whole entry.
+
+        An entry is ``{"result": {...}, <provenance>}\\n`` on one line, so
+        a file with that head and the ``}\\n`` end is no strict prefix of
+        one: torn, truncated and half-copied files stay misses although
+        half a file already holds a whole result.  Only the result is
+        decoded and checked (``RunResult(**...)``, as ever); the
+        provenance after it is for people and never parsed, which
+        trades one check away: a damaged *tail* that keeps its
+        terminator no longer makes the entry a miss.
+        """
         try:
-            payload = json.loads(path.read_text("utf-8"))
-            result = RunResult(**payload["result"])
-        except (OSError, ValueError, KeyError, TypeError):
+            with open(f"{self.root}/{key}.json", "rb", buffering=0) as fh:
+                blob = fh.read()
+            if not (blob.startswith(_ENTRY_HEAD)
+                    and blob.endswith(_ENTRY_TAIL)):
+                raise ValueError("not a whole entry")
+            members, _ = _decode_value(blob.decode("utf-8"),
+                                       len(_ENTRY_HEAD))
+            # Decoding gives every result its own copy of these three;
+            # interned, a held campaign is a third smaller per point.
+            for name in ("scheme", "pattern", "queue_mode"):
+                members[name] = sys.intern(members[name])
+            result = RunResult(**members)
+        except (OSError, ValueError, TypeError, KeyError):
             self.misses += 1
             return None
         self.hits += 1
@@ -151,23 +199,25 @@ class ResultCache:
 
     def put(self, key: str, config: SimConfig, warmup: int, measure: int,
             result: RunResult) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        payload = {
+        blob = json.dumps({
+            "result": result.to_dict(),
             "key": key,
             "code": code_version(),
-            "config": asdict(config),
+            "config": config_to_dict(config),
             "warmup": int(warmup),
             "measure": int(measure),
-            "result": result.to_dict(),
-        }
-        blob = json.dumps(payload, sort_keys=True, default=str, indent=1)
+        }) + "\n"
         # Unique temp file per put: concurrent writers of the same key
         # (racing farm twins, a resumed manager next to a live one) must
         # each rename a fully written file, so readers see one complete
         # entry or another — never an interleaved one.
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.root, prefix=f".{key[:16]}-", suffix=".tmp"
-        )
+        try:
+            fd, tmp_name = tempfile.mkstemp(
+                dir=self.root, prefix=f".{key[:16]}-", suffix=".tmp"
+            )
+        except FileNotFoundError:  # the first put into a new directory
+            self.root.mkdir(parents=True, exist_ok=True)
+            return self.put(key, config, warmup, measure, result)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(blob)
@@ -221,7 +271,9 @@ def resolve_points(
     With ``cache=None`` every point is a miss (the keys are still
     computed, so callers can schedule and later write back).  ``keys``
     lets callers that already hold the batch's keys skip recomputing
-    the config digests.
+    the config digests.  An entry that answers for another config — a
+    file copied, renamed or aliased under this point's key — is a miss
+    too: the point is recomputed and the next ``put`` repairs it.
     """
     if keys is None:
         keys = [point_key(config, warmup, measure) for config in configs]
@@ -236,6 +288,12 @@ def resolve_points(
     )
     for idx, key in enumerate(keys):
         hit = cache.get(key) if cache is not None else None
+        if hit is not None and (
+            point_identity(hit) != point_identity(configs[idx])
+        ):
+            cache.hits -= 1
+            cache.misses += 1
+            hit = None
         if hit is not None:
             resolution.results[idx] = hit
         else:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,8 @@ class RunResult:
     queue_mode: str = "auto"
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # every field is a scalar: asdict() without its recursive copy
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
 @dataclass

@@ -127,6 +127,14 @@ class TestWorkflow:
         assert "--chaos crash:" in runs and "--chaos hang:" in runs
         assert "--hang-timeout" in runs
         assert "farm resume" in runs
+        # the resume is checked, not just run: nothing left to compute,
+        # and the entries it read keep the layout operators rely on
+        after_resume = runs[runs.index("farm resume"):]
+        assert "farm status" in after_resume
+        assert '"3/3 points cached, 0 to compute"' in after_resume
+        assert 'glob.glob(".repro_cache/*.json")' in after_resume
+        assert 'next(iter(json.loads(e))) == "result"' in after_resume
+        assert 'e.count("\\n") == 1' in after_resume
         for step in steps:
             if step.get("run") and "repro" in step["run"]:
                 assert step["env"]["PYTHONPATH"] == "src"

@@ -12,8 +12,11 @@ import multiprocessing
 import os
 import pickle
 import shutil
+import subprocess
+import sys
 import tempfile
 import time
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
@@ -28,6 +31,7 @@ from repro.farm import (
     WorkerProcessDied,
 )
 from repro.farm.health import HEALTHY
+from repro.faults.models import FaultSpec
 from repro.sim import parallel
 from repro.sim.parallel import (
     PointResolution,
@@ -41,6 +45,7 @@ from repro.telemetry import Tracer
 from repro.util.backoff import BackoffPolicy
 from repro.util.errors import LivenessError, PointTimeoutError, SweepExecutionError
 from repro.util.progress import ProgressReporter, format_eta
+from tests.test_options import non_default
 
 WARMUP = 100
 MEASURE = 200
@@ -53,6 +58,30 @@ def tiny_config(load: float = 0.004, **kwargs) -> SimConfig:
 
 def tiny_configs(loads=LOADS) -> list[SimConfig]:
     return [tiny_config(load) for load in loads]
+
+
+#: a fault with no field at its default, for the key and layout tests.
+FAULT = FaultSpec("link-stall", target=3, start=10, duration=6,
+                  probability=0.25)
+
+
+def _with_field(obj, name, value):
+    """A copy of a frozen dataclass with one field set — also where
+    ``__post_init__`` would refuse the lone change (``topology="file"``
+    without a file): the key function must not care."""
+    copy = replace(obj)
+    object.__setattr__(copy, name, value)
+    return copy
+
+
+def _one_entry(tmp_path, config=None):
+    """(cache, key, result) with exactly that entry on disk."""
+    config = config or tiny_config()
+    cache = ResultCache(tmp_path / "cache")
+    key = point_key(config, WARMUP, MEASURE)
+    result = run_point(tiny_config(), WARMUP, MEASURE)
+    cache.put(key, config, WARMUP, MEASURE, result)
+    return cache, key, result
 
 
 # --- module-level point functions so they pickle into worker processes ---
@@ -189,6 +218,52 @@ class TestResultCache:
         # Same detector configuration -> same key (cache still hits).
         assert point_key(tiny_config(detector="cmh"), WARMUP, MEASURE) == keys[0]
 
+    @pytest.mark.parametrize("f", fields(SimConfig), ids=lambda f: f.name)
+    def test_key_covers_every_config_field(self, f):
+        """The key cannot silently lose a field: a field added to
+        ``SimConfig`` later is covered without an edit here."""
+        _, value = non_default(f)
+        assert point_key(_with_field(tiny_config(), f.name, value),
+                         WARMUP, MEASURE) != point_key(tiny_config(),
+                                                       WARMUP, MEASURE)
+
+    @pytest.mark.parametrize("f", fields(FaultSpec), ids=lambda f: f.name)
+    def test_key_covers_every_field_of_a_fault_spec(self, f):
+        healthy = FaultSpec("token-loss", start=900)
+        value = ("router-freeze" if f.name == "kind"
+                 else getattr(FAULT, f.name) * 2)
+        changed = tiny_config(
+            faults=(healthy, _with_field(FAULT, f.name, value)))
+        assert point_key(changed, WARMUP, MEASURE) != point_key(
+            tiny_config(faults=(healthy, FAULT)), WARMUP, MEASURE)
+
+    def test_equal_configs_built_separately_share_a_key(self):
+        one = SimConfig(dims=(4, 4), load=0.004, faults=(replace(FAULT),))
+        two = SimConfig(dims=tuple([4, 4]), load=0.008 / 2, faults=[FAULT])
+        assert one == two and one is not two
+        assert point_key(one, WARMUP, MEASURE) == point_key(
+            two, WARMUP, MEASURE)
+
+    def test_key_does_not_move_with_the_hash_seed(self):
+        script = (
+            "from repro.config import SimConfig\n"
+            "from repro.faults.models import FaultSpec\n"
+            "from repro.sim.parallel import point_key\n"
+            f"config = SimConfig(dims=(4, 4), load=0.004, faults=({FAULT!r},))\n"
+            f"print(point_key(config, {WARMUP}, {MEASURE}))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        keys = [
+            subprocess.run(
+                [sys.executable, "-c", script], check=True, timeout=60,
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            ).stdout.strip()
+            for seed in ("1", "2")
+        ]
+        assert keys[0] == keys[1] == point_key(
+            tiny_config(faults=(FAULT,)), WARMUP, MEASURE)
+
     def test_changed_window_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         run_points(tiny_configs(), WARMUP, MEASURE, cache=cache)
@@ -234,6 +309,59 @@ class TestResultCache:
         assert again == result
         payload = json.loads(cache.path_for(key).read_text("utf-8"))
         assert payload["result"]["load"] == tiny_config().load
+
+    def test_entry_is_one_line_of_json_with_the_result_first(self, tmp_path):
+        config = tiny_config(faults=(FAULT,))
+        cache, key, result = _one_entry(tmp_path, config)
+        blob = cache.path_for(key).read_text("utf-8")
+        assert blob.endswith("}\n") and blob.count("\n") == 1
+        payload = json.loads(blob)
+        assert list(payload) == [
+            "result", "key", "code", "config", "warmup", "measure"]
+        assert payload["result"] == result.to_dict()
+        assert payload["key"] == key
+        # the provenance is the config as asdict() spells it
+        assert parallel.config_to_dict(config) == asdict(config)
+        assert payload["config"] == json.loads(json.dumps(asdict(config)))
+
+    def test_every_strict_prefix_of_an_entry_is_a_miss(self, tmp_path):
+        """Torn, truncated, half-copied: none may be served, although
+        the result is whole long before the file is."""
+        cache, key, result = _one_entry(tmp_path)
+        path = cache.path_for(key)
+        blob = path.read_bytes()
+        assert blob.index(b', "key"') < len(blob) // 2
+        for length in range(len(blob)):
+            path.write_bytes(blob[:length])
+            assert cache.get(key) is None, length
+        assert cache.misses == len(blob)
+        path.write_bytes(blob)
+        assert cache.get(key) == result
+
+    @pytest.mark.parametrize("extra", [b"x", b"\n", b"}", b'{"result": 1'])
+    def test_bytes_after_the_terminator_are_a_miss(self, tmp_path, extra):
+        cache, key, _ = _one_entry(tmp_path)
+        with open(cache.path_for(key), "ab") as fh:
+            fh.write(extra)
+        assert cache.get(key) is None
+
+    def test_result_with_a_missing_or_extra_member_is_a_miss(self, tmp_path):
+        cache, key, result = _one_entry(tmp_path)
+        path = cache.path_for(key)
+        payload = json.loads(path.read_text("utf-8"))
+
+        def served(members):
+            path.write_text(
+                json.dumps({**payload, "result": members}) + "\n", "utf-8")
+            return cache.get(key)
+
+        members = payload["result"]
+        assert served(members) == result  # the rewrite itself is harmless
+        for name in members:
+            assert served({k: v for k, v in members.items() if k != name}
+                          ) is None, name
+        assert served({**members, "surprise": 1}) is None
+        assert served(list(members.values())) is None
 
     def test_interrupted_run_resumes(self, tmp_path):
         """Failed batch keeps its completed points; the rerun finishes them."""
@@ -303,6 +431,27 @@ class TestResolvePoints:
         with pytest.raises(ValueError):
             resolve_points(tiny_configs(), WARMUP, MEASURE, cache,
                            keys=["just-one"])
+
+    def test_entry_answering_for_another_config_is_a_miss(self, tmp_path):
+        """An entry copied, renamed or aliased under the wrong key is
+        recomputed and repaired, never served."""
+        ours, theirs = tiny_config(LOADS[0]), tiny_config(LOADS[1])
+        root = tmp_path / "cache"
+        run_points([ours, theirs], WARMUP, MEASURE, cache=ResultCache(root))
+        cache = ResultCache(root)
+        entry = cache.path_for(point_key(ours, WARMUP, MEASURE))
+        shutil.copy(cache.path_for(point_key(theirs, WARMUP, MEASURE)), entry)
+        res = resolve_points([ours, theirs], WARMUP, MEASURE, cache)
+        assert res.missing == [0] and res.results[0] is None
+        assert (cache.hits, cache.misses) == (1, 1)
+        counting, counter_dir = counting_fn(tmp_path)
+        results = run_points([ours, theirs], WARMUP, MEASURE, cache=cache,
+                             point_fn=counting)
+        assert [r.load for r in results] == [ours.load, theirs.load]
+        assert len(list(counter_dir.iterdir())) == 1
+        assert json.loads(entry.read_text("utf-8"))["result"]["load"] == ours.load
+        assert resolve_points([ours, theirs], WARMUP, MEASURE,
+                              ResultCache(root)).missing == []
 
     def test_run_points_dedup_agrees_with_resolution(self, tmp_path):
         """run_points executes exactly the points resolve_points says."""
