@@ -11,7 +11,8 @@ Run:  python examples/quickstart.py [load]
 
 import sys
 
-from repro import Engine, SimConfig
+from repro import SimConfig
+from repro.sim.engine import build_engine
 
 
 def main() -> None:
@@ -24,7 +25,8 @@ def main() -> None:
         load=load,            # requests/node/cycle
         seed=1,
     )
-    engine = Engine(config)
+    engine = build_engine(config)
+    print(f"Engine:   {engine.backend}")
     print(f"Topology: {engine.topology}")
     print(f"Scheme:   {engine.scheme.describe()}")
 

@@ -9,10 +9,11 @@ recovery (PR, *Extended Disha Sequential*).
 
 Quickstart::
 
-    from repro import SimConfig, Engine
+    from repro import SimConfig
+    from repro.sim.engine import build_engine
 
     cfg = SimConfig(scheme="PR", pattern="PAT721", num_vcs=4, load=0.004)
-    engine = Engine(cfg)
+    engine = build_engine(cfg)
     window = engine.run_measured(warmup=2000, measure=5000)
     print(window.throughput_fpc(engine.topology.num_nodes),
           window.mean_latency())

@@ -56,7 +56,6 @@ def load_list(text: str) -> list[float]:
 
 
 def cmd_run(args) -> int:
-    engine = build_engine(from_args(SimConfig, args))
     tracer = None
     if args.trace or args.json or args.timeseries:
         from repro.telemetry import Tracer
@@ -64,7 +63,7 @@ def cmd_run(args) -> int:
         tracer = Tracer(
             level=args.trace_level, sample_every=args.sample_every
         )
-        engine.attach_tracer(tracer)
+    engine = build_engine(from_args(SimConfig, args), tracer)
     try:
         window = engine.run_measured(args.warmup, args.measure)
     except (LivenessError, InvariantViolation) as exc:
@@ -75,6 +74,8 @@ def cmd_run(args) -> int:
     if tracer is not None:
         _export_run_telemetry(args, engine, tracer, window)
     nodes = engine.topology.num_nodes
+    why = f" ({engine.backend_reason})" if engine.backend_reason else ""
+    print(f"engine              : {engine.backend}{why}")
     print(f"topology            : {engine.topology}")
     print(f"scheme              : {engine.scheme.describe()}")
     print(f"throughput          : {window.throughput_fpc(nodes):.4f} flits/node/cycle")
@@ -118,6 +119,7 @@ def _export_run_telemetry(args, engine, tracer, window) -> None:
             "num_vcs": engine.config.num_vcs,
             "load": engine.config.load,
             "seed": engine.config.seed,
+            "backend": engine.backend,
             "window": {
                 **asdict(window),
                 "throughput_fpc": window.throughput_fpc(nodes),
@@ -359,7 +361,8 @@ def cmd_serve(args) -> int:
     try:
         load_kernel()  # compile and load now, not inside some job's first point
     except KernelBuildError as exc:
-        print(f"warning: vector-backend jobs will fail: {exc}", file=sys.stderr)
+        print(f"warning: jobs will run on the reference engine (same results,"
+              f" slower): {exc}", file=sys.stderr)
 
     execution = from_args(ExecutionConfig, args)
 

@@ -85,8 +85,7 @@ class SimConfig:
     #: prone by design).  The CWG checker (``cwg_interval``) stays
     #: available as ground truth regardless of this choice.
     detector: str = _opt(
-        "endpoint", "deadlock detection mechanism (SA allows only endpoint;"
-        " cmh/timeout need the reference backend)",
+        "endpoint", "deadlock detection mechanism (SA allows only endpoint)",
         choices=("endpoint", "cmh", "timeout"))
     detection_threshold: int = _opt(
         25, "endpoint detector timeout T in cycles (Section 4.1)",
@@ -132,15 +131,17 @@ class SimConfig:
         16, "MSHRs per node: bound on concurrently outstanding transactions")
 
     # --- run control ---
+    #: resolved per point by :func:`repro.sim.engine.resolve_backend`;
     #: see EXPERIMENTS.md for the bit-identity contract.
     backend: str = _opt(
-        "reference", "engine implementation; both are bit-identical"
-        " (vector is the fast struct-of-arrays backend)",
-        choices=("reference", "vector"))
+        "auto", "engine implementation; results are bit-identical. auto:"
+        " the compiled vector engine unless the run needs something only"
+        " the reference engine has. A named engine is never switched",
+        choices=("auto", "reference", "vector"))
     seed: int = _opt(1, "seed of every random stream of the run")
     cwg_interval: int = _opt(
         0, "run the omniscient CWG ground-truth checker every N cycles"
-        " (0 = off; paper used 50; reference backend only)", metavar="N")
+        " (0 = off; paper used 50)", metavar="N")
 
     # --- robustness ---
     #: see :mod:`repro.faults`; empty = healthy run.

@@ -30,7 +30,8 @@ class DetectorPair:
     references are resolved once and the conditions are evaluated
     cheapest-first (version change, then queue stress, then head
     eligibility) — the state transitions are identical to evaluating
-    everything up front.
+    everything up front.  A different kind of site overrides
+    :meth:`conditions` only.
     """
 
     ni: object
@@ -50,8 +51,9 @@ class DetectorPair:
         self._in_q = self.ni.in_bank.queue(self.in_cls)
         self._out_q = self.ni.out_bank.queue(self.out_cls)
         # The common configuration (threshold >= 1.0) reduces "stressed"
-        # to admission_full; precomputed so step() can inline the slot
-        # arithmetic instead of chaining two property lookups per queue.
+        # to admission_full; precomputed so conditions() can inline the
+        # slot arithmetic instead of chaining two property lookups per
+        # queue.
         self._full_mode = self.occupancy_threshold >= 1.0
 
     def _queue_stressed(self, q) -> bool:
@@ -71,34 +73,38 @@ class DetectorPair:
     def head(self) -> Message | None:
         return self._in_q.peek()
 
-    def step(self, now: int) -> bool:
-        """Advance one cycle; return True while the detector is *fired*."""
-        in_q = self._in_q
-        out_q = self._out_q
-        version = in_q.version + out_q.version
-        if version != self.last_version:
-            self.since = now
-            self.last_version = version
-            self.episode_counted = False
-            return False
+    def conditions(self) -> bool:
+        """Conditions 1-2 right now.  Reads only what a queue ``notify``
+        or a change of ``controller.current`` reports, so the vector
+        backend's lazy bank evaluates it only then."""
         controller = self.ni.controller
         if controller.current is not None and controller.current_in_cls == self.in_cls:
-            conditions = False
-        elif self._full_mode:
+            return False
+        in_q = self._in_q
+        out_q = self._out_q
+        if self._full_mode:
             # Inline _queue_stressed/admission_full/free_slots.
-            conditions = (
+            return (
                 in_q.capacity - len(in_q.entries) - in_q.held - in_q.reserved <= 0
                 and out_q.capacity - len(out_q.entries) - out_q.held - out_q.reserved
                 <= 0
                 and self._head_eligible(in_q.entries[0] if in_q.entries else None)
             )
-        else:
-            conditions = (
-                self._queue_stressed(in_q)
-                and self._queue_stressed(out_q)
-                and self._head_eligible(in_q.entries[0] if in_q.entries else None)
-            )
-        if not conditions:
+        return (
+            self._queue_stressed(in_q)
+            and self._queue_stressed(out_q)
+            and self._head_eligible(in_q.entries[0] if in_q.entries else None)
+        )
+
+    def step(self, now: int) -> bool:
+        """Advance one cycle; return True while the detector is *fired*."""
+        version = self._in_q.version + self._out_q.version
+        if version != self.last_version:
+            self.since = now
+            self.last_version = version
+            self.episode_counted = False
+            return False
+        if not self.conditions():
             self.since = now
             self.episode_counted = False
             return False
@@ -132,25 +138,12 @@ class TimeoutSite(DetectorPair):
 
     __slots__ = ()
 
-    def step(self, now: int) -> bool:
-        in_q = self._in_q
-        out_q = self._out_q
-        version = in_q.version + out_q.version
-        if version != self.last_version:
-            self.since = now
-            self.last_version = version
-            self.episode_counted = False
-            return False
+    def conditions(self) -> bool:
         controller = self.ni.controller
-        if controller.current is not None and controller.current_in_cls == self.in_cls:
-            conditions = False
-        else:
-            conditions = bool(in_q.entries)
-        if not conditions:
-            self.since = now
-            self.episode_counted = False
-            return False
-        return (now - self.since) > self.threshold
+        return bool(self._in_q.entries) and not (
+            controller.current is not None
+            and controller.current_in_cls == self.in_cls
+        )
 
 
 def coupling_queue_pairs(

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from repro.analysis import check_all, gate_failures
 from repro.config import SimConfig
 from repro.experiments.common import Scale, get_scale
-from repro.sim.engine import Engine
+from repro.sim.engine import build_engine
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ _CERTIFIED_CELLS = (
 
 def _run_dynamic(config: SimConfig, ls: LabScale) -> tuple[int, int]:
     """(detected deadlocks, CWG knots) over one measured window."""
-    engine = Engine(config.with_(watchdog_timeout=8000))
+    engine = build_engine(config.with_(watchdog_timeout=8000))
     window = engine.run_measured(ls.warmup, ls.measure)
     deadlocks = window.deadlocks + window.deadlocks_unresolved
     return deadlocks, engine.cwg_knots_seen

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config import ExecutionConfig, SimConfig
+from repro.sim.invariants import conservation_delta, format_dump
 from repro.sim.results import SweepResult
 from repro.sim.sweep import run_sweep
 
@@ -63,13 +64,8 @@ def sweep_scheme(
 
     ``execution`` (workers, caching, progress) defaults to the
     process-wide policy installed by the CLI/runner; see
-    :mod:`repro.sim.parallel`.  The curve runs on the vector backend —
-    bit-identical results, about three times the cycles per second —
-    unless ``backend=`` is passed; callers that add reference-only
-    instrumentation through ``config_kwargs`` pass
-    ``backend="reference"`` with it.
+    :mod:`repro.sim.parallel`.
     """
-    config_kwargs.setdefault("backend", "vector")
     config = SimConfig(
         scheme=scheme,
         pattern=pattern,
@@ -88,6 +84,23 @@ def sweep_scheme(
         label=label,
         execution=execution,
     )
+
+
+def drain_and_conserve(engine, label: str, max_cycles: int) -> int:
+    """Drain ``engine`` or raise with the dump; conserve messages or
+    raise.  Returns the conservation delta (0) for the campaign's row."""
+    drained = engine.quiesce(max_cycles)
+    if not drained:
+        raise RuntimeError(
+            f"{label} failed to drain:\n" + format_dump(drained.dump)
+        )
+    lost = conservation_delta(engine)
+    if lost != 0:
+        raise RuntimeError(
+            f"{label}: conservation delta {lost}"
+            f" (messages {'lost' if lost > 0 else 'duplicated'})"
+        )
+    return lost
 
 
 def print_curves(title: str, sweeps: list[SweepResult]) -> None:

@@ -37,10 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.config import SimConfig
-from repro.experiments.common import Scale, get_scale
+from repro.experiments.common import Scale, drain_and_conserve, get_scale
 from repro.faults.models import FaultSpec
-from repro.sim.engine import Engine
-from repro.sim.invariants import conservation_delta, format_dump
+from repro.sim.engine import build_engine
 from repro.telemetry import Tracer, stitch_episodes
 from repro.telemetry import events as ev
 
@@ -129,25 +128,16 @@ def _cell_config(cell: LabCell, detector: str, ls: LabScale) -> SimConfig:
 
 def run_cell(cell: LabCell, detector: str, ls: LabScale) -> dict:
     """Run one (cell, detector) point; returns its metrics row."""
-    engine = Engine(_cell_config(cell, detector, ls))
     tracer = Tracer(level="message")
-    engine.attach_tracer(tracer)
+    engine = build_engine(_cell_config(cell, detector, ls), tracer)
     engine.run(ls.run_cycles)
 
     lost = None
     if cell.stall_fault:
-        drained = engine.quiesce(ls.quiesce_cycles)
-        if not drained:
-            raise RuntimeError(
-                f"detection lab cell {cell.name}/{detector} failed to"
-                f" drain:\n" + format_dump(drained.dump)
-            )
-        lost = conservation_delta(engine)
-        if lost != 0:
-            raise RuntimeError(
-                f"detection lab cell {cell.name}/{detector}:"
-                f" conservation delta {lost}"
-            )
+        lost = drain_and_conserve(
+            engine, f"detection lab cell {cell.name}/{detector}",
+            ls.quiesce_cycles,
+        )
 
     stats = engine.stats
     first = stats.first_deadlock_cycle if stats.first_deadlock_cycle >= 0 else None

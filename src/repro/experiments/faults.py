@@ -30,10 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config import SimConfig
-from repro.experiments.common import Scale, get_scale
+from repro.experiments.common import Scale, drain_and_conserve, get_scale
 from repro.faults.models import FaultSpec
-from repro.sim.engine import Engine
-from repro.sim.invariants import conservation_delta, format_dump
+from repro.sim.engine import build_engine
 
 
 @dataclass(frozen=True)
@@ -113,23 +112,12 @@ def _run_cell(scheme: str, model: str, cs: CampaignScale, seed: int,
         watchdog_timeout=max(4 * cs.fault_duration, 4000),
         **_SCHEME_CONFIG[scheme],
     )
-    engine = Engine(config)
-    if tracer is not None:
-        engine.attach_tracer(tracer)
+    engine = build_engine(config, tracer)
     engine.run(cs.run_cycles)
-    drained = engine.quiesce(cs.quiesce_cycles)
-    if not drained:
-        raise RuntimeError(
-            f"fault campaign cell {substrate_name}/{scheme}/{model}"
-            f" failed to drain:\n" + format_dump(drained.dump)
-        )
-    lost = conservation_delta(engine)
-    if lost != 0:
-        raise RuntimeError(
-            f"fault campaign cell {substrate_name}/{scheme}/{model}:"
-            f" conservation delta {lost}"
-            f" (messages {'lost' if lost > 0 else 'duplicated'})"
-        )
+    lost = drain_and_conserve(
+        engine, f"fault campaign cell {substrate_name}/{scheme}/{model}",
+        cs.quiesce_cycles,
+    )
     stats = engine.stats
     controller = getattr(engine.scheme, "controller", None)
     detect = (

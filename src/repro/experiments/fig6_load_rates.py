@@ -19,7 +19,7 @@ from repro.config import SimConfig
 from repro.experiments.common import get_scale
 from repro.protocol.chains import MSI_COHERENCE
 from repro.protocol.coherence import DirectoryMSI
-from repro.sim.engine import Engine
+from repro.sim.engine import build_engine
 from repro.traffic.splash import APP_MODELS, generate_app_trace
 from repro.traffic.trace import TraceTraffic, trace_couplings
 
@@ -52,7 +52,7 @@ def simulate_app(
         queue_mode="per-type",
         cwg_interval=cwg_interval,
     )
-    engine = Engine(
+    engine = build_engine(
         config,
         traffic=traffic,
         protocol=MSI_COHERENCE,

@@ -23,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config import SimConfig
-from repro.experiments.common import Scale, get_scale
-from repro.sim.engine import Engine
-from repro.sim.invariants import conservation_delta, format_dump
+from repro.experiments.common import Scale, drain_and_conserve, get_scale
+from repro.sim.engine import build_engine
 
 
 @dataclass(frozen=True)
@@ -77,20 +76,11 @@ def _run_cell(kind: str, dims: tuple[int, ...], label: str, scheme: str,
         watchdog_timeout=8000,
         **_SCHEME_CONFIG[scheme],
     )
-    engine = Engine(config)
+    engine = build_engine(config)
     window = engine.run_measured(cs.warmup, cs.measure)
-    drained = engine.quiesce(cs.quiesce_cycles)
-    if not drained:
-        raise RuntimeError(
-            f"topology campaign cell {label}/{scheme} failed to drain:\n"
-            + format_dump(drained.dump)
-        )
-    lost = conservation_delta(engine)
-    if lost != 0:
-        raise RuntimeError(
-            f"topology campaign cell {label}/{scheme}: conservation delta"
-            f" {lost} (messages {'lost' if lost > 0 else 'duplicated'})"
-        )
+    lost = drain_and_conserve(
+        engine, f"topology campaign cell {label}/{scheme}", cs.quiesce_cycles
+    )
     deadlocks = window.deadlocks + window.deadlocks_unresolved
     if scheme == "SA" and (deadlocks or engine.cwg_knots_seen):
         raise RuntimeError(

@@ -14,8 +14,8 @@ execution.  The manager:
 * executes missing points through the **one scheduler**,
   :class:`repro.farm.FarmManager`, and only chooses its workers: an
   in-process worker whose point function attaches a sampler-only tap
-  (default: live time-series streaming, on whichever backend each
-  point's config names), local worker processes (``workers > 1``) or
+  (default: live time-series streaming, on whichever engine each
+  point resolves to), local worker processes (``workers > 1``) or
   farm hosts (``farm_hosts``) — the manager writes every point through
   the same cache keys, so results are bit-identical to ``run_sweep``
   whichever worker computes them;
@@ -52,7 +52,7 @@ from repro.farm import (
     LocalPoolWorker,
     parse_hosts,
 )
-from repro.sim.engine import build_engine
+from repro.sim.engine import resolve_backend
 from repro.sim.parallel import (
     DEFAULT_CACHE_DIR,
     PointFn,
@@ -62,7 +62,7 @@ from repro.sim.parallel import (
     resolve_points,
 )
 from repro.sim.results import RunResult
-from repro.sim.sweep import summarize_window
+from repro.sim.sweep import run_point
 from repro.telemetry import SampleTap, Tracer, to_perfetto
 from repro.util.atomic import write_json_atomic
 from repro.util.errors import ConfigurationError, SimulationError
@@ -141,7 +141,9 @@ class Job:
             "created": self.created,
             "started": self.started,
             "finished": self.finished,
-            "backends": sorted({c.backend for c in self.spec.configs}),
+            "backends": sorted(
+                {resolve_backend(c)[0] for c in self.spec.configs}
+            ),
         }
         if with_results:
             out["results"] = [
@@ -395,15 +397,12 @@ class JobManager:
         def sampled_point(config: SimConfig, warmup: int,
                           measure: int) -> RunResult:
             idx = index[config]
-            engine = build_engine(config)
-            engine.attach_tracer(SampleTap(
+            return run_point(config, warmup, measure, tracer=SampleTap(
                 self.sample_every,
                 lambda sample: loop.call_soon_threadsafe(
                     self._publish_sample, job, idx, sample
                 ),
             ))
-            window = engine.run_measured(warmup, measure)
-            return summarize_window(config, engine, window)
 
         return sampled_point
 
@@ -498,15 +497,8 @@ class JobManager:
             tracer = Tracer(level=self.trace_level,
                             sample_every=self.sample_every,
                             capacity=TRACE_CAPACITY)
-            # Only the reference engine traces flits; the backends agree
-            # on results by contract, and the check below holds them to it.
-            engine = build_engine(
-                config.with_(backend="reference") if tracer.flit_level
-                else config
-            )
-            engine.attach_tracer(tracer)
-            window = engine.run_measured(spec.warmup, spec.measure)
-            if summarize_window(config, engine, window) != job.results[idx]:
+            if run_point(config, spec.warmup, spec.measure,
+                         tracer=tracer) != job.results[idx]:
                 raise SimulationError(
                     f"traced re-run of point {idx} (key "
                     f"{point_key(config, spec.warmup, spec.measure)}) does"

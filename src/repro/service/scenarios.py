@@ -9,13 +9,10 @@ arrive with the submission, while the *workload definition* (patterns,
 schemes, topologies, fault storms) lives here under a stable name, so
 the API, the CLI and experiments all address the same library.
 
-Which engine a scenario runs on is worked out, not declared: its
-campaign is built with ``backend="vector"`` unless some point requests
-a feature only the reference engine has
-(:func:`repro.sim.vector.engine.reference_only_features`), in which
-case the whole scenario stays on the reference engine and its listing
-names the feature.  Results, samples and traces are bit-identical
-either way; the vector backend is the faster one.
+Which engine a scenario runs on is not declared here: its points carry
+the default ``backend`` and :func:`repro.sim.engine.resolve_backend`
+decides per point, as for every other front end.  The listing reports
+what it decides on this host, and why when that is the reference engine.
 
 Categories
 ----------
@@ -45,7 +42,7 @@ from repro.config import SimConfig
 from repro.experiments.common import SCALES, Scale, load_grid
 from repro.farm.plan import CampaignSpec
 from repro.faults.models import FaultSpec
-from repro.sim.vector.engine import reference_only_features
+from repro.sim.engine import resolve_backend
 from repro.util.errors import ConfigurationError
 
 #: loads used by the fixed-ladder scenarios (scaled by sweep_points).
@@ -61,27 +58,18 @@ class Scenario:
     description: str
     build: Callable[[Scale], tuple[SimConfig, ...]]
 
-    def points(self, scale: Scale) -> tuple[tuple[SimConfig, ...], str | None]:
-        """The scenario's configs on the engine it runs on, and — when
-        that is the reference engine — the features that keep it there."""
-        configs = self.build(scale)
-        reference_only = ", ".join(sorted(
-            {f for c in configs for f in reference_only_features(c)}
-        ))
-        if not reference_only:
-            configs = tuple(c.with_(backend="vector") for c in configs)
-        return configs, reference_only or None
-
     def describe(self) -> dict:
         """JSON-able listing entry (point count at smoke scale)."""
-        configs, reference_only = self.points(SCALES["smoke"])
+        configs = self.build(SCALES["smoke"])
+        resolved = dict(resolve_backend(config) for config in configs)
         return {
             "name": self.name,
             "category": self.category,
             "description": self.description,
             "smoke_points": len(configs),
-            "backend": configs[0].backend,
-            "reference_only": reference_only,
+            "backend": "/".join(sorted(resolved)),
+            # only a point kept off the kernel comes with a reason
+            "reference_only": next(filter(None, resolved.values()), None),
         }
 
 
@@ -270,7 +258,7 @@ def build_campaign(
                 f"unknown scale {scale!r}; known: {', '.join(SCALES)}"
             )
         scale = SCALES[scale]
-    configs, _ = get_scenario(name).points(scale)
+    configs = get_scenario(name).build(scale)
     if seed is not None:
         configs = tuple(replace(c, seed=seed) for c in configs)
     return CampaignSpec(

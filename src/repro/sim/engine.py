@@ -8,6 +8,8 @@ periodic CWG deadlock check (the paper's 50-cycle mode).
 
 from __future__ import annotations
 
+import warnings
+
 from repro.config import SimConfig
 from repro.core.cwg import detect_deadlock
 from repro.core.schemes import Scheme, build_scheme
@@ -29,6 +31,9 @@ class Engine:
     #: NI implementation; the vector backend substitutes a subclass that
     #: reports endpoint activity to its event scheduler.
     interface_class = NetworkInterface
+    #: which engine this is, and :func:`resolve_backend`'s reason
+    backend = "reference"
+    backend_reason: str | None = None
 
     def __init__(
         self,
@@ -230,15 +235,57 @@ class Engine:
         return True
 
 
-def build_engine(config: SimConfig, **kwargs) -> Engine:
-    """Instantiate the engine implementation ``config.backend`` selects.
+#: the no-kernel fallback has been reported (once per process).
+_warned_no_kernel = False
 
-    ``"reference"`` is the object-per-flit :class:`Engine`; ``"vector"``
-    the struct-of-arrays backend (:class:`repro.sim.vector.VectorEngine`),
-    which produces bit-identical results (see tests/test_backend_equivalence).
+
+def resolve_backend(config: SimConfig, tracer=None) -> tuple[str, str | None]:
+    """Which engine runs ``config``, and what kept ``"auto"`` off the
+    kernel if something did — the one place this is decided.
+
+    A named ``backend`` is returned as declared: a pinned engine is
+    never switched, it raises where it cannot do what was asked.
+    ``"auto"`` is the vector engine unless the point needs something on
+    the one list (:func:`~repro.sim.vector.engine.reference_only_features`),
+    ``tracer`` is flit-level, or this host cannot build the kernel —
+    then the reference engine computes the identical result.
     """
-    if config.backend == "vector":
+    global _warned_no_kernel
+    if config.backend != "auto":
+        return config.backend, None
+    from repro.sim.vector.engine import reference_only_features
+    from repro.sim.vector.kernel import KernelBuildError, load_kernel
+
+    features = reference_only_features(config)
+    if tracer is not None and tracer.flit_level:
+        features.append("flit-level tracing")
+    if features:
+        return "reference", ", ".join(features)
+    try:
+        load_kernel()
+    except KernelBuildError as exc:
+        if not _warned_no_kernel:
+            _warned_no_kernel = True
+            warnings.warn(
+                f"running on the reference engine (same results, slower): {exc}",
+                RuntimeWarning,
+            )
+        return "reference", "no compiled kernel on this host"
+    return "vector", None
+
+
+def build_engine(config: SimConfig, tracer=None, **kwargs) -> Engine:
+    """The engine :func:`resolve_backend` names — the object-per-flit
+    :class:`Engine` or the bit-identical struct-of-arrays
+    :class:`repro.sim.vector.VectorEngine` — with ``tracer`` attached."""
+    backend, reason = resolve_backend(config, tracer)
+    if backend == "vector":
         from repro.sim.vector import VectorEngine
 
-        return VectorEngine(config, **kwargs)
-    return Engine(config, **kwargs)
+        engine = VectorEngine(config, **kwargs)
+    else:
+        engine = Engine(config, **kwargs)
+    engine.backend_reason = reason
+    if tracer is not None:
+        engine.attach_tracer(tracer)
+    return engine

@@ -47,20 +47,18 @@ def point_dispatch(execution: ExecutionConfig) -> dict[str, Any]:
     }
 
 
-def run_point(config: SimConfig, warmup: int, measure: int) -> RunResult:
-    """Run one (config, load) point and summarize the window."""
-    engine = build_engine(config)
+def run_point(config: SimConfig, warmup: int, measure: int,
+              tracer=None) -> RunResult:
+    """Run one (config, load) point and summarize the window — the one
+    build → attach → measure → summarize path (sweeps, farm shards,
+    sampled service jobs and traced re-runs differ only in ``tracer``)."""
+    engine = build_engine(config, tracer)
     window = engine.run_measured(warmup, measure)
     return summarize_window(config, engine, window)
 
 
 def summarize_window(config: SimConfig, engine, window) -> RunResult:
-    """Fold one measured window into a :class:`RunResult`.
-
-    Shared by :func:`run_point` and the campaign service's sampled
-    and traced point runs (:mod:`repro.service.jobs`), so a streamed
-    job and a plain sweep summarize identically by construction.
-    """
+    """Fold one measured window into a :class:`RunResult`."""
     nodes = engine.topology.num_nodes
     return RunResult(
         scheme=config.scheme,

@@ -137,13 +137,14 @@ where the reference reports it:
   Nothing but the trace payload reads either field in between, so no
   result can tell.
 
-The other introspection layers (flit-level tracing, fault injection,
-runtime invariants, the liveness watchdog, CWG detection, the CMH and
-timeout detectors) are reference-only: they reach into per-flit object
-state that the vector backend does not materialize.  Requesting any of
-them raises :class:`~repro.util.errors.UnsupportedFeatureError` — at
-construction, or at ``attach_tracer`` for a flit-level tracer — never a
-silent no-op.
+What this backend does not run is listed once, in
+:func:`reference_only_features` (plus flit-level tracing, refused by
+``attach_tracer``): those layers reach into per-flit object state the
+arrays do not materialize.  A config pinned to this backend that asks
+for one raises :class:`~repro.util.errors.UnsupportedFeatureError` — at
+construction, or at ``attach_tracer`` — never a silent no-op;
+``backend="auto"`` (:func:`repro.sim.engine.resolve_backend`) sends such
+a point to the reference engine instead.
 """
 
 from __future__ import annotations
@@ -160,8 +161,14 @@ from repro.util.errors import UnsupportedFeatureError
 def reference_only_features(config: SimConfig) -> list[str]:
     """What ``config`` requests that only the reference engine has.
 
-    Empty means the point can run on the vector backend; the scenario
-    library (:mod:`repro.service.scenarios`) picks the backend with it.
+    This is the list, stated once: fault injection, runtime invariants,
+    the liveness watchdog, periodic CWG detection and the CMH detector
+    (its probes travel hop by hop between NIs every cycle; the lazy
+    detector bank evaluates a site only when its own queues change).
+    Flit-level tracing is the one other reference-only layer; it is a
+    property of the tracer, not of the config.  Empty means the point
+    runs on the kernel; :func:`repro.sim.engine.resolve_backend` is the
+    one caller that decides with it.
     """
     features = []
     if config.faults:
@@ -172,11 +179,8 @@ def reference_only_features(config: SimConfig) -> list[str]:
         features.append("the liveness watchdog (watchdog_timeout=...)")
     if config.cwg_interval:
         features.append("CWG detection (cwg_interval=...)")
-    if config.detector != "endpoint":
-        # The lazy detector bank mirrors only the endpoint state
-        # machine; CMH probes and timeout sites need the reference
-        # engine's per-cycle visibility.
-        features.append(f"non-default detectors (detector={config.detector!r})")
+    if config.detector == "cmh":
+        features.append("the CMH detector (detector='cmh')")
     return features
 
 
@@ -306,24 +310,6 @@ class _LazyDetectorBank:
         self.heap: list[tuple[int, int, int]] = []
 
     # -- one reference-equivalent detector step ------------------------
-    @staticmethod
-    def _eval(det) -> bool:
-        controller = det.ni.controller
-        if controller.current is not None and controller.current_in_cls == det.in_cls:
-            return False
-        in_q = det._in_q
-        out_q = det._out_q
-        if det._full_mode:
-            if (
-                in_q.capacity - len(in_q.entries) - in_q.held - in_q.reserved > 0
-                or out_q.capacity - len(out_q.entries) - out_q.held - out_q.reserved
-                > 0
-            ):
-                return False
-        elif not (det._queue_stressed(in_q) and det._queue_stressed(out_q)):
-            return False
-        return det._head_eligible(in_q.entries[0] if in_q.entries else None)
-
     def materialize(self, i: int, now: int) -> None:
         det = self.dets[i]
         version = det._in_q.version + det._out_q.version
@@ -331,9 +317,9 @@ class _LazyDetectorBank:
             det.last_version = version
             det.since = now
             det.episode_counted = False
-            self.snap[i] = self._eval(det)
+            self.snap[i] = det.conditions()
         else:
-            cond = self._eval(det)
+            cond = det.conditions()
             if not cond:
                 det.since = now
                 det.episode_counted = False
@@ -438,6 +424,7 @@ class VectorEngine(Engine):
     """Engine variant running flit movement on the compiled kernel."""
 
     interface_class = VectorNI
+    backend = "vector"
 
     def __init__(self, config: SimConfig, **kwargs) -> None:
         _check_supported(config)

@@ -6,8 +6,9 @@ by a hash of the source so stale objects are never loaded after an
 upgrade.  The build is atomic (compile to a temporary name, then
 ``os.replace``) so parallel sweep workers racing to build it are safe.
 
-No compiler means no vector backend: :func:`load_kernel` raises a clear
-error pointing at ``backend="reference"`` instead of failing obscurely.
+No compiler means no vector backend: :func:`load_kernel` raises
+:class:`KernelBuildError`, which ``backend="auto"`` answers by running
+on the reference engine and a pinned ``backend="vector"`` lets through.
 """
 
 from __future__ import annotations

@@ -22,14 +22,12 @@ class SimulationError(RuntimeError):
 
 
 class UnsupportedFeatureError(ConfigurationError):
-    """A requested feature is not supported by the selected backend.
-
-    The vector backend (``SimConfig(backend="vector")``) covers the
-    measurement paths (sweeps, benchmarks, equivalence campaigns) but
-    not the introspection layers: telemetry tracing, fault injection,
-    runtime invariants/watchdog and CWG detection all require the
-    reference engine.  Requesting one of them under the vector backend
-    raises this error eagerly instead of silently dropping events.
+    """A config pinned to the vector engine asks for something only the
+    reference engine has (the list is
+    :func:`repro.sim.vector.engine.reference_only_features`, plus
+    flit-level tracing).  Raised eagerly instead of silently dropping
+    events; the default ``backend`` never raises it — it runs such a
+    point on the reference engine.
     """
 
 

@@ -23,8 +23,8 @@ These tests compare deep snapshots of both engines after identical runs:
 There is no tolerance anywhere: any field that differs is a failure.
 The only documented divergence between backends is feature *support* —
 flit-level tracing, faults, invariants, the watchdog, CWG detection and
-the non-endpoint detectors raise ``UnsupportedFeatureError`` on the
-vector backend (see ``test_unsupported_features_raise``) instead of
+the CMH detector raise ``UnsupportedFeatureError`` on a config pinned to
+the vector backend (see ``test_unsupported_features_raise``) instead of
 silently diverging.
 """
 
@@ -40,7 +40,7 @@ from hypothesis import strategies as st
 from repro.config import SimConfig
 from repro.experiments.common import SCALES
 from repro.service.scenarios import SCENARIOS
-from repro.sim.engine import build_engine
+from repro.sim.engine import build_engine, resolve_backend
 from repro.sim.sweep import run_point, summarize_window
 from repro.telemetry import Tracer, stitch_episodes, to_perfetto
 from repro.util.errors import ConfigurationError, UnsupportedFeatureError
@@ -253,6 +253,8 @@ def test_run_point_results_identical():
         recovery_policy=st.sampled_from(["minimum", "drain"]),
         token_ring=st.sampled_from(["interleaved", "routers-first"]),
         detection_threshold=st.sampled_from([5, 25]),
+        detector=st.sampled_from(["endpoint", "timeout"]),
+        timeout_threshold=st.sampled_from([20, 200]),
     )),
 )
 @settings(
@@ -266,6 +268,8 @@ def test_random_points_bit_identical(scheme, dims, load, seed, pattern,
         scheme=scheme, pattern=pattern, dims=dims,
         num_vcs=8 if scheme == "SA" else 4, load=load, seed=seed, **knobs,
     )
+    if scheme == "SA":
+        cfg["detector"] = "endpoint"  # SA runs no detector
     try:
         build_engine(SimConfig(**cfg))
     except ConfigurationError:
@@ -307,7 +311,6 @@ def test_unsupported_features_raise():
         dict(invariants_every=100),
         dict(cwg_interval=50),
         dict(detector="cmh"),
-        dict(detector="timeout"),
     ):
         with pytest.raises(UnsupportedFeatureError):
             build_engine(SimConfig(backend="vector", **base, **extra))
@@ -396,6 +399,18 @@ TRACED_CELLS = {
     "irregular": (dict(topology="irregular", scheme="PR", pattern="PAT271",
                        num_vcs=4, load=0.05, seed=2),
                   500, 2000, {"detect", "token_capture"}),
+    # the timeout heuristic: DetectorPair's machine around the one
+    # overridden ``conditions``, on the lazy bank like any other site
+    "timeout-NONE": (dict(scheme="NONE", detector="timeout",
+                          timeout_threshold=60, **_ADVERSARIAL),
+                     500, 2000, {"detect"}),
+    "timeout-DR": (dict(scheme="DR", detector="timeout", seed=2,
+                        timeout_threshold=60, max_outstanding=12,
+                        **_ADVERSARIAL),
+                   500, 2000, {"detect", "deflect"}),
+    "timeout-PR": (dict(scheme="PR", detector="timeout",
+                        timeout_threshold=60, **_ADVERSARIAL),
+                   500, 2000, {"detect", "token_capture", "rescue_leg"}),
 }
 
 
@@ -430,8 +445,8 @@ def scenario_points() -> list:
     return [
         pytest.param(config, id=f"{name}-{i}")
         for name, scenario in SCENARIOS.items()
-        for i, config in enumerate(scenario.points(SCALES["smoke"])[0])
-        if config.backend == "vector"
+        for i, config in enumerate(scenario.build(SCALES["smoke"]))
+        if resolve_backend(config)[0] == "vector"
     ]
 
 

@@ -82,7 +82,8 @@ class TestWorkflow:
     def test_smoke_job_exercises_runner_and_parallel_sweep(self, workflow):
         steps = workflow["jobs"]["smoke-benchmark"]["steps"]
         runs = " ".join(s.get("run") or "" for s in steps)
-        assert "repro.experiments.runner smoke table1" in runs
+        # the paper's nine acceptance tests (Table 1 among them)
+        assert "python -m pytest -m paper -q" in runs
         assert "--workers 4" in runs
         # the process-kill worker is started on a real runner too
         assert "--point-timeout" in runs
@@ -117,12 +118,10 @@ class TestWorkflow:
     def test_farm_smoke_runs_chaos_suite_and_cli_campaign(self, workflow):
         steps = workflow["jobs"]["farm-smoke"]["steps"]
         runs = " ".join(s.get("run") or "" for s in steps)
-        # the robustness suite carries the bit-identical and quarantine
-        # assertions; the CLI leg proves the operator path end to end
-        assert "tests/test_farm.py" in runs
-        # run_points goes through the same scheduler: one suite
-        assert "tests/test_parallel.py" in runs
-        assert "tests/test_cache_concurrency.py" in runs
+        # the robustness suite (tests/test_farm.py, test_parallel.py,
+        # test_cache_concurrency.py) is the `test` matrix's; this job
+        # keeps the CLI leg, which proves the operator path end to end
+        assert "pytest" not in runs
         assert "farm plan" in runs and "farm run" in runs
         assert "--chaos crash:" in runs and "--chaos hang:" in runs
         assert "--hang-timeout" in runs
@@ -197,7 +196,11 @@ class TestWorkflow:
         assert "assert not os.path.exists(trace_file)" in runs
         assert runs.count("client.trace(jid)") == 2
         assert "st_mtime_ns == built" in runs
-        assert 'in_process("reference", "ci_reference_cache")' in runs
+        assert 'in_process("ci_reference_cache", backend="reference")' in runs
+        # the cached resubmission is the campaign as the library builds
+        # it (no engine named), so it is the server's job
+        assert 'in_process(".repro_cache")' in runs
+        assert "cached.id == jid" in runs
         assert "trace == reference_trace" in runs
         assert "cached.computed == 0" in runs
         assert "cached_trace == trace" in runs
@@ -245,11 +248,14 @@ class TestWorkflow:
         steps = workflow["jobs"]["backend-equivalence"]["steps"]
         runs = [s.get("run") or "" for s in steps if s.get("run")]
         eq_runs = [r for r in runs if "tests/test_backend_equivalence.py" in r]
-        # Both passes: the default ladder/property suite AND the full
-        # seeded smoke campaign grid (pytest -m campaign, which is
-        # deselected from the default suite by pyproject addopts).
-        assert any("-m campaign" in r for r in eq_runs)
-        assert any("-m campaign" not in r for r in eq_runs)
+        # This job runs the full seeded smoke campaign grid (pytest -m
+        # campaign, deselected from the default suite by pyproject
+        # addopts); the default ladder/property pass of the same file is
+        # collected by the `test` matrix (testpaths = tests).
+        assert eq_runs and all("-m campaign" in r for r in eq_runs)
+        test_runs = [s.get("run") or ""
+                     for s in workflow["jobs"]["test"]["steps"]]
+        assert "python -m pytest -x -q" in test_runs
         for step in steps:
             if step.get("run") and "pytest" in step["run"]:
                 assert step["env"]["PYTHONPATH"] == "src"
@@ -257,6 +263,6 @@ class TestWorkflow:
     def test_gitignore_covers_generated_dirs(self):
         gitignore = (WORKFLOW.parents[2] / ".gitignore").read_text("utf-8")
         for entry in ("*.egg-info/", "__pycache__/", ".pytest_cache/",
-                      ".hypothesis/", ".benchmarks/", ".repro_cache/",
+                      ".hypothesis/", ".repro_cache/",
                       "results/"):
             assert entry in gitignore

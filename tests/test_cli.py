@@ -75,6 +75,7 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "consumer-stall@5" in out and "activated 1x" in out
+        assert "engine              : reference (fault injection (faults=...)," in out
 
     def test_wedged_run_exits_3_with_dump(self, capsys):
         # Stall every consumer permanently: the watchdog must convert the
@@ -113,9 +114,9 @@ class TestCommands:
         )
 
     def test_run_json_on_vector_backend(self, tmp_path, capsys):
-        """--json on the vector backend is the reference's document,
-        recovery episodes included (it used to drop them silently), and
-        so are the trace and the time series."""
+        """--json on the vector backend is the reference's document but
+        for the engine it names, recovery episodes included (it used to
+        drop them silently), and so are the trace and the time series."""
         base = [
             "run", "--scheme", "PR", "--pattern", "PAT271", "--vcs", "4",
             "--dims", "4x4", "--load", "0.02", "--warmup", "600",
@@ -130,8 +131,13 @@ class TestCommands:
                 "--trace", str(paths[1]), "--timeseries", str(paths[2]),
             ]) == 0
             out[backend] = [p.read_text() for p in paths]
+            payload = json.loads(out[backend][0])
+            assert payload.pop("backend") == backend
+            assert f"engine              : {backend}\n" in (
+                capsys.readouterr().out)
+            out[backend][0] = payload
         assert out["reference"] == out["vector"]
-        assert json.loads(out["vector"][0])["episodes"]
+        assert out["vector"][0]["episodes"]
 
     def test_run_flit_trace_on_vector_backend_is_refused(self, tmp_path):
         from repro.util.errors import UnsupportedFeatureError
@@ -245,7 +251,7 @@ class TestStartUp:
     def test_serve_loads_the_kernel_before_it_takes_jobs(self, monkeypatch,
                                                          capsys):
         """No job pays the compile; without a compiler the service still
-        starts (reference jobs run) and says what will fail."""
+        starts and says its jobs will run on the reference engine."""
         from repro.service import http
         from repro.sim.vector import kernel
 
@@ -262,4 +268,6 @@ class TestStartUp:
         monkeypatch.setattr(kernel, "load_kernel", load_kernel)
         assert main(["serve", "--port", "0"]) == 0
         assert calls == ["load", "serve"]
-        assert "no C compiler found" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "no C compiler found" in err
+        assert "jobs will run on the reference engine" in err

@@ -1,14 +1,19 @@
 """Engine-level end-to-end tests: all schemes, conservation, stats."""
 
 import gc
+import warnings
 import weakref
 
 import pytest
 
 from repro import SimConfig
+from repro.faults.models import FaultSpec
+from repro.sim import engine as engine_module
 from repro.sim.engine import Engine
-from repro.sim.vector import VectorEngine
-from repro.util.errors import ConfigurationError
+from repro.sim.sweep import run_point
+from repro.sim.vector import VectorEngine, kernel
+from repro.telemetry import SampleTap, Tracer
+from repro.util.errors import ConfigurationError, UnsupportedFeatureError
 from tests.helpers import build_engine, record_transactions
 
 
@@ -27,6 +32,90 @@ class TestConstruction:
     def test_interfaces_one_per_node(self):
         e = build_engine(scheme="PR", dims=(2, 4), bristling=2)
         assert len(e.interfaces) == 16
+
+
+#: each thing only the reference engine has, alone, and what
+#: ``backend_reason`` must say about it
+REFERENCE_ONLY = {
+    "fault injection": dict(
+        faults=(FaultSpec("consumer-stall", target=5, start=50, duration=50),)),
+    "runtime invariants": dict(invariants_every=100),
+    "the liveness watchdog": dict(watchdog_timeout=1000),
+    "CWG detection": dict(cwg_interval=50),
+    "the CMH detector": dict(detector="cmh"),
+}
+
+
+class TestEngineSelection:
+    """``build_engine`` is where the engine is chosen (``backend="auto"``
+    is the default everywhere); a pinned engine is never switched."""
+
+    TINY = dict(dims=(4, 4), scheme="PR", pattern="PAT271", load=0.012)
+
+    def test_default_config_runs_on_the_kernel(self):
+        assert SimConfig().backend == "auto"
+        engine = engine_module.build_engine(SimConfig())
+        assert type(engine) is VectorEngine
+        assert (engine.backend, engine.backend_reason) == ("vector", None)
+
+    @pytest.mark.parametrize("feature", REFERENCE_ONLY)
+    def test_reference_only_feature_resolves_to_the_reference(self, feature):
+        config = SimConfig(**self.TINY, **REFERENCE_ONLY[feature])
+        engine = engine_module.build_engine(config)
+        assert type(engine) is Engine and engine.backend == "reference"
+        assert engine.backend_reason.startswith(feature)
+        # a pinned engine raises where it cannot do what was asked
+        with pytest.raises(UnsupportedFeatureError, match=feature):
+            engine_module.build_engine(config.with_(backend="vector"))
+
+    def test_flit_level_tracer_resolves_to_the_reference(self):
+        config = SimConfig(**self.TINY)
+        tracer = Tracer(level="flit")
+        engine = engine_module.build_engine(config, tracer)
+        assert type(engine) is Engine and engine.tracer is tracer
+        assert engine.backend_reason == "flit-level tracing"
+        message = Tracer(level="message")
+        assert type(engine_module.build_engine(config, message)) is VectorEngine
+        with pytest.raises(UnsupportedFeatureError, match="flit-level"):
+            engine_module.build_engine(config.with_(backend="vector"),
+                                       Tracer(level="flit"))
+
+    def test_pinned_engines_are_built_as_named(self):
+        for backend, cls in (("reference", Engine), ("vector", VectorEngine)):
+            engine = engine_module.build_engine(
+                SimConfig(**self.TINY, backend=backend))
+            assert type(engine) is cls
+            assert (engine.backend, engine.backend_reason) == (backend, None)
+
+    def test_without_a_compiler_auto_falls_back_and_pinned_vector_raises(
+            self, monkeypatch, tmp_path):
+        def no_compiler():
+            raise kernel.KernelBuildError("no C compiler found")
+
+        config = SimConfig(**self.TINY)
+        expected = run_point(config, 200, 400)
+        monkeypatch.setattr(kernel, "_find_compiler", no_compiler)
+        monkeypatch.setattr(kernel, "_lib", None)
+        monkeypatch.setattr(kernel, "_BUILD_DIR", tmp_path)  # no built object
+        monkeypatch.setattr(engine_module, "_warned_no_kernel", False)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            engine = engine_module.build_engine(config)
+            assert run_point(config, 200, 400) == expected
+        assert type(engine) is Engine and "kernel" in engine.backend_reason
+        assert len(caught) == 1, "one warning per process"
+        assert "no C compiler found" in str(caught[0].message)
+        assert "reference engine" in str(caught[0].message)
+        with pytest.raises(kernel.KernelBuildError):
+            engine_module.build_engine(config.with_(backend="vector"))
+
+    def test_run_point_with_a_sampler_tap_is_run_point(self):
+        config = SimConfig(**self.TINY)
+        samples = []
+        assert run_point(
+            config, 200, 400, tracer=SampleTap(100, samples.append)
+        ) == run_point(config, 200, 400)
+        assert [s["cycle"] for s in samples] == [100, 200, 300, 400, 500, 600]
 
 
 @pytest.mark.parametrize(

@@ -65,18 +65,6 @@ class TestSweepScheme:
                              queue_mode="per-type")
         assert sweep.label.startswith("PR-QA/")
 
-    def test_vector_backend_unless_told_otherwise(self, monkeypatch):
-        from repro.experiments import common
-
-        seen = []
-        monkeypatch.setattr(
-            common, "run_sweep",
-            lambda config, *args, **kwargs: seen.append(config.backend),
-        )
-        sweep_scheme("PR", "PAT721", 4, TINY)
-        sweep_scheme("PR", "PAT721", 4, TINY, backend="reference")
-        assert seen == ["vector", "reference"]
-
     @pytest.mark.parametrize("scheme, num_vcs",
                              [("SA", 8), ("DR", 4), ("PR", 4)])
     def test_curve_equal_on_both_backends(self, scheme, num_vcs):

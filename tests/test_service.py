@@ -25,7 +25,8 @@ from repro.service.scenarios import (
     scenario_names,
 )
 from repro.service.sse import EventBroker, format_sse, parse_sse
-from repro.sim.engine import build_engine
+from repro.sim import sweep as sweep_module
+from repro.sim.engine import build_engine, resolve_backend
 from repro.sim.parallel import ResultCache, point_key, run_points
 from repro.sim.sweep import run_point
 from repro.sim.vector.fabric import H_TRACE
@@ -51,10 +52,12 @@ def tiny_campaign(load: float = 0.008, seed: int = 3,
                         measure=TINY.measure, name="tiny")
 
 
-def vector_campaign(spec: CampaignSpec) -> CampaignSpec:
+def pinned(spec: CampaignSpec, backend: str) -> CampaignSpec:
+    """``spec`` with every point's engine named, not left to ``auto``."""
     return CampaignSpec(
-        configs=tuple(c.with_(backend="vector") for c in spec.configs),
-        warmup=spec.warmup, measure=spec.measure, name=f"{spec.name}-vector",
+        configs=tuple(c.with_(backend=backend) for c in spec.configs),
+        warmup=spec.warmup, measure=spec.measure,
+        name=f"{spec.name}-{backend}",
     )
 
 
@@ -62,9 +65,8 @@ def traced_run(spec: CampaignSpec, idx: int, level: str = "message",
                sample_every: int = 50) -> Tracer:
     """Point ``idx`` of ``spec`` run here, under a full tracer."""
     tracer = Tracer(level=level, sample_every=sample_every, capacity=20_000)
-    engine = build_engine(spec.configs[idx])
-    engine.attach_tracer(tracer)
-    engine.run_measured(spec.warmup, spec.measure)
+    build_engine(spec.configs[idx], tracer).run_measured(
+        spec.warmup, spec.measure)
     return tracer
 
 
@@ -117,7 +119,10 @@ class TestScenarioRegistry:
         assert set(reference_only) | on_vector == set(scenario_names())
         for entry in describe_scenarios():
             name = entry["name"]
-            backends = {c.backend for c in build_campaign(name, TINY).configs}
+            configs = build_campaign(name, TINY).configs
+            # the library declares no engine; the one function decides
+            assert {c.backend for c in configs} == {"auto"}, name
+            backends = {resolve_backend(c)[0] for c in configs}
             assert backends == {entry["backend"]}, name
             if name in on_vector:
                 assert entry["backend"] == "vector", name
@@ -125,6 +130,44 @@ class TestScenarioRegistry:
             else:
                 assert entry["backend"] == "reference", name
                 assert entry["reference_only"] == reference_only[name]
+
+    def test_one_point_has_one_key_whichever_front_end_built_it(
+            self, tmp_path, monkeypatch, capsys):
+        """``baseline-pr`` as the library, ``repro sweep``, ``farm plan``
+        and ``sweep_scheme`` build it: the same configs, so the same
+        cache entries — a campaign computed by one is cached for all."""
+        from repro.cli import main
+        from repro.experiments import common
+
+        library = build_campaign("baseline-pr", TINY)
+        keys = [point_key(c, TINY.warmup, TINY.measure)
+                for c in library.configs]
+        cell = ["--dims", "4x4", "--scheme", "PR", "--pattern", "PAT271",
+                "--vcs", "4", "--loads", "0.008,0.016",
+                "--warmup", str(TINY.warmup), "--measure", str(TINY.measure)]
+        cache = tmp_path / "cache"
+
+        assert main(["sweep", *cell, "--no-early-stop",
+                     "--cache-dir", str(cache)]) == 0
+        assert sorted(p.stem for p in cache.glob("*.json")) == sorted(keys)
+
+        assert main(["farm", "plan", str(tmp_path / "camp"), *cell]) == 0
+        planned = CampaignSpec.load(tmp_path / "camp")
+        assert planned.configs == library.configs
+
+        swept = []
+        monkeypatch.setattr(
+            common, "run_sweep",
+            lambda config, loads, **kwargs: swept.extend(
+                config.with_(load=load) for load in loads),
+        )
+        common.sweep_scheme("PR", "PAT271", 4, TINY, dims=(4, 4))
+        assert tuple(swept) == library.configs
+
+        warm = ResultCache(cache)
+        run_points(list(library.configs), TINY.warmup, TINY.measure,
+                   cache=warm)
+        assert (warm.hits, warm.misses) == (len(keys), 0)
 
     def test_expected_categories_present(self):
         categories = {s.category for s in SCENARIOS.values()}
@@ -421,8 +464,8 @@ class TestJobManager:
         """No dark jobs: a vector job streams the samples and answers
         with the trace the same campaign produces on the reference
         engine."""
-        reference = tiny_campaign()
-        vector = vector_campaign(reference)
+        reference = pinned(tiny_campaign(), "reference")
+        vector = tiny_campaign()  # the default resolves to the kernel
 
         async def body(manager):
             out = []
@@ -436,7 +479,7 @@ class TestJobManager:
 
         (ref_job, ref_samples, ref_trace), (vec_job, vec_samples, vec_trace) \
             = self.run_manager(tmp_path, body)
-        assert ref_job.id != vec_job.id  # the cache key covers the backend
+        assert ref_job.id != vec_job.id  # the key covers the declared backend
         assert vec_job.state == "done" and vec_job.results == ref_job.results
         assert vec_samples and vec_samples == ref_samples
         assert vec_trace == ref_trace
@@ -449,18 +492,14 @@ class TestJobManager:
         """A job pays for sampling only: no tracer on any event site
         (and the kernel's trace flag clear), yet the ``sample`` events
         are, payload for payload, what a full tracer samples."""
-        from repro.service import jobs
-
-        spec = tiny_campaign()
-        if backend == "vector":
-            spec = vector_campaign(spec)
+        spec = pinned(tiny_campaign(), backend)
         engines = []
 
-        def recording_build(config):
-            engines.append(build_engine(config))
+        def recording_build(config, tracer=None):
+            engines.append(build_engine(config, tracer))
             return engines[-1]
 
-        monkeypatch.setattr(jobs, "build_engine", recording_build)
+        monkeypatch.setattr(sweep_module, "build_engine", recording_build)
 
         async def body(manager):
             job, _ = manager.submit(spec)
@@ -498,9 +537,7 @@ class TestJobManager:
         """Whatever computed the job's points — this process, worker
         processes, or nobody (every point cached) — the trace it answers
         with is the one an in-process traced run of the points gives."""
-        spec = tiny_campaign()
-        if backend == "vector":
-            spec = vector_campaign(spec)
+        spec = pinned(tiny_campaign(), backend)
         if kind == "cached":
             run_points(list(spec.configs), spec.warmup, spec.measure,
                        cache=ResultCache(tmp_path / "cache"))
@@ -528,7 +565,7 @@ class TestJobManager:
             self, tmp_path):
         # the kernel records no flit-level event, and by the equivalence
         # contract need not: the reference engine's run is the same run
-        spec = vector_campaign(tiny_campaign(points=1))
+        spec = tiny_campaign(points=1)
 
         async def body(manager):
             job, _ = manager.submit(spec)
@@ -537,7 +574,8 @@ class TestJobManager:
 
         job, trace = self.run_manager(tmp_path, body, trace_level="flit")
         assert job.state == "done"
-        assert trace == eager_job_trace(tiny_campaign(points=1), [0],
+        assert job.to_dict()["backends"] == ["vector"]
+        assert trace == eager_job_trace(pinned(spec, "reference"), [0],
                                         level="flit")
         assert any(e["name"] == "vc_grant"
                    for e in json.loads(trace)["traceEvents"])
@@ -584,19 +622,17 @@ class TestJobManager:
                                                        monkeypatch):
         """Two requests for a trace not built yet run the points once,
         off the event loop: other coroutines keep running meanwhile."""
-        from repro.service import jobs
-
         spec = tiny_campaign(points=3)
         built = []
 
-        def counting_build(config):
+        def counting_build(config, tracer=None):
             built.append(config)
-            return build_engine(config)
+            return build_engine(config, tracer)
 
         async def body(manager):
             job, _ = manager.submit(spec)
             await self._wait_done(manager, job)
-            monkeypatch.setattr(jobs, "build_engine", counting_build)
+            monkeypatch.setattr(sweep_module, "build_engine", counting_build)
             ticks = 0
 
             async def ticker():
