@@ -18,7 +18,7 @@ Run:  python examples/endpoint_coupling.py [load]
 import sys
 
 from repro import Engine, SimConfig
-from repro.sim.analysis import format_breakdown, run_with_monitor
+from repro.sim import format_breakdown, run_with_monitor
 
 
 def measure(queue_mode: str, load: float):

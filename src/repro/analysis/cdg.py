@@ -34,7 +34,6 @@ from typing import Callable
 
 from repro.network.routing import (
     Routing,
-    TableRouting,
     duato_routing,
     dimension_order_routing,
     full_mesh_routing,
@@ -277,12 +276,9 @@ def _direct_edges(
 def describe_routing(routing: Routing) -> str:
     """A short human label for a routing function."""
     vc_map = routing.vc_map
-    name = getattr(routing, "name", None) or (
-        "grid-adaptive" if routing.adaptive else "grid-dor"
-    )
     mode = "adaptive" if routing.adaptive else "deterministic"
     return (
-        f"{name} ({mode}, {vc_map.num_vcs} VCs, "
+        f"{routing.name} ({mode}, {vc_map.num_vcs} VCs, "
         f"{vc_map.num_classes} class{'es' if vc_map.num_classes != 1 else ''})"
     )
 
@@ -478,8 +474,8 @@ def builtin_pairs() -> tuple[BuiltinPair, ...]:
         BuiltinPair(
             "irregular9-adaptive-tree",
             lambda: (t := irregular_example(),
-                     TableRouting(t, partitioned_vc_map(4, 1),
-                                  adaptive=True, name="adaptive+updown")),
+                     Routing(t, partitioned_vc_map(4, 1),
+                             adaptive=True, name="adaptive+updown")),
             REFUTED,
             "9-router irregular graph, minimal adaptive over an "
             "up*/down* escape",

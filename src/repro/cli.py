@@ -38,9 +38,9 @@ import json
 import sys
 
 from repro.config import ExecutionConfig, SimConfig
-from repro.sim.analysis import format_breakdown
 from repro.sim.engine import build_engine
 from repro.sim.invariants import format_dump
+from repro.sim.stats import format_breakdown
 from repro.sim.sweep import point_dispatch, run_sweep
 from repro.util.atomic import write_json_atomic
 from repro.util.errors import (

@@ -11,16 +11,17 @@ the kernel's allocation scan can consult a candidate table and still
 make exactly the choices the reference engine makes.  The table is
 assembled with array operations from per-pair hop links (broadcast from
 per-dimension samples of ``productive_directions`` on grids, read from
-``TableRouting.hop_links`` elsewhere); its contract — checked key by key
-in ``tests/test_route_table.py`` — is that every key resolves to the
-routing function's ``static_candidate_ids`` row.
+the topology's ``minimal_links`` and ``route_path`` elsewhere); its
+contract — checked key by key in ``tests/test_route_table.py`` — is that
+every key resolves to :meth:`Routing.static_candidate_ids
+<repro.network.routing.Routing.static_candidate_ids>`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.network.routing import Routing, RoutingFunction, TableRouting
+from repro.network.routing import Routing
 from repro.network.topology import GridTopology, Topology
 
 
@@ -77,30 +78,32 @@ def build_route_table(
     key space keeps producing fresh (position, destination, dateline)
     combinations for tens of thousands of cycles.
 
-    Each distinct row is stored once.  A grid row depends on the mask
-    only through the escape channel's dateline class, so there are two
-    rows per (router, destination, class) and ``rk_idx`` picks between
-    them; table routing has no dateline machinery, so one.
+    Each distinct row is stored once.  A row depends on the mask only
+    through the escape channel's dateline class, so there are two rows
+    per (router, destination, class) and ``rk_idx`` picks between them.
     """
-    if isinstance(routing, RoutingFunction):
-        links = _grid_hop_links(routing.topology)
-        escape_link = links[:, 0]  # lowest dimension, +1 before -1
-        nrow = 2  # one row per dateline class of the escape channel
+    topology = soa.topology
+    R = topology.num_routers
+    # Hop-link columns: one per out-link of the busiest router, the same
+    # bound ``Routing.max_static_candidates`` sizes ``stride`` by.
+    degree = int(np.bincount(soa.link_src, minlength=R).max())
+    if isinstance(topology, GridTopology):
+        links = _grid_hop_links(topology, degree)
+        escape_link = links[:, 0]  # route_path: first minimal link
     else:
-        links, escape_link = _table_hop_links(routing)
-        nrow = 1
+        links, escape_link = _graph_hop_links(topology, degree)
     vc_map = routing.vc_map
     num_vcs = soa.num_vcs
-    R = soa.topology.num_routers
-    ndim = soa.topology.ndim
+    ndim = topology.ndim
     vcls = vc_map.num_classes
     P = links.shape[0]  # off-diagonal (router, destination) pairs
 
-    rows = np.zeros((max(P, 1), vcls, nrow, stride), dtype=np.int32)
+    # One row per dateline class of the escape channel.
+    rows = np.zeros((max(P, 1), vcls, 2, stride), dtype=np.int32)
     valid = links >= 0
     n_links = valid.sum(axis=1, dtype=np.int32)
     for cls in range(vcls):
-        block = rows[:P, cls]  # (P, nrow, stride) view
+        block = rows[:P, cls]  # (P, 2, stride) view
         idx = np.array(
             vc_map.adaptive[cls] if routing.adaptive else (), dtype=np.int32
         )
@@ -118,22 +121,19 @@ def build_route_table(
         if pair is None:
             block[:, :, 1] = -1
         else:
-            for cls1 in range(nrow):
+            for cls1 in (0, 1):
                 block[:, cls1, 1] = escape_link * num_vcs + pair[cls1]
 
     row0 = (
         np.arange(P, dtype=np.int32)[:, None] * vcls
         + np.arange(vcls, dtype=np.int32)
-    ) * nrow
-    if nrow == 2:
-        # Dateline class 1 when the escape hop crosses the dateline or
-        # the packet already did in that dimension (the mask bit).
-        masks = np.arange(1 << ndim, dtype=np.int32)
-        row_of_mask = soa.link_dateline[escape_link][:, None] | (
-            (masks >> soa.link_dim[escape_link][:, None]) & 1
-        )
-    else:
-        row_of_mask = np.zeros((P, 1 << ndim), dtype=np.int32)
+    ) * 2
+    # Dateline class 1 when the escape hop crosses the dateline or the
+    # packet already did in that dimension (the mask bit).
+    masks = np.arange(1 << ndim, dtype=np.int32)
+    row_of_mask = soa.link_dateline[escape_link][:, None] | (
+        (masks >> soa.link_dim[escape_link][:, None]) & 1
+    )
     rk_idx = np.full((R * R, vcls << ndim), -1, dtype=np.int32)
     rk_idx[~np.eye(R, dtype=bool).ravel()] = (
         row0[:, :, None] + row_of_mask[:, None, :]
@@ -141,10 +141,10 @@ def build_route_table(
     return rk_idx.reshape(-1), rows.reshape(-1)
 
 
-def _grid_hop_links(topology: GridTopology) -> np.ndarray:
-    """Productive out-link ids per off-diagonal (router, destination).
+def _grid_hop_links(topology: GridTopology, degree: int) -> np.ndarray:
+    """``minimal_links`` ids per off-diagonal (router, destination).
 
-    ``(R * (R - 1), 2 * ndim)`` in ``productive_directions`` order
+    ``(R * (R - 1), degree)`` in ``productive_directions`` order
     (dimension ascending, +1 before -1), left-packed and -1 padded.  The
     minimal-direction rule (ties included) is sampled from the topology
     along one axis line per dimension — it is separable by dimension
@@ -159,7 +159,7 @@ def _grid_hop_links(topology: GridTopology) -> np.ndarray:
     coords = np.array([topology.coords(r) for r in range(R)])
     off = ~np.eye(R, dtype=bool)
     src = np.nonzero(off)[0]
-    links = np.full((len(src), 2 * ndim), -1, dtype=np.int32)
+    links = np.full((len(src), degree), -1, dtype=np.int32)
     filled = np.zeros(len(src), dtype=np.intp)
     origin = [0] * ndim
     for d, k in enumerate(topology.dims):
@@ -182,24 +182,25 @@ def _grid_hop_links(topology: GridTopology) -> np.ndarray:
     return links
 
 
-def _table_hop_links(routing: TableRouting) -> tuple[np.ndarray, np.ndarray]:
-    """``TableRouting.hop_links`` per off-diagonal pair, as link ids.
+def _graph_hop_links(
+    topology: Topology, degree: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``minimal_links`` and ``route_path``'s first hop per off-diagonal
+    pair, as link ids.
 
     The escape hop is whatever the topology's ``route_path`` discipline
     says, pair by pair, so this stage stays one Python call per pair;
     the substrates routed this way have tens of routers.
     """
-    topology = routing.topology
     R = topology.num_routers
-    degree = max(len(topology.out_links(r)) for r in range(R))
     links = np.full((R * (R - 1), degree), -1, dtype=np.int32)
     escape_link = np.empty(R * (R - 1), dtype=np.int32)
     p = 0
     for r in range(R):
         for dst in range(R):
             if dst != r:
-                minimal, escape = routing.hop_links(r, dst)
+                minimal = topology.minimal_links(r, dst)
                 links[p, : len(minimal)] = [ln.lid for ln in minimal]
-                escape_link[p] = escape.lid
+                escape_link[p] = topology.route_path(r, dst)[0].lid
                 p += 1
     return links, escape_link

@@ -23,8 +23,9 @@ link
 dateline
     Per dimension ring, the wrap-around edge; crossing it switches the
     escape virtual-channel class, which is what makes dimension-order
-    escape routing deadlock-free on a torus (Dally & Seitz).  Topologies
-    without wrap edges never set ``crosses_dateline``.
+    escape routing deadlock-free on a torus (Dally & Seitz).  It is an
+    attribute of the link (``crosses_dateline``), so routing needs no
+    notion of a grid; topologies without wrap edges never set it.
 """
 
 from __future__ import annotations
@@ -70,9 +71,14 @@ class Topology:
     * ``links`` plus per-router :meth:`out_links` / :meth:`in_links`
     * :meth:`router_of_node` / :meth:`nodes_of_router`
     * :meth:`min_hops` — BFS hop distances by default
-    * :meth:`route_path` — one deterministic src→dst path, used by the
-      progressive-recovery lane (grids override with dimension order,
-      irregular graphs with up*/down* tree routing)
+    * :meth:`minimal_links` — the out-links on some shortest path, in
+      out-link order (the adaptive candidates of
+      :class:`~repro.network.routing.Routing`)
+    * :meth:`route_path` — one deterministic src→dst path: the escape
+      discipline and the progressive-recovery lane's path.  By default
+      the first minimal link per hop, which on grids is dimension order
+      (+1 first on a tie); irregular graphs override it with up*/down*
+      tree routing, a full mesh with its direct link
 
     ``ndim`` sizes the dateline-crossing bitmask; it stays 1 for
     topologies without datelines, where the mask is always zero.
@@ -93,6 +99,8 @@ class Topology:
         self._out_adj: list[list[Link]] = [[] for _ in range(self.num_routers)]
         self._in: list[list[Link]] = [[] for _ in range(self.num_routers)]
         self._dist: list[list[int]] | None = None
+        #: (src, dst) -> route_path(src, dst), shared with every caller.
+        self._paths: dict[tuple[int, int], list[Link]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -164,23 +172,38 @@ class Topology:
             raise ConfigurationError(f"router {dst} unreachable from {src}")
         return hops
 
+    def minimal_links(self, src: int, dst: int) -> list[Link]:
+        """Out-links of ``src`` that start a shortest path to ``dst``.
+
+        In out-link order; empty when ``src == dst``.
+        """
+        dist = self._distances()
+        want = dist[src][dst] - 1
+        return [ln for ln in self._out_adj[src] if dist[ln.dst][dst] == want]
+
     def route_path(self, src: int, dst: int) -> list[Link]:
         """A deterministic minimal path: first minimal out-link per hop.
 
-        Subclasses override this with their escape discipline; whether
-        the override is deadlock-free is *checked*, not assumed — see
+        Memoized per pair (callers must not mutate the list).  Subclasses
+        may override this with their escape discipline; whether it is
+        deadlock-free is *checked*, not assumed — see
         :mod:`repro.analysis.cdg`.
         """
-        dist = self._distances()
-        path: list[Link] = []
-        cur = src
-        while cur != dst:
-            want = dist[cur][dst] - 1
-            link = next(
-                ln for ln in self._out_adj[cur] if dist[ln.dst][dst] == want
-            )
-            path.append(link)
-            cur = link.dst
+        paths = self._paths
+        path = paths.get((src, dst))
+        if path is None:
+            # Walk to the first pair already known, then store every
+            # suffix of the new path: each is the path from its router.
+            hops: list[Link] = []
+            cur = src
+            while cur != dst and (cur, dst) not in paths:
+                link = self.minimal_links(cur, dst)[0]
+                hops.append(link)
+                cur = link.dst
+            path = paths.get((cur, dst), [])
+            for link in reversed(hops):
+                path = [link, *path]
+                paths[(link.src, dst)] = path
         return path
 
     # ------------------------------------------------------------------
@@ -208,11 +231,12 @@ class Topology:
 class GridTopology(Topology):
     """Shared machinery for row-major coordinate grids (torus, mesh).
 
-    Exposes the extra surface the memoized grid
-    :class:`~repro.network.routing.RoutingFunction` is built on:
-    :meth:`coords` / :meth:`router_id` / :meth:`productive_directions` /
-    :meth:`out_link` (by ``(dim, direction)``) and the dimension-order
-    :meth:`dor_path`.
+    Adds :meth:`coords` / :meth:`router_id` / :meth:`out_link` (by
+    ``(dim, direction)``) and :meth:`productive_directions`, which
+    answers :meth:`minimal_links` from coordinates instead of BFS.
+    Links are created dimension by dimension, +1 before -1, so the
+    inherited :meth:`route_path` (first minimal link per hop) is
+    dimension-order routing.
     """
 
     def __init__(self, dims: tuple[int, ...], bristling: int = 1) -> None:
@@ -271,23 +295,16 @@ class GridTopology(Topology):
     def productive_directions(
         self, src: int, dst: int
     ) -> list[tuple[int, int, int]]:
-        """Minimal-progress ``(dim, direction, remaining_hops)`` choices."""
+        """Minimal-progress ``(dim, direction, remaining_hops)`` choices,
+        dimension ascending, +1 before -1."""
         raise NotImplementedError
 
-    def dor_path(self, src: int, dst: int) -> list[Link]:
-        """The dimension-order (lowest dimension first) minimal path."""
-        path: list[Link] = []
-        cur = src
-        while cur != dst:
-            dirs = self.productive_directions(cur, dst)
-            dim, direction, _ = min(dirs)  # lowest dim, prefer +1 on ties
-            link = self.out_link(cur, dim, direction)
-            path.append(link)
-            cur = link.dst
-        return path
-
-    def route_path(self, src: int, dst: int) -> list[Link]:
-        return self.dor_path(src, dst)
+    def minimal_links(self, src: int, dst: int) -> list[Link]:
+        out = self._out[src]
+        return [
+            out[(dim, direction)]
+            for dim, direction, _ in self.productive_directions(src, dst)
+        ]
 
 
 class Torus(GridTopology):
@@ -520,7 +537,6 @@ class IrregularGraph(Topology):
                 f"routers {unreachable} unreachable from router 0"
             )
         self._build_tree()
-        self._tree_paths: dict[tuple[int, int], list[Link]] = {}
 
     def _build_tree(self) -> None:
         """BFS spanning tree from router 0, deterministic by link order."""
@@ -551,7 +567,7 @@ class IrregularGraph(Topology):
     def route_path(self, src: int, dst: int) -> list[Link]:
         """Up the spanning tree to the LCA of (src, dst), then down."""
         key = (src, dst)
-        path = self._tree_paths.get(key)
+        path = self._paths.get(key)
         if path is None:
             down_chain = self._ancestors(dst)
             on_dst_chain = set(down_chain)
@@ -565,14 +581,8 @@ class IrregularGraph(Topology):
             for child in reversed(down_chain[: down_chain.index(cur)]):
                 path.append(self._forward[(cur, child)])
                 cur = child
-            self._tree_paths[key] = path
+            self._paths[key] = path
         return path
-
-    def tree_next_link(self, src: int, dst: int) -> Link | None:
-        """First hop of the up*/down* tree path (escape-table entry)."""
-        if src == dst:
-            return None
-        return self.route_path(src, dst)[0]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         b = f", bristling={self.bristling}" if self.bristling > 1 else ""

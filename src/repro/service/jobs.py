@@ -566,6 +566,8 @@ class JobManager:
     def _load_records(self) -> None:
         """Rehydrate terminal job records written by earlier runs."""
         for path in sorted(self.jobs_dir.glob("job-*.json")):
+            if path.name.endswith(".trace.json"):
+                continue  # a job's on-demand trace, not its record
             try:
                 payload = json.loads(path.read_text("utf-8"))
                 spec = CampaignSpec.from_dict(payload["spec"])

@@ -1,11 +1,5 @@
 """Simulation engine, statistics, results, sweeps and parallel execution."""
 
-from repro.sim.analysis import (
-    OccupancyMonitor,
-    format_breakdown,
-    run_with_monitor,
-    type_breakdown,
-)
 from repro.sim.engine import Engine
 from repro.sim.parallel import (
     ResultCache,
@@ -16,8 +10,14 @@ from repro.sim.parallel import (
     set_default_execution,
 )
 from repro.sim.results import RunResult, SweepResult, burton_normal_form
-from repro.sim.stats import SimStats, WindowCounters
+from repro.sim.stats import (
+    SimStats,
+    WindowCounters,
+    format_breakdown,
+    type_breakdown,
+)
 from repro.sim.sweep import run_point, run_sweep
+from repro.telemetry.samplers import OccupancyMonitor, run_with_monitor
 
 __all__ = [
     "Engine",

@@ -6,6 +6,8 @@ computed: average message latency in cycles (queue waiting + network
 time, i.e. generation to delivery into the destination input queue),
 delivered throughput in flits/node/cycle, and the *normalized number of
 deadlocks* — deadlocks divided by messages delivered (Section 4.1).
+:func:`type_breakdown` / :func:`format_breakdown` report the per-type
+rows (delivered counts, latency, queue wait, network time).
 """
 
 from __future__ import annotations
@@ -102,8 +104,8 @@ class SimStats:
         self._last_injected_flits = 0
         # Per-message-type breakdown (whole run): delivered count, total
         # latency, source-queue wait, and in-network time.  Feeds
-        # repro.sim.analysis (the endpoint-coupling diagnostics behind
-        # Figures 10/11).  Rows for every protocol type are pre-created;
+        # type_breakdown (the per-type diagnostics behind Figures
+        # 10/11).  Rows for every protocol type are pre-created;
         # `by_type` exposes only the types actually delivered.
         self._type_rows: dict[str, dict[str, float]] = {
             t.name: _new_type_row() for t in engine.protocol.all_types
@@ -206,3 +208,36 @@ class SimStats:
         else:
             for w in self._live:
                 w.deadlocks_unresolved += 1
+
+
+def type_breakdown(stats) -> dict[str, dict[str, float]]:
+    """Per-message-type means derived from ``SimStats.by_type``."""
+    out: dict[str, dict[str, float]] = {}
+    for name, row in stats.by_type.items():
+        n = max(1, row["delivered"])
+        out[name] = {
+            "delivered": row["delivered"],
+            "flits": row["flits"],
+            "mean_latency": row["latency_sum"] / n,
+            "mean_queue_wait": row["queue_wait_sum"] / n,
+            "mean_network_time": row["network_sum"] / n,
+            "rescued": row["rescued"],
+        }
+    return out
+
+
+def format_breakdown(stats) -> str:
+    """Human-readable per-type table (used by examples and the CLI)."""
+    rows = type_breakdown(stats)
+    lines = [
+        f"{'type':8s} {'count':>8s} {'latency':>9s} {'queue':>8s} "
+        f"{'network':>8s} {'rescued':>8s}"
+    ]
+    for name in sorted(rows):
+        r = rows[name]
+        lines.append(
+            f"{name:8s} {r['delivered']:8.0f} {r['mean_latency']:8.1f}c "
+            f"{r['mean_queue_wait']:7.1f}c {r['mean_network_time']:7.1f}c "
+            f"{r['rescued']:8.0f}"
+        )
+    return "\n".join(lines)

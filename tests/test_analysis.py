@@ -1,10 +1,7 @@
 """Tests for per-type breakdowns and the coupling monitor."""
 
-from repro.sim.analysis import (
-    format_breakdown,
-    run_with_monitor,
-    type_breakdown,
-)
+from repro.sim.stats import format_breakdown, type_breakdown
+from repro.telemetry.samplers import run_with_monitor
 from tests.helpers import build_engine
 
 

@@ -94,6 +94,20 @@ class TestWorkflow:
         assert any("--hosts local:2" in line and "--no-cache" in line
                    for line in sweeps)
 
+    def test_smoke_job_checks_the_sweep_resume_is_all_cached(self, workflow):
+        steps = workflow["jobs"]["smoke-benchmark"]["steps"]
+        [run] = [s["run"] for s in steps
+                 if "--cache-dir .repro_cache" in (s.get("run") or "")]
+        first, resume = [
+            line for line in run.split("python -m ")
+            if line.startswith("repro.cli sweep") and ".repro_cache" in line
+        ]
+        # The same sweep twice on one cache; the second run's progress
+        # (stderr) is captured and its final line must say all 3 cached.
+        assert first.split("--cache-dir")[0] == resume.split("--cache-dir")[0]
+        assert "2> resume.err" in resume
+        assert 'tail -n 1 resume.err | grep -F "[3/3] 3 cached"' in resume
+
     def test_fault_smoke_runs_campaign_and_faulted_cli(self, workflow):
         steps = workflow["jobs"]["fault-smoke"]["steps"]
         runs = " ".join(s.get("run") or "" for s in steps)

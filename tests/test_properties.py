@@ -17,11 +17,11 @@ dims_strategy = st.lists(st.integers(2, 6), min_size=1, max_size=3).map(tuple)
 @settings(max_examples=60, deadline=None)
 @given(dims=dims_strategy, data=st.data())
 def test_dor_path_minimal_and_connected(dims, data):
-    """DOR reaches every destination over a minimal path."""
+    """Dimension order reaches every destination over a minimal path."""
     topo = Torus(dims)
     src = data.draw(st.integers(0, topo.num_routers - 1))
     dst = data.draw(st.integers(0, topo.num_routers - 1))
-    path = topo.dor_path(src, dst)
+    path = topo.route_path(src, dst)
     assert len(path) == topo.min_hops(src, dst)
     cur = src
     for link in path:

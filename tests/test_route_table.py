@@ -1,8 +1,8 @@
 """Route-table oracle: every key resolves to ``static_candidate_ids``.
 
 :func:`repro.network.soa.build_route_table` assembles the vector
-backend's candidate table with array operations; the routing functions'
-``static_candidate_ids`` is the definition it must reproduce.  Whole-
+backend's candidate table with array operations;
+``Routing.static_candidate_ids`` is the definition it must reproduce.  Whole-
 engine equivalence (``test_backend_equivalence.py``) only visits the
 keys a run happens to reach — this checks all of them, on every
 topology kind and under each scheme's VC map.
@@ -14,7 +14,6 @@ import pytest
 
 from repro.config import SimConfig
 from repro.network.routing import (
-    RoutingFunction,
     dimension_order_routing,
     duato_routing,
     partitioned_vc_map,
@@ -39,6 +38,10 @@ TOPOLOGIES = {
     "torus2x4": lambda: Torus((2, 4)),  # k = 2: parallel +1/-1 links
     "torus2x3x4": lambda: Torus((2, 3, 4)),
     "mesh4x3": lambda: Mesh2D((4, 3)),
+    # Out-degree below 2 * ndim: the hop-link columns are sized by the
+    # busiest router's out-links, as the candidate stride is.
+    "mesh3x2": lambda: Mesh2D((3, 2)),
+    "torus4x1": lambda: Torus((4, 1)),
     "fullmesh6": lambda: FullMesh(6),
     "fat_tree2x3": lambda: fat_tree((2, 3)),
     "irregular9": irregular_example,
@@ -67,10 +70,9 @@ def test_every_key_matches_static_candidate_ids(topo, scheme):
     R = topology.num_routers
     vcls = routing.vc_map.num_classes
     nmask = 1 << topology.ndim
-    # Each distinct row once: a grid row varies with the mask only
-    # through the escape's dateline class; table routing not at all.
-    shared = 2 if isinstance(routing, RoutingFunction) else 1
-    n_rows = R * (R - 1) * vcls * shared
+    # Each distinct row once: a row varies with the mask only through
+    # the escape's dateline class.
+    n_rows = R * (R - 1) * vcls * 2
     assert rk_idx.shape == (R * R * vcls * nmask,)
     assert rows.shape == (n_rows * stride,)
     rows = rows.reshape(n_rows, stride)

@@ -4,13 +4,23 @@ import networkx as nx
 import pytest
 
 from repro.network.routing import (
+    Routing,
     dimension_order_routing,
     duato_routing,
     duato_vc_map,
+    full_mesh_routing,
     partitioned_vc_map,
     tfar_vc_map,
+    true_fully_adaptive_routing,
 )
-from repro.network.topology import Torus, ring
+from repro.network.topology import (
+    FullMesh,
+    Mesh2D,
+    Torus,
+    fat_tree,
+    irregular_example,
+    ring,
+)
 from repro.protocol.chains import GENERIC_MSI
 from repro.protocol.message import Message
 from repro.util.errors import ConfigurationError
@@ -89,7 +99,7 @@ def _escape_cdg(topology: Torus) -> nx.DiGraph:
                 continue
             crossed = 0
             prev = None
-            for link in topology.dor_path(src, dst):
+            for link in topology.route_path(src, dst):
                 cls = 1 if (link.crosses_dateline or (crossed >> link.dim) & 1) else 0
                 if link.crosses_dateline:
                     crossed |= 1 << link.dim
@@ -128,8 +138,6 @@ class TestRoutingFunctions:
         elif kind == "dor":
             rf = dimension_order_routing(topo, partitioned_vc_map(num_vcs, num_vcs // 2))
         else:
-            from repro.network.routing import true_fully_adaptive_routing
-
             rf = true_fully_adaptive_routing(topo, tfar_vc_map(num_vcs))
         fake = _FakeFabricVcs(topo, num_vcs)
         rf.bind(fake.link_vcs)
@@ -166,9 +174,11 @@ class TestRoutingFunctions:
         msg = Message(M1, 0, 0)
         msg.vc_class = 0
         dst = topo.router_id((2, 2))
-        for vc in rf.adaptive_candidates(0, dst, msg):
+        *adaptive, esc = rf.candidates(0, dst, msg)
+        assert adaptive
+        for vc in adaptive:
             vc.owner = msg  # occupy all
-        assert rf.adaptive_candidates(0, dst, msg) == []
+        assert rf.candidates(0, dst, msg) == [esc]
 
     def test_escape_class_flips_after_dateline(self):
         topo = ring(4)
@@ -177,22 +187,25 @@ class TestRoutingFunctions:
         msg = Message(M1, 0, 0)
         msg.vc_class = 0
         # Router 3 -> 0 crosses the dateline: class 1.
-        vc = rf.escape_candidate(3, 0, msg)
+        (vc,) = rf.candidates(3, 0, msg)
         assert vc.index == 1
         # Plain hop 1 -> 2: class 0.
-        vc = rf.escape_candidate(1, 2, msg)
+        (vc,) = rf.candidates(1, 2, msg)
         assert vc.index == 0
         # After a previous crossing the class stays 1.
         msg.crossed_mask = 1
-        vc = rf.escape_candidate(1, 2, msg)
+        (vc,) = rf.candidates(1, 2, msg)
         assert vc.index == 1
+        assert rf.static_candidate_ids(1, 2, 0, 1) == ((), vc.link.lid * 2 + 1)
 
     def test_tfar_has_no_escape(self):
         topo, rf = self._setup(kind="tfar")
         msg = Message(M1, 0, 0)
         msg.vc_class = 0
-        assert rf.escape_candidate(0, 5, msg) is None
+        assert rf.static_candidate_ids(0, 5, 0, 0)[1] == -1
         cands = rf.candidates(0, topo.router_id((1, 1)), msg)
+        # 2 productive links x 4 VCs, every one a free adaptive channel.
+        assert len(cands) == 8
         assert all(vc.owner is None for vc in cands)
 
     def test_candidates_sorted_by_occupancy(self):
@@ -200,54 +213,43 @@ class TestRoutingFunctions:
         msg = Message(M1, 0, 0)
         msg.vc_class = 0
         dst = topo.router_id((2, 2))
-        cands = rf.adaptive_candidates(0, dst, msg)
-        cands[0].fifo.append((0, 0))  # make the first one fuller
-        re_sorted = rf.adaptive_candidates(0, dst, msg)
-        assert len(re_sorted[0].fifo) <= len(re_sorted[-1].fifo)
+        *adaptive, esc = rf.candidates(0, dst, msg)
+        adaptive[0].fifo.append((0, 0))  # make the first one fuller
+        *re_sorted, esc_again = rf.candidates(0, dst, msg)
+        # Emptiest first, stable otherwise; the escape stays last.
+        assert re_sorted == adaptive[1:] + adaptive[:1]
+        assert esc_again is esc
 
 
 class TestTableRouting:
-    """Table-driven routing on non-grid topologies (TableRouting)."""
+    """Off the grid: minimal links plus the topology's route_path escape."""
 
     def _bound(self, topology, routing, num_vcs):
         routing.bind(_FakeFabricVcs(topology, num_vcs).link_vcs)
         return routing
 
     def test_factories_dispatch_on_topology(self):
-        from repro.network.routing import (
-            RoutingFunction,
-            TableRouting,
-            full_mesh_routing,
-            true_fully_adaptive_routing,
-        )
-        from repro.network.topology import FullMesh, irregular_example
-
-        assert isinstance(
-            duato_routing(Torus((4, 4)), duato_vc_map(4)), RoutingFunction
-        )
+        grid = duato_routing(Torus((4, 4)), duato_vc_map(4))
+        assert isinstance(grid, Routing)
+        assert (grid.name, grid.adaptive) == ("duato", True)
+        dor = dimension_order_routing(Mesh2D((4, 4)), duato_vc_map(4))
+        assert (dor.name, dor.adaptive) == ("dor", False)
         fm = FullMesh(4)
-        assert isinstance(
-            true_fully_adaptive_routing(fm, tfar_vc_map(2)), TableRouting
-        )
+        tfar = true_fully_adaptive_routing(fm, tfar_vc_map(2))
+        assert (tfar.name, tfar.adaptive) == ("tfar", True)
         cano = full_mesh_routing(fm)
-        assert isinstance(cano, TableRouting)
         assert cano.name == "cano-direct"
         # Adaptivity over an up*/down* escape is refuted by cdg-check
         # (irregular9-adaptive-tree), so the factory disables it.
         updown = duato_routing(irregular_example(), partitioned_vc_map(4, 1))
-        assert isinstance(updown, TableRouting)
+        assert updown.name == "updown"
         assert updown.adaptive is False
 
     def test_dor_requires_escape_off_grid(self):
-        from repro.network.topology import irregular_example
-
         with pytest.raises(ConfigurationError):
             dimension_order_routing(irregular_example(), tfar_vc_map(4))
 
     def test_fullmesh_candidates_are_the_direct_link(self):
-        from repro.network.routing import full_mesh_routing
-        from repro.network.topology import FullMesh
-
         topo = FullMesh(4)
         rt = self._bound(topo, full_mesh_routing(topo), 1)
         msg = Message(M1, 0, 0)
@@ -257,8 +259,6 @@ class TestTableRouting:
         assert [vc.link for vc in cands] == [topo.direct_link(0, 3)]
 
     def test_updown_escape_follows_the_tree(self):
-        from repro.network.topology import irregular_example
-
         topo = irregular_example()
         rt = self._bound(
             topo, duato_routing(topo, partitioned_vc_map(4, 1)), 4
@@ -269,21 +269,18 @@ class TestTableRouting:
             for dst in range(topo.num_routers):
                 if src == dst:
                     continue
-                esc = rt.escape_candidate(src, dst, msg)
+                # Escape-only routing: the escape is the whole menu.
+                (esc,) = rt.candidates(src, dst, msg)
                 assert esc.link == topo.route_path(src, dst)[0]
                 # No datelines off the grid: always class-0 of the pair.
                 assert esc.index == rt.vc_map.escape[0][0]
-                # Escape-only routing: the escape is the whole menu.
-                assert rt.candidates(src, dst, msg) == [esc]
 
     def test_adaptive_table_offers_minimal_links_then_escape(self):
-        from repro.network.routing import TableRouting
-        from repro.network.topology import irregular_example
-
         topo = irregular_example()
         rt = self._bound(
             topo,
-            TableRouting(topo, partitioned_vc_map(4, 1), adaptive=True),
+            Routing(topo, partitioned_vc_map(4, 1), adaptive=True,
+                    name="adaptive+updown"),
             4,
         )
         msg = Message(M1, 0, 0)
@@ -293,30 +290,28 @@ class TestTableRouting:
         want = topo.min_hops(src, dst) - 1
         for vc in cands[:-1]:
             assert topo.min_hops(vc.link.dst, dst) == want
-        assert cands[-1] is rt.escape_candidate(src, dst, msg)
+        esc = cands[-1]
+        assert esc.link == topo.route_path(src, dst)[0]
+        assert esc.index == rt.vc_map.escape[0][0]
 
     def test_escape_appended_even_when_occupied(self):
-        from repro.network.topology import irregular_example
-
         topo = irregular_example()
         rt = self._bound(
             topo, duato_routing(topo, partitioned_vc_map(4, 1)), 4
         )
         msg = Message(M1, 0, 0)
         msg.vc_class = 0
-        esc = rt.escape_candidate(2, 7, msg)
+        (esc,) = rt.candidates(2, 7, msg)
         esc.owner = Message(M1, 1, 2)
         assert rt.candidates(2, 7, msg) == [esc]
 
     def test_static_candidate_ids_match_dynamic_menu(self):
-        from repro.network.routing import TableRouting
-        from repro.network.topology import irregular_example
-
         topo = irregular_example()
         num_vcs = 4
         rt = self._bound(
             topo,
-            TableRouting(topo, partitioned_vc_map(num_vcs, 1), adaptive=True),
+            Routing(topo, partitioned_vc_map(num_vcs, 1), adaptive=True,
+                    name="adaptive+updown"),
             num_vcs,
         )
         msg = Message(M1, 0, 0)
@@ -332,3 +327,27 @@ class TestTableRouting:
                 ids = [vc.link.lid * num_vcs + vc.index for vc in cands]
                 assert sorted(ids[:-1]) == sorted(adaptive)
                 assert ids[-1] == esc
+
+
+@pytest.mark.parametrize("topo", [
+    ring(4), Torus((4, 4)), Torus((2, 4)), Torus((5, 3)), Mesh2D((4, 3)),
+    FullMesh(5), irregular_example(), fat_tree((2, 3)),
+], ids=repr)
+def test_escape_hop_is_the_first_link_of_route_path(topo):
+    """One definition of the deterministic path: the escape channel and
+    ``route_path`` (the PR recovery lane's path) agree on every pair,
+    direction ties on even rings included."""
+    num_vcs = 2
+    rt = dimension_order_routing(topo, partitioned_vc_map(num_vcs, 1))
+    rt.bind(_FakeFabricVcs(topo, num_vcs).link_vcs)
+    msg = Message(M1, 0, 0)
+    msg.vc_class = 0
+    for src in range(topo.num_routers):
+        for dst in range(topo.num_routers):
+            if src == dst:
+                continue
+            first = topo.route_path(src, dst)[0]
+            _, esc = rt.static_candidate_ids(src, dst, 0, 0)
+            assert esc // num_vcs == first.lid, (src, dst)
+            (vc,) = rt.candidates(src, dst, msg)
+            assert vc.link is first

@@ -744,6 +744,37 @@ class TestJobManager:
         assert manager2.jobs[ids[1]].state == "done"
         assert manager2.jobs[ids[1]].scenario == "tiny-named"
 
+    def test_restart_reads_job_records_but_not_their_traces(
+        self, tmp_path, monkeypatch
+    ):
+        from pathlib import Path
+
+        from repro.service.jobs import Job
+
+        spec = tiny_campaign()
+        jobs_dir = tmp_path / "jobs"
+        jobs_dir.mkdir()
+        writer = JobManager(cache_dir=tmp_path / "cache", jobs_dir=jobs_dir)
+        job = Job(id=job_id_for(spec, spec.point_keys()), spec=spec,
+                  state="done", results=[None] * len(spec.configs))
+        writer._persist_record(job)
+        # A trace requested before the restart sits beside the record and
+        # matches the same ``job-*.json`` pattern.
+        writer.trace_file(job.id).write_text('{"traceEvents": []}', "utf-8")
+
+        read: list[str] = []
+        real_read_text = Path.read_text
+
+        def spy(self, *args, **kwargs):
+            read.append(self.name)
+            return real_read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", spy)
+        manager = JobManager(cache_dir=tmp_path / "cache", jobs_dir=jobs_dir)
+        manager._load_records()
+        assert manager.jobs[job.id].state == "done"
+        assert read == [f"job-{job.id}.json"]
+
 
 class ServerFixture:
     """A real CampaignServer on an ephemeral port, driven from a thread."""

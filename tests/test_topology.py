@@ -10,6 +10,7 @@ from repro.network.topology import (
     FullMesh,
     IrregularGraph,
     Mesh2D,
+    Topology,
     Torus,
     build_topology,
     fat_tree,
@@ -126,7 +127,7 @@ class TestRouting:
         t = Torus((4, 4))
         for a in range(t.num_routers):
             for b in range(t.num_routers):
-                path = t.dor_path(a, b)
+                path = t.route_path(a, b)
                 assert len(path) == t.min_hops(a, b)
                 cur = a
                 for link in path:
@@ -136,9 +137,29 @@ class TestRouting:
 
     def test_dor_path_orders_dimensions(self):
         t = Torus((4, 4))
-        path = t.dor_path(0, t.router_id((2, 2)))
+        path = t.route_path(0, t.router_id((2, 2)))
         dims = [hop.dim for hop in path]
         assert dims == sorted(dims)
+
+    def test_route_path_takes_plus_one_on_a_tie(self):
+        # 0 -> (2, 0) on a 4-ring is two hops either way; dimension
+        # order breaks the tie towards +1, as the escape channel does.
+        t = Torus((4, 4))
+        path = t.route_path(0, t.router_id((2, 0)))
+        assert [hop.direction for hop in path] == [+1, +1]
+
+    @pytest.mark.parametrize("topo", [
+        Torus((2, 4)), Torus((4, 4)), Torus((5, 3)), Torus((2, 3, 4)),
+        Torus((4, 1)), Mesh2D((4, 3)), Mesh2D((3, 2)),
+    ], ids=repr)
+    def test_grid_minimal_links_match_bfs(self, topo):
+        # The coordinate shortcut answers exactly what BFS distances do,
+        # in the same (out-link) order.
+        for a in range(topo.num_routers):
+            for b in range(topo.num_routers):
+                assert topo.minimal_links(a, b) == Topology.minimal_links(
+                    topo, a, b
+                ), (a, b)
 
 
 class TestAnalysis:
