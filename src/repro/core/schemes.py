@@ -94,6 +94,14 @@ class Scheme(ABC):
         """Whether arrivals of this type are backed by reply preallocation."""
         return False
 
+    @staticmethod
+    def vc_classes(types_used: tuple[str, ...]) -> int:
+        """Logical networks (VC classes) the scheme routes ``types_used``
+        over; known before any topology or channel map is built.  Each
+        scheme sizes its ``vc_map`` with this, so the vector backend's
+        size check and the map it checks cannot disagree."""
+        return 1
+
     @property
     @abstractmethod
     def num_queue_classes(self) -> int:
@@ -234,9 +242,9 @@ class StrictAvoidance(Scheme):
                 "SA runs no detector (deadlock cannot form); "
                 f"detector={config.detector!r} is meaningless here"
             )
-        num_classes = len(self.types_used)
         self.vc_map = partitioned_vc_map(
-            config.num_vcs, num_classes, shared_extras=config.shared_extras
+            config.num_vcs, self.vc_classes(self.types_used),
+            shared_extras=config.shared_extras,
         )
         has_adaptive = any(self.vc_map.adaptive)
         if has_adaptive:
@@ -248,6 +256,10 @@ class StrictAvoidance(Scheme):
             raise ConfigurationError(
                 "strict avoidance requires per-type message queues"
             )
+
+    @staticmethod
+    def vc_classes(types_used: tuple[str, ...]) -> int:
+        return len(types_used)
 
     def queue_class_of(self, mtype) -> int:
         if mtype.is_backoff:  # pragma: no cover - SA never deflects
@@ -285,7 +297,8 @@ class DeflectiveRecovery(Scheme):
         if protocol.backoff is None:
             raise ConfigurationError("DR needs a backoff reply type")
         self.vc_map = partitioned_vc_map(
-            config.num_vcs, 2, shared_extras=config.shared_extras
+            config.num_vcs, self.vc_classes(self.types_used),
+            shared_extras=config.shared_extras,
         )
         if any(self.vc_map.adaptive):
             self.routing = duato_routing(topology, self.vc_map)
@@ -295,6 +308,10 @@ class DeflectiveRecovery(Scheme):
         if self._mode not in ("per-net", "per-type"):
             raise ConfigurationError(f"DR cannot use queue mode {self._mode!r}")
         self.controller = None  # DeflectionController, built on attach
+
+    @staticmethod
+    def vc_classes(types_used: tuple[str, ...]) -> int:
+        return 2  # request and reply networks
 
     def queue_class_of(self, mtype) -> int:
         if self._mode == "per-net":
@@ -338,7 +355,7 @@ class ProgressiveRecovery(Scheme):
 
     def __init__(self, config, topology, protocol, types_used, couplings):
         super().__init__(config, topology, protocol, types_used, couplings)
-        self.vc_map = tfar_vc_map(config.num_vcs)
+        self.vc_map = tfar_vc_map(config.num_vcs)  # the base vc_classes: 1
         self.routing = true_fully_adaptive_routing(topology, self.vc_map)
         self._mode = self._resolve_queue_mode("shared")
         if self._mode not in ("shared", "per-type"):
@@ -380,7 +397,9 @@ class DetectionOnly(Scheme):
 
     def __init__(self, config, topology, protocol, types_used, couplings):
         super().__init__(config, topology, protocol, types_used, couplings)
-        self.vc_map = partitioned_vc_map(config.num_vcs, 1)
+        self.vc_map = partitioned_vc_map(
+            config.num_vcs, self.vc_classes(self.types_used)
+        )
         self.routing = duato_routing(topology, self.vc_map)
         self._mode = self._resolve_queue_mode("shared")
         self.detectors = []

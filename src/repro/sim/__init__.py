@@ -17,7 +17,6 @@ from repro.sim.stats import (
     type_breakdown,
 )
 from repro.sim.sweep import run_point, run_sweep
-from repro.telemetry.samplers import OccupancyMonitor, run_with_monitor
 
 __all__ = [
     "Engine",
@@ -39,3 +38,13 @@ __all__ = [
     "set_default_execution",
     "type_breakdown",
 ]
+
+
+def __getattr__(name: str):
+    # The monitor lives in repro.telemetry, which an untraced run never
+    # loads; import it when someone asks for it.
+    if name in ("OccupancyMonitor", "run_with_monitor"):
+        from repro.telemetry import samplers
+
+        return getattr(samplers, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -149,12 +149,15 @@ a point to the reference engine instead.
 
 from __future__ import annotations
 
+import math
 from heapq import heappop, heappush
 
 from repro.config import SimConfig
+from repro.core.schemes import SCHEMES
 from repro.endpoint.interface import NetworkInterface
+from repro.protocol.transactions import PATTERNS
 from repro.sim.engine import Engine
-from repro.sim.vector.fabric import H_TRACE, VectorFabric
+from repro.sim.vector.fabric import H_TRACE, VectorFabric, oversized_route_table
 from repro.util.errors import UnsupportedFeatureError
 
 
@@ -162,9 +165,15 @@ def reference_only_features(config: SimConfig) -> list[str]:
     """What ``config`` requests that only the reference engine has.
 
     This is the list, stated once: fault injection, runtime invariants,
-    the liveness watchdog, periodic CWG detection and the CMH detector
+    the liveness watchdog, periodic CWG detection, the CMH detector
     (its probes travel hop by hop between NIs every cycle; the lazy
-    detector bank evaluates a site only when its own queues change).
+    detector bank evaluates a site only when its own queues change) and
+    a torus or mesh too large for the kernel's route table.  That size
+    is counted, not built: ``prod(dims)`` routers (the grid's own rule)
+    and the scheme's VC classes for ``config.pattern``'s message types.
+    Other topologies, and a caller's own ``types_used``, are checked
+    where :class:`~repro.sim.vector.fabric.VectorFabric` builds the
+    table, which raises :class:`~repro.util.errors.ConfigurationError`.
     Flit-level tracing is the one other reference-only layer; it is a
     property of the tracer, not of the config.  Empty means the point
     runs on the kernel; :func:`repro.sim.engine.resolve_backend` is the
@@ -181,6 +190,14 @@ def reference_only_features(config: SimConfig) -> list[str]:
         features.append("CWG detection (cwg_interval=...)")
     if config.detector == "cmh":
         features.append("the CMH detector (detector='cmh')")
+    pattern = PATTERNS.get(config.pattern)  # unknown: the engine refuses it
+    if pattern is not None and config.topology in ("torus", "mesh2d"):
+        too_big = oversized_route_table(
+            math.prod(config.dims),
+            SCHEMES[config.scheme].vc_classes(pattern.types_used),
+        )
+        if too_big:
+            features.append(too_big)
     return features
 
 

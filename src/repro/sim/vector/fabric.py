@@ -49,7 +49,6 @@ H_TRACE = 4
 H_MISS_R = 6
 H_MISS_DSTR = 7
 H_MISS_CLS = 8
-H_MISS_MASK = 9
 
 # k_step failure codes (must match kernel.c).
 K_ROUTE_MISS = -1
@@ -67,9 +66,20 @@ EV_INJDONE = 3
 EV_GRANT = 4
 EV_BLOCKED = 5
 
-#: Routing-memo keys are densely indexed; refuse configurations whose
-#: key space would not fit comfortably in memory (4 bytes per key).
+#: Route-table keys are densely indexed, 4 bytes per (router,
+#: destination router, VC class); refuse configurations whose key space
+#: would not fit comfortably in memory.
 _MAX_ROUTE_KEYS = 8 << 20
+
+
+def oversized_route_table(num_routers: int, vc_classes: int) -> str | None:
+    """Why the kernel cannot route this many routers and VC classes, or
+    None when the route table fits under :data:`_MAX_ROUTE_KEYS`."""
+    keys = num_routers * num_routers * vc_classes
+    if keys <= _MAX_ROUTE_KEYS:
+        return None
+    return f"a routing key space of {keys} (over {_MAX_ROUTE_KEYS})"
+
 
 #: Sentinel returned by handle ``next_sink`` for routed senders; only
 #: ``is None`` tests are ever performed on it (and it is always truthy).
@@ -214,7 +224,14 @@ class VecInjChannel:
 
 
 class VectorFabric:
-    """Array-backed fabric; same cycle semantics as the reference."""
+    """Array-backed fabric; same cycle semantics as the reference.
+
+    The route table (:func:`~repro.network.soa.build_route_table`,
+    stride ``3 + max_static_candidates``) is built whole here; its key
+    count is the size limit, :func:`oversized_route_table`, which
+    ``backend="auto"`` checks for a torus or mesh before building
+    anything.
+    """
 
     def __init__(
         self,
@@ -248,9 +265,7 @@ class VectorFabric:
         N = topology.num_nodes
         C = num_queue_classes
         R = topology.num_routers
-        ndim = topology.ndim
-        vc_map = routing.vc_map
-        VCLS = vc_map.num_classes
+        VCLS = routing.vc_map.num_classes
 
         self.NVC = NVC = L * V
         self.C = C
@@ -261,12 +276,11 @@ class VectorFabric:
         #: message-slot capacity; every live packet owns >= 1 sender.
         self.M = M = S + 8
 
-        keys = (R * R * VCLS) << ndim
-        if keys > _MAX_ROUTE_KEYS:
+        too_big = oversized_route_table(R, VCLS)
+        if too_big:
             raise ConfigurationError(
-                f"vector backend: routing key space {keys} exceeds "
-                f"{_MAX_ROUTE_KEYS}; use backend='reference' for this "
-                "topology size"
+                f"vector backend: {too_big}; use backend='reference' for "
+                "this topology size"
             )
         maxcand = routing.max_static_candidates()
         # Claims convert free or reserved slots into held ones, so the
@@ -323,7 +337,7 @@ class VectorFabric:
         self._qm_res = z(N * C)
         # Complete route table up front; a kernel miss is an error.
         self._rk_idx, self._rows = build_route_table(
-            self.soa, routing, 2 + maxcand
+            self.soa, routing, 3 + maxcand
         )
         self._ev = z(evcap * 3)
         self._inj_used = z(N)
@@ -352,8 +366,8 @@ class VectorFabric:
         ptrs = (ctypes.c_int64 * len(arrays))(
             *(a.ctypes.data for a in arrays)
         )
-        dims = (ctypes.c_int32 * 12)(
-            L, V, D, N, C, R, ndim, epcap, maxcand, evcap, scap, VCLS
+        dims = (ctypes.c_int32 * 11)(
+            L, V, D, N, C, R, epcap, maxcand, evcap, scap, VCLS
         )
         self._k = self._lib.k_new(ptrs, dims)
         if not self._k:  # pragma: no cover - allocation failure
@@ -440,9 +454,8 @@ class VectorFabric:
         elif evn == K_ROUTE_MISS:
             hdr = self._hdr
             raise SimulationError(
-                "route table has no row for (router, destination, class, "
-                f"mask) = ({hdr[H_MISS_R]}, {hdr[H_MISS_DSTR]}, "
-                f"{hdr[H_MISS_CLS]}, {hdr[H_MISS_MASK]})"
+                "route table has no row for (router, destination, class) "
+                f"= ({hdr[H_MISS_R]}, {hdr[H_MISS_DSTR]}, {hdr[H_MISS_CLS]})"
             )
         elif evn < 0:  # pragma: no cover - sized generously
             raise SimulationError("kernel event buffer overflow")

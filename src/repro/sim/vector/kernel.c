@@ -29,8 +29,8 @@
  * de-duplicates them into blocked spans.
  *
  * The route table (network/soa.py) is complete before the first cycle:
- * a missing (router, dst_router, class, dateline-mask) key makes k_step
- * return K_ROUTE_MISS with the key in the header, and Python raises.
+ * a missing (router, dst_router, class) key makes k_step return
+ * K_ROUTE_MISS with the key in the header, and Python raises.
  */
 
 #include <stdint.h>
@@ -46,7 +46,6 @@
 #define H_MISS_R 6    /* key of a route-table miss (fatal; Python raises) */
 #define H_MISS_DSTR 7
 #define H_MISS_CLS 8
-#define H_MISS_MASK 9
 #define H_EV_OVF 11   /* event buffer overflowed (fatal; Python raises) */
 
 /* int64 counters */
@@ -68,9 +67,9 @@
 
 typedef struct {
     /* dims */
-    int32_t L, V, D, N, C, R, ndim, EPCAP, MAXCAND, EVCAP, SCAP, VCLS;
+    int32_t L, V, D, N, C, R, EPCAP, MAXCAND, EVCAP, SCAP, VCLS;
     int32_t NVC;      /* L * V */
-    int32_t STRIDE;   /* route row stride = 2 + MAXCAND */
+    int32_t STRIDE;   /* route row stride = 3 + MAXCAND */
     /* state arrays (owned by Python/numpy) */
     int32_t *s_owner, *s_sink, *s_router;
     int32_t *v_count, *v_hp, *v_flit, *v_arr;
@@ -114,14 +113,13 @@ void *k_new(const int64_t *ptrs, const int32_t *dims)
     k->N = dims[3];
     k->C = dims[4];
     k->R = dims[5];
-    k->ndim = dims[6];
-    k->EPCAP = dims[7];
-    k->MAXCAND = dims[8];
-    k->EVCAP = dims[9];
-    k->SCAP = dims[10];
-    k->VCLS = dims[11];
+    k->EPCAP = dims[6];
+    k->MAXCAND = dims[7];
+    k->EVCAP = dims[8];
+    k->SCAP = dims[9];
+    k->VCLS = dims[10];
     k->NVC = k->L * k->V;
-    k->STRIDE = 2 + k->MAXCAND;
+    k->STRIDE = 3 + k->MAXCAND;
     int i = 0;
     k->s_owner = (int32_t *)(intptr_t)ptrs[i++];
     k->s_sink = (int32_t *)(intptr_t)ptrs[i++];
@@ -233,12 +231,20 @@ static void k_eject(void *h, int32_t now)
  * Phase 2: allocation — route/VC allocation or delivery-slot claim for
  * every frontier.  Mirrors Fabric._phase_allocate; returns 2 on a
  * route-table miss (see the header comment), else 0.
+ *
+ * A route row is [count, escape id for dateline class 0, escape id for
+ * dateline class 1, adaptive candidate ids...], keyed by (router,
+ * dst_router, class) only: the packet's dateline mask picks the escape
+ * id, by Routing.static_candidate_ids's rule — class 1 when the escape
+ * link crosses the dateline or the packet already crossed one in that
+ * link's dimension.  Both ids lie on the same link, so the class-0 id
+ * answers vc_dateline / vc_dim.
  * ------------------------------------------------------------------ */
 static int32_t k_alloc(void *h, int32_t now)
 {
     KState *k = (KState *)h;
     const int32_t NVC = k->NVC, V = k->V, C = k->C, EPCAP = k->EPCAP;
-    const int32_t R = k->R, VCLS = k->VCLS, ndim = k->ndim;
+    const int32_t R = k->R, VCLS = k->VCLS;
     const int32_t STRIDE = k->STRIDE;
     const int32_t trace = k->hdr[H_TRACE];
     int32_t pn = k->hdr[H_PN];
@@ -274,23 +280,20 @@ static int32_t k_alloc(void *h, int32_t now)
                 continue;
             }
         } else {
-            int32_t key = (((r * R + dstr) * VCLS + k->m_vcls[vid]) << ndim)
-                          | k->m_crossed[vid];
-            int32_t row = k->rk_idx[key];
+            int32_t row = k->rk_idx[(r * R + dstr) * VCLS + k->m_vcls[vid]];
             if (row < 0) {
                 k->hdr[H_MISS_R] = r;
                 k->hdr[H_MISS_DSTR] = dstr;
                 k->hdr[H_MISS_CLS] = k->m_vcls[vid];
-                k->hdr[H_MISS_MASK] = k->m_crossed[vid];
                 return 2;
             }
             const int32_t *rp = k->rows + (int64_t)row * STRIDE;
-            int32_t na = rp[0], esc = rp[1];
+            int32_t na = rp[0];
             /* first free adaptive candidate with minimal buffered flits
              * (== the reference's stable sort by fifo length) */
             int32_t best = -1, bc = 0x7fffffff;
             for (int32_t j = 0; j < na; j++) {
-                int32_t c = rp[2 + j];
+                int32_t c = rp[3 + j];
                 if (k->s_owner[c] < 0) {
                     int32_t cc = k->v_count[c];
                     if (cc < bc) {
@@ -299,8 +302,14 @@ static int32_t k_alloc(void *h, int32_t now)
                     }
                 }
             }
-            if (best < 0 && esc >= 0 && k->s_owner[esc] < 0)
-                best = esc;
+            int32_t esc = rp[1];
+            if (best < 0 && esc >= 0) {
+                if (k->vc_dateline[esc]
+                    | ((k->m_crossed[vid] >> k->vc_dim[esc]) & 1))
+                    esc = rp[2];
+                if (k->s_owner[esc] < 0)
+                    best = esc;
+            }
             if (best >= 0) {
                 k->s_owner[best] = vid;
                 k->s_sink[sid] = best;

@@ -162,6 +162,11 @@ class TestWorkflow:
         assert "--topology file" in runs
         assert "--topology-file" in runs
         assert "--watchdog" in runs and "--invariants-every" in runs
+        # And a 1024-router torus through a real subprocess: on the
+        # kernel, with the child's peak RSS bounded.
+        assert '"--dims", "32x32"' in runs and '"--scheme", "PR"' in runs
+        assert r'r"^engine\s*: vector$"' in runs
+        assert "resource.RUSAGE_CHILDREN" in runs and "rss < 200" in runs
         for step in steps:
             if step.get("run") and "repro" in step["run"]:
                 assert step["env"]["PYTHONPATH"] == "src"

@@ -230,23 +230,34 @@ class TestCdgCheck:
         assert "FullMesh" in capsys.readouterr().out
 
 
+def _default_runs_import(module: str) -> None:
+    """Fail if ``import repro.cli`` plus an untraced run on each backend,
+    in a fresh interpreter, loads ``module``."""
+    code = (
+        "import sys; import repro.cli\n"
+        "from repro.config import SimConfig\n"
+        "from repro.sim.engine import build_engine\n"
+        "for backend in ('reference', 'vector'):\n"
+        "    build_engine(SimConfig(dims=(4, 4), backend=backend)).run(10)\n"
+        f"sys.exit({module!r} in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr or f"{module} was imported"
+
+
 class TestStartUp:
     def test_default_runs_never_import_networkx(self):
         """0.13 s and 15 MiB of every process, for graph functions (CWG,
         CDG search, ``to_networkx``) that no default run calls."""
-        code = (
-            "import sys; import repro.cli\n"
-            "from repro.config import SimConfig\n"
-            "from repro.sim.engine import build_engine\n"
-            "for backend in ('reference', 'vector'):\n"
-            "    build_engine(SimConfig(dims=(4, 4), backend=backend)).run(10)\n"
-            "sys.exit('networkx' in sys.modules)\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-        )
-        assert proc.returncode == 0, proc.stderr or "networkx was imported"
+        _default_runs_import("networkx")
+
+    def test_untraced_runs_never_import_telemetry(self):
+        """Tracers, samplers and Perfetto export load on first use;
+        ``from repro.sim import run_with_monitor`` still works."""
+        _default_runs_import("repro.telemetry")
 
     def test_serve_loads_the_kernel_before_it_takes_jobs(self, monkeypatch,
                                                          capsys):

@@ -68,6 +68,21 @@ class TestEngineSelection:
         with pytest.raises(UnsupportedFeatureError, match=feature):
             engine_module.build_engine(config.with_(backend="vector"))
 
+    def test_a_topology_too_large_for_the_route_table_resolves_to_the_reference(
+            self):
+        # Decided from the router count and the scheme's VC classes:
+        # no call here builds an engine, a topology or a table.
+        config = SimConfig(dims=(64, 64), scheme="PR", num_vcs=4)
+        backend, reason = engine_module.resolve_backend(config)
+        assert backend == "reference" and "key space" in reason
+        with pytest.raises(UnsupportedFeatureError, match="key space"):
+            engine_module.build_engine(config.with_(backend="vector"))
+        fits = config.with_(dims=(48, 48))
+        assert engine_module.resolve_backend(fits) == ("vector", None)
+        for scheme in ("DR", "SA"):  # two and four VC classes on PAT721
+            assert engine_module.resolve_backend(
+                fits.with_(scheme=scheme, num_vcs=8))[0] == "reference"
+
     def test_flit_level_tracer_resolves_to_the_reference(self):
         config = SimConfig(**self.TINY)
         tracer = Tracer(level="flit")

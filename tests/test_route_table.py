@@ -1,16 +1,20 @@
 """Route-table oracle: every key resolves to ``static_candidate_ids``.
 
 :func:`repro.network.soa.build_route_table` assembles the vector
-backend's candidate table with array operations;
-``Routing.static_candidate_ids`` is the definition it must reproduce.  Whole-
-engine equivalence (``test_backend_equivalence.py``) only visits the
-keys a run happens to reach — this checks all of them, on every
-topology kind and under each scheme's VC map.
+backend's candidate table with array operations, one row per distinct
+route; ``Routing.static_candidate_ids`` is the definition it must
+reproduce.  Whole-engine equivalence (``test_backend_equivalence.py``)
+only visits the keys a run happens to reach — this replays the kernel's
+lookup (key, row, then the escape pick for each dateline mask) on every
+key, on every topology kind and under each scheme's VC map, and on
+generated grids.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import SimConfig
 from repro.network.routing import (
@@ -23,6 +27,7 @@ from repro.network.routing import (
 from repro.network.soa import TopologySoA, build_route_table
 from repro.network.topology import (
     FullMesh,
+    GridTopology,
     Mesh2D,
     Torus,
     fat_tree,
@@ -56,42 +61,86 @@ SCHEME_ROUTING = {
 }
 
 
+def check_table(topology, routing, sources=None) -> None:
+    """Build the table and replay the kernel's lookup from ``sources``
+    (every router by default) to every destination, class and mask."""
+    soa = TopologySoA(topology, routing.vc_map.num_vcs)
+    stride = 3 + routing.max_static_candidates()
+    rk_idx, rows = build_route_table(soa, routing, stride)
+
+    R = topology.num_routers
+    vcls = routing.vc_map.num_classes
+    assert rk_idx.shape == (R * R * vcls,)
+    rows = rows.reshape(-1, stride)
+    # One row per distinct route (minimal out-links, escape link) and class.
+    routes = {
+        (tuple(ln.lid for ln in topology.minimal_links(r, dst)),
+         topology.route_path(r, dst)[0].lid)
+        for r in range(R) for dst in range(R) if r != dst
+    }
+    assert len(rows) == len(routes) * vcls
+    if isinstance(topology, GridTopology):
+        # Per dimension a hop goes nowhere, +1, -1 or (on a tie) both.
+        assert len(rows) <= R * (4 ** topology.ndim - 1) * vcls
+
+    for r in range(R) if sources is None else sources:
+        for dst in range(R):
+            for cls in range(vcls):
+                row = rk_idx[(r * R + dst) * vcls + cls]  # kernel.c's key
+                if r == dst:
+                    assert row == -1
+                    continue
+                count, esc0, esc1 = rows[row, :3]
+                cands = tuple(rows[row, 3 : 3 + count])
+                for mask in range(1 << topology.ndim):
+                    esc = esc0
+                    if esc0 >= 0 and (
+                        soa.vc_dateline[esc0] | (mask >> soa.vc_dim[esc0]) & 1
+                    ):
+                        esc = esc1
+                    assert (cands, esc) == routing.static_candidate_ids(
+                        r, dst, cls, mask
+                    ), (r, dst, cls, mask)
+
+
 @pytest.mark.parametrize("scheme", SCHEME_ROUTING)
 @pytest.mark.parametrize("topo", TOPOLOGIES)
 def test_every_key_matches_static_candidate_ids(topo, scheme):
     topology = TOPOLOGIES[topo]()
-    routing = SCHEME_ROUTING[scheme](topology)
-    num_vcs = routing.vc_map.num_vcs
-    stride = 2 + routing.max_static_candidates()
-    rk_idx, rows = build_route_table(
-        TopologySoA(topology, num_vcs), routing, stride
-    )
+    check_table(topology, SCHEME_ROUTING[scheme](topology))
 
-    R = topology.num_routers
-    vcls = routing.vc_map.num_classes
-    nmask = 1 << topology.ndim
-    # Each distinct row once: a row varies with the mask only through
-    # the escape's dateline class.
-    n_rows = R * (R - 1) * vcls * 2
-    assert rk_idx.shape == (R * R * vcls * nmask,)
-    assert rows.shape == (n_rows * stride,)
-    rows = rows.reshape(n_rows, stride)
 
-    key = 0
-    for r in range(R):
-        for dst in range(R):
-            for cls in range(vcls):
-                for mask in range(nmask):
-                    row = rk_idx[key]
-                    key += 1
-                    if r == dst:
-                        assert row == -1
-                        continue
-                    assert 0 <= row < n_rows
-                    cands, esc = routing.static_candidate_ids(r, dst, cls, mask)
-                    got = rows[row]
-                    assert (got[0], got[1]) == (len(cands), esc), (r, dst, cls, mask)
-                    assert tuple(got[2 : 2 + len(cands)]) == cands, (r, dst, cls, mask)
+grids = st.one_of(
+    st.lists(st.integers(2, 6), min_size=1, max_size=3).map(
+        lambda dims: Torus(tuple(dims))
+    ),
+    st.tuples(st.integers(2, 6), st.integers(2, 6)).map(Mesh2D),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(topology=grids, scheme=st.sampled_from(sorted(SCHEME_ROUTING)),
+       data=st.data())
+def test_generated_grids_match_static_candidate_ids(topology, scheme, data):
+    # Every destination, class and mask from a few drawn routers: the
+    # full replay of a 6x6x6 torus would take seconds per example.
+    sources = data.draw(st.lists(
+        st.integers(0, topology.num_routers - 1),
+        min_size=1, max_size=3, unique=True,
+    ))
+    check_table(topology, SCHEME_ROUTING[scheme](topology), sources)
+
+
+@pytest.mark.parametrize(
+    "dims, mib", [((16, 16), 0.6), ((24, 24), 2.5)], ids=["16x16", "24x24"]
+)
+def test_route_table_bytes(dims, mib):
+    """Keys grow with routers x destinations x classes; rows with routers
+    x distinct routes.  Neither grows with the dateline masks."""
+    fabric = build_engine(SimConfig(
+        backend="vector", scheme="PR", dims=dims, num_vcs=4,
+    )).fabric
+    assert fabric._rows.nbytes + fabric._rk_idx.nbytes <= mib * 2**20
 
 
 def test_kernel_route_miss_raises_with_the_key():
@@ -102,6 +151,6 @@ def test_kernel_route_miss_raises_with_the_key():
     engine.fabric._rk_idx[:] = -1
     with pytest.raises(
         SimulationError,
-        match=r"no row for \(router, destination, class, mask\) = \(\d+, \d+, 0, 0\)",
+        match=r"no row for \(router, destination, class\) = \(\d+, \d+, 0\)",
     ):
         engine.run(500)

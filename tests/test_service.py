@@ -379,6 +379,29 @@ class TestJobManager:
         first, second = self.run_manager(tmp_path, body)
         assert first == second
 
+    def test_a_job_whose_topology_file_is_gone_still_lists(self, tmp_path):
+        # Listing a job names each point's engine; deciding it reads no
+        # topology file, so a file moved after the run breaks nothing.
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps(
+            {"routers": 4, "links": [[0, 1], [1, 2], [2, 3], [3, 0]]}))
+        base = tiny_campaign(points=1)
+        spec = CampaignSpec(
+            configs=tuple(c.with_(topology="file", topology_file=str(path))
+                          for c in base.configs),
+            warmup=base.warmup, measure=base.measure, name="square",
+        )
+
+        async def body(manager):
+            job, _ = manager.submit(spec)
+            await self._wait_done(manager, job)
+            path.unlink()
+            return job, [j.to_dict() for j in manager.list_jobs()]
+
+        job, listing = self.run_manager(tmp_path, body)
+        assert job.state == "done"
+        assert [entry["backends"] for entry in listing] == [["vector"]]
+
     def test_priority_orders_queued_jobs(self, tmp_path):
         low = tiny_campaign(seed=5)
         high = tiny_campaign(seed=6)
