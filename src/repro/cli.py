@@ -44,6 +44,7 @@ from repro.sim.stats import format_breakdown
 from repro.sim.sweep import point_dispatch, run_sweep
 from repro.util.atomic import write_json_atomic
 from repro.util.errors import (
+    ConfigurationError,
     InvariantViolation,
     LivenessError,
     SweepExecutionError,
@@ -665,8 +666,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except argparse.ArgumentError as exc:
-        # flags that parse one by one but make no valid configuration
+    except (argparse.ArgumentError, ConfigurationError) as exc:
+        # flags that parse one by one but make no valid configuration,
+        # or one the engine refuses when it is built
         print(f"repro {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

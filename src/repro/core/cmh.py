@@ -184,14 +184,9 @@ class CmhDetector(Detector):
         """Nodes ``site`` transitively waits on, one probe hop away."""
         node = site.ni.node
         deps = set(site.ni.frontier_destinations(site.out_cls))
-        for sender in self.engine.fabric.pending:
+        for sender in self.engine.fabric.frontier_senders():
             msg = sender.owner
-            if (
-                msg is not None
-                and sender.next_sink is None
-                and msg.blocked_since >= 0
-                and msg.src == node
-            ):
+            if msg.blocked_since >= 0 and msg.src == node:
                 deps.add(msg.dst)
         deps.discard(node)
         return sorted(deps)

@@ -14,13 +14,16 @@ growth of CWG cycles under load and falls back to the endpoint timeout
 detector); here it serves three purposes: correctness tests of the cheap
 detector, the paper's optional 50-cycle CWG detection mode, and the
 strict-avoidance verification that SA's dependency structure is acyclic.
+
+The graph is built from queries both fabrics answer (``owned_channels``,
+``frontier_senders``) and ``Routing.static_candidate_ids``, so both
+engines see the same knots.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING
-
-from repro.network.channel import VirtualChannel
 
 # networkx costs 0.13 s and 15 MiB to import and no default run builds a
 # graph, so the functions that do import it themselves.
@@ -28,8 +31,10 @@ if TYPE_CHECKING:
     import networkx as nx
 
 
-def _vc_key(vc: VirtualChannel):
-    return ("vc", vc.link.lid, vc.index)
+def _sender_key(s):
+    if s.is_injection:
+        return ("inj", s.node, s.vc_class)
+    return ("vc", s.link.lid, s.index)
 
 
 def _queue_key(kind: str, node: int, cls: int):
@@ -41,8 +46,9 @@ def build_wait_for_graph(engine) -> nx.DiGraph:
 
     Edges:
 
-    * frontier sender -> every candidate output VC (or the destination
-      input queue when the header has reached its delivery router);
+    * frontier sender -> every free adaptive VC of its candidate row and
+      the escape VC for its dateline mask (or the destination input
+      queue when the header has reached its delivery router);
     * allocated channel -> its assigned next sink (space wait);
     * input queue -> output queue(s) its non-terminating head needs;
     * output queue -> candidate VCs of its head message.
@@ -54,54 +60,40 @@ def build_wait_for_graph(engine) -> nx.DiGraph:
     topo = engine.topology
     scheme = engine.scheme
     routing = scheme.routing
+    num_vcs = routing.vc_map.num_vcs
 
-    def sender_key(s):
-        if isinstance(s, VirtualChannel):
-            return _vc_key(s)
-        return ("inj", s.node, s.vc_class)
-
-    # Channel-level edges.
-    for vcs in fabric.link_vcs:
-        for vc in vcs:
-            if vc.owner is None:
-                continue
-            key = _vc_key(vc)
-            g.add_node(key)
-            sink = vc.next_sink
-            if isinstance(sink, VirtualChannel):
-                g.add_edge(key, _vc_key(sink))
-            # (ejection ports drain unconditionally: no wait edge)
-
-    # Busy injection channels whose packet is already routed onward.
-    for chan in fabric._inj_channels.values():
-        if chan.owner is None:
-            continue
-        key = ("inj", chan.node, chan.vc_class)
+    # Channel-level edges (ejection ports drain unconditionally: a
+    # channel routed to one has no wait edge).
+    owned: set[tuple] = set()
+    for chan, next_vc in fabric.owned_channels():
+        key = _sender_key(chan)
+        owned.add(key)
         g.add_node(key)
-        if isinstance(chan.next_sink, VirtualChannel):
-            g.add_edge(key, _vc_key(chan.next_sink))
+        if next_vc is not None:
+            g.add_edge(key, _sender_key(next_vc))
 
     # Frontier senders wait on alternatives.
-    for s in fabric.pending:
+    for s in fabric.frontier_senders():
         msg = s.owner
-        if msg is None or s.next_sink is not None:
-            continue
-        key = sender_key(s)
-        g.add_node(key)
-        cur_router = s.link.dst if isinstance(s, VirtualChannel) else s.router
+        key = _sender_key(s)
         dst_router = topo.router_of_node(msg.dst)
-        if cur_router == dst_router:
+        if s.router == dst_router:
             cls = scheme.queue_class_of(msg.mtype)
             g.add_edge(key, _queue_key("inq", msg.dst, cls))
-        else:
-            for vc in routing.candidates(cur_router, dst_router, msg):
-                g.add_edge(key, _vc_key(vc))
+            continue
+        adaptive, escape = routing.static_candidate_ids(
+            s.router, dst_router, msg.vc_class, msg.crossed_mask
+        )
+        for vc_id in adaptive:
+            vc_key = ("vc", *divmod(vc_id, num_vcs))
+            if vc_key not in owned:
+                g.add_edge(key, vc_key)
+        if escape >= 0:  # waited on whether free or not
+            g.add_edge(key, ("vc", *divmod(escape, num_vcs)))
 
     # Endpoint edges.  A wait edge is drawn only when the head is
     # *actually* blocked now — otherwise the resource progresses on its
     # own and a cycle through it is not a deadlock.
-    from collections import Counter
-
     for ni in engine.interfaces:
         controller = ni.controller
         for cls in range(ni.in_bank.num_classes):
@@ -127,8 +119,7 @@ def build_wait_for_graph(engine) -> nx.DiGraph:
                 g.add_node(okey)
             if q.peek() is None:
                 continue
-            chan = fabric._inj_channels.get((ni.node, cls))
-            if chan is not None and chan.owner is not None:
+            if fabric.injection_channel(ni.node, cls).owner is not None:
                 # The queue head waits behind the channel's packet.
                 g.add_edge(okey, ("inj", ni.node, cls))
             # With an idle channel the head loads next cycle: no wait.

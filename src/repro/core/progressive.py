@@ -224,11 +224,9 @@ class ProgressiveController:
         threshold = self.scheme.config.router_timeout
         best = None
         best_since = None
-        for s in self.engine.fabric.pending:
+        for s in self.engine.fabric.frontier_senders():
             msg = s.owner
-            if msg is None or s.next_sink is not None or msg.blocked_since < 0:
-                continue
-            if s.router != router:
+            if s.router != router or msg.blocked_since < 0:
                 continue
             if now - msg.blocked_since > threshold:
                 if best is None or msg.blocked_since < best_since:

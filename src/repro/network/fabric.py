@@ -349,19 +349,29 @@ class Fabric:
         """Senders holding a packet header that is not yet routed onward."""
         return [s for s in self.pending if s.owner is not None and s.next_sink is None]
 
-    def blocked_frontiers(self, now: int, threshold: int) -> list:
-        """Frontier senders blocked for more than ``threshold`` cycles."""
-        out = []
-        for s in self.pending:
-            msg = s.owner
-            if (
-                msg is not None
-                and s.next_sink is None
-                and msg.blocked_since >= 0
-                and now - msg.blocked_since > threshold
+    def owned_channels(self):
+        """Every owned virtual channel (in link order), then every owned
+        injection channel, each with the virtual channel its packet is
+        routed to — None while unrouted or bound for an ejection port."""
+        for chan in (*self.all_vcs(), *self._inj_channels.values()):
+            if chan.owner is not None:
+                sink = chan.next_sink
+                yield chan, sink if isinstance(sink, VirtualChannel) else None
+
+    def buffer_audit(self) -> tuple[int, int, tuple | None]:
+        """``(ledger, buffered, bad)``: the occupancy ledger, the flits
+        the VCs hold, and the first VC holding flits unowned or over
+        capacity as ``(lid, index, flits, owned)``, else None."""
+        buffered = 0
+        bad: tuple | None = None
+        for vc in self.all_vcs():
+            flits = len(vc.fifo)
+            buffered += flits
+            if bad is None and flits and (
+                vc.owner is None or flits > vc.capacity
             ):
-                out.append(s)
-        return out
+                bad = (vc.link.lid, vc.index, flits, vc.owner is not None)
+        return self._occ[0], buffered, bad
 
     def detach_frontier(self, sender) -> None:
         """Remove a frontier sender from the pending list (rescue path).
@@ -397,9 +407,5 @@ class Fabric:
 
         A packet spanning several channels is yielded once per channel.
         """
-        for vc in self.all_vcs():
-            if vc.owner is not None:
-                yield vc.owner
-        for chan in self._inj_channels.values():
-            if chan.owner is not None:
-                yield chan.owner
+        for chan, _ in self.owned_channels():
+            yield chan.owner

@@ -2,8 +2,9 @@
 
 Per cycle, in order: traffic generation, endpoint work (transaction
 admission, injection loading, memory-controller service), fabric flit
-movement, and the scheme's detection/recovery actions; optionally a
-periodic CWG deadlock check (the paper's 50-cycle mode).
+movement, the scheme's detection/recovery actions, then the observers
+both engines share (``_end_cycle``: optionally the paper's 50-cycle
+CWG check, statistics, the tracer, invariants and the watchdog).
 """
 
 from __future__ import annotations
@@ -138,10 +139,14 @@ class Engine:
             ni.step(now)
         self.fabric.step(now)
         self.scheme.step(now)
+        self._end_cycle(now)
+
+    def _end_cycle(self, now: int) -> None:
+        """The observers of a finished cycle, in order; both engines end
+        every cycle here, and each observer reads only state both
+        fabrics keep exact at this point."""
         if self._cwg_interval and now % self._cwg_interval == 0:
-            knots = detect_deadlock(self)
-            if knots:
-                self.cwg_knots_seen += len(knots)
+            self.cwg_knots_seen += len(detect_deadlock(self))
         self.stats.on_cycle(now)
         if self.tracer is not None:
             self.tracer.on_cycle(now)
@@ -167,10 +172,6 @@ class Engine:
             ni.in_bank.total_occupancy() + ni.out_bank.total_occupancy()
             for ni in self.interfaces
         )
-
-    def cwg_knots(self) -> list[set] | None:
-        """Knots of the channel wait-for graph right now (dump section)."""
-        return detect_deadlock(self)
 
     def quiesce(self, max_cycles: int = 200_000) -> QuiesceResult:
         """Stop traffic and drain; truthy if the system empties.

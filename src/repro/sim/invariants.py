@@ -22,12 +22,13 @@ correctness assumptions into executable checks:
   membership, scheme phase and active faults.
 
 Checks are opt-in (``SimConfig.invariants_every`` /
-``SimConfig.watchdog_timeout``) and cost the default benchmark path one
-``is None`` test per cycle.
+``SimConfig.watchdog_timeout``), run on either engine, and cost the
+default benchmark path one ``is None`` test per cycle.
 """
 
 from __future__ import annotations
 
+from repro.core.cwg import detect_deadlock
 from repro.util.errors import InvariantViolation, LivenessError
 
 #: cap per-section dump lists so dumps stay readable at 8x8 scale.
@@ -93,7 +94,7 @@ def capture_dump(engine, reason: str = "") -> dict:
 
     The dump is JSON-able and uid-free, so it pickles across worker
     pools and is bit-identical between two runs of the same seeded
-    config — the property the fault-injection determinism tests pin.
+    config, on either engine — the property the determinism tests pin.
     """
     scheme = engine.scheme
     fabric = engine.fabric
@@ -191,9 +192,9 @@ def capture_dump(engine, reason: str = "") -> dict:
     dump["interfaces"] = interfaces
 
     blocked = []
-    for sender in fabric.pending:
+    for sender in fabric.frontier_senders():
         msg = sender.owner
-        if msg is None or sender.next_sink is not None or msg.blocked_since < 0:
+        if msg.blocked_since < 0:
             continue
         blocked.append({
             "router": sender.router,
@@ -205,10 +206,9 @@ def capture_dump(engine, reason: str = "") -> dict:
             break
     dump["blocked_frontiers"] = blocked
 
-    # None: the engine cannot build a wait-for graph (vector backend).
-    knots = engine.cwg_knots()
-    dump["cwg_knots"] = None if knots is None else [
-        sorted(str(member) for member in knot) for knot in knots
+    dump["cwg_knots"] = [
+        sorted(str(member) for member in knot)
+        for knot in detect_deadlock(engine)
     ]
 
     if engine.faults is not None:
@@ -272,11 +272,9 @@ def format_dump(dump: dict) -> str:
             f"  blocked {entry['kind']} at router {entry['router']}:"
             f" {entry['message']} ({entry['blocked_for']} cycles)"
         )
-    knots = dump.get("cwg_knots", [])
-    lines.append(
-        "  CWG knots: " + ("not computed" if knots is None else str(len(knots)))
-    )
-    for knot in (knots or ())[:4]:
+    knots = dump.get("cwg_knots") or []
+    lines.append(f"  CWG knots: {len(knots)}")
+    for knot in knots[:4]:
         lines.append(f"    knot[{len(knot)}]: {', '.join(knot[:8])}"
                      + (" ..." if len(knot) > 8 else ""))
     episodes = dump.get("episodes")
@@ -393,24 +391,19 @@ class InvariantChecker:
         """Run every invariant; raise :class:`InvariantViolation` on failure."""
         self.checks_run += 1
         engine = self.engine
-        fabric = engine.fabric
 
-        actual = sum(
-            len(vc.fifo) for vcs in fabric.link_vcs for vc in vcs
-        )
-        if actual != fabric.occupancy():
+        ledger, buffered, bad = engine.fabric.buffer_audit()
+        if buffered != ledger:
             self._violate(
-                f"occupancy ledger {fabric.occupancy()} != buffered flits"
-                f" {actual}", now,
+                f"occupancy ledger {ledger} != buffered flits {buffered}", now
             )
-        for vcs in fabric.link_vcs:
-            for vc in vcs:
-                if vc.owner is None and vc.fifo:
-                    self._violate(
-                        f"unowned VC holds {len(vc.fifo)} flit(s): {vc!r}", now
-                    )
-                if len(vc.fifo) > vc.capacity:
-                    self._violate(f"VC over capacity: {vc!r}", now)
+        if bad is not None:
+            lid, index, flits, owned = bad
+            where = f"link {lid} VC {index} holds {flits} flit(s)"
+            self._violate(
+                f"VC over capacity: {where}" if owned else f"unowned {where}",
+                now,
+            )
 
         for ni in engine.interfaces:
             for bank, side in ((ni.in_bank, "in"), (ni.out_bank, "out")):

@@ -137,12 +137,14 @@ where the reference reports it:
   Nothing but the trace payload reads either field in between, so no
   result can tell.
 
+The observers (periodic CWG check, runtime invariants, liveness
+watchdog) run from ``Engine._end_cycle`` on queries both fabrics
+answer; ``frontier_senders`` first copies a waiting header's
+``blocked_since``, ``hops`` and ``crossed_mask`` from the arrays.
 What this backend does not run is listed once, in
-:func:`reference_only_features` (plus flit-level tracing, refused by
-``attach_tracer``): those layers reach into per-flit object state the
-arrays do not materialize.  A config pinned to this backend that asks
-for one raises :class:`~repro.util.errors.UnsupportedFeatureError` — at
-construction, or at ``attach_tracer`` — never a silent no-op;
+:func:`reference_only_features`.  A config pinned to this backend that
+asks for one raises :class:`~repro.util.errors.UnsupportedFeatureError`
+— at construction, or at ``attach_tracer`` — never a silent no-op;
 ``backend="auto"`` (:func:`repro.sim.engine.resolve_backend`) sends such
 a point to the reference engine instead.
 """
@@ -164,8 +166,7 @@ from repro.util.errors import UnsupportedFeatureError
 def reference_only_features(config: SimConfig) -> list[str]:
     """What ``config`` requests that only the reference engine has.
 
-    This is the list, stated once: fault injection, runtime invariants,
-    the liveness watchdog, periodic CWG detection, the CMH detector
+    This is the list, stated once: fault injection, the CMH detector
     (its probes travel hop by hop between NIs every cycle; the lazy
     detector bank evaluates a site only when its own queues change) and
     a torus or mesh too large for the kernel's route table.  That size
@@ -182,12 +183,6 @@ def reference_only_features(config: SimConfig) -> list[str]:
     features = []
     if config.faults:
         features.append("fault injection (faults=...)")
-    if config.invariants_every:
-        features.append("runtime invariants (invariants_every=...)")
-    if config.watchdog_timeout:
-        features.append("the liveness watchdog (watchdog_timeout=...)")
-    if config.cwg_interval:
-        features.append("CWG detection (cwg_interval=...)")
     if config.detector == "cmh":
         features.append("the CMH detector (detector='cmh')")
     pattern = PATTERNS.get(config.pattern)  # unknown: the engine refuses it
@@ -550,11 +545,6 @@ class VectorEngine(Engine):
             # on the calendar that reports its firing.
             self._det_bank.dirty.update(self._det_bank.by_node)
 
-    def cwg_knots(self) -> None:
-        """No wait-for graph yet: ``core.cwg`` walks per-flit objects
-        the array fabric does not materialize, so dumps carry None."""
-        return None
-
     # ------------------------------------------------------------------
     # Wake plumbing
     # ------------------------------------------------------------------
@@ -581,9 +571,9 @@ class VectorEngine(Engine):
     def step(self) -> None:
         """Reference cycle order with the endpoint phase gated.
 
-        The skipped layers (faults, CWG, invariants) are rejected at
-        construction, so this matches ``Engine.step`` exactly for every
-        supported configuration.
+        Faults, the one skipped layer, are rejected at construction, so
+        this matches ``Engine.step`` exactly for every supported
+        configuration, ending in the same ``_end_cycle``.
         """
         self.now += 1
         now = self.now
@@ -610,9 +600,7 @@ class VectorEngine(Engine):
         self._ni_phase = False
         self.fabric.step(now)
         self._scheme_step(now)
-        self.stats.on_cycle(now)
-        if self.tracer is not None:
-            self.tracer.on_cycle(now)
+        self._end_cycle(now)
 
     def _step_node(self, ni, node: int, now: int) -> None:
         """One reference NI step, minus redundant mid-service work.
@@ -653,9 +641,11 @@ class VectorEngine(Engine):
             self._due_next[node] = 1
 
     def run(self, cycles: int) -> None:
-        for _ in range(cycles):
-            self.step()
-        self._reconcile_busy()
+        try:
+            for _ in range(cycles):
+                self.step()
+        finally:
+            self._reconcile_busy()  # an observer's error can end it mid-service
 
     def quiesce(self, max_cycles: int = 200_000):
         try:

@@ -89,19 +89,21 @@ _ROUTED = object()
 class VecVC:
     """Sender-interface view of one virtual channel's array state.
 
-    Handed to progressive recovery (``fabric.pending`` entries, lane
+    Handed to progressive recovery (``frontier_senders`` entries, lane
     sources); mutations go straight to the shared arrays, so the kernel
     sees them next cycle.
     """
 
-    __slots__ = ("fabric", "sid", "router")
+    __slots__ = ("fabric", "sid", "link", "index", "router")
 
     is_injection = False
 
     def __init__(self, fabric: "VectorFabric", sid: int) -> None:
         self.fabric = fabric
         self.sid = sid
-        self.router = int(fabric.soa.vc_router[sid])
+        lid, self.index = divmod(sid, fabric.num_vcs)
+        self.link = fabric.topology.links[lid]
+        self.router = self.link.dst
 
     @property
     def owner(self) -> Message | None:
@@ -516,39 +518,50 @@ class VectorFabric:
 
     @property
     def pending(self) -> list:
-        """Frontier handles in kernel order, message state synced."""
-        out = []
+        """Frontier handles in kernel order."""
         pn = int(self._hdr[H_PN])
-        pending = self._pending
-        s_owner = self._s_owner
-        m_blocked = self._m_blocked
-        vids = self._vids
-        for i in range(pn):
-            sid = int(pending[i])
-            vid = s_owner[sid]
-            if vid >= 0:
-                vids[vid].blocked_since = int(m_blocked[vid])
-            out.append(self._handle(sid))
-        return out
+        return [self._handle(sid) for sid in self._pending[:pn].tolist()]
 
     def frontier_senders(self) -> list:
-        return [
-            s for s in self.pending
-            if s.owner is not None and s.next_sink is None
-        ]
-
-    def blocked_frontiers(self, now: int, threshold: int) -> list:
+        """Senders holding an unrouted header, in kernel order.  Only the
+        kernel keeps a waiting header's ``blocked_since``, ``hops`` and
+        ``crossed_mask`` current: they are copied onto the message first,
+        as ``detach_frontier`` does."""
         out = []
         for s in self.pending:
             msg = s.owner
-            if (
-                msg is not None
-                and s.next_sink is None
-                and msg.blocked_since >= 0
-                and now - msg.blocked_since > threshold
-            ):
+            if msg is not None and s.next_sink is None:
+                vid = self._s_owner[s.sid]
+                msg.blocked_since = int(self._m_blocked[vid])
+                msg.hops = int(self._m_hops[vid])
+                msg.crossed_mask = int(self._m_crossed[vid])
                 out.append(s)
         return out
+
+    def owned_channels(self):
+        """The reference fabric's walk, in its order, over the arrays."""
+        NVC = self.NVC
+        sinks = self._s_sink
+        owned = np.flatnonzero(self._s_owner[:NVC] >= 0).tolist()
+        owned += [c.sid for c in self._inj_channels.values() if c.owner is not None]
+        for sid in owned:
+            sink = int(sinks[sid])
+            yield self._handle(sid), (
+                self._handle(sink) if 0 <= sink < NVC else None
+            )
+
+    def buffer_audit(self) -> tuple[int, int, tuple | None]:
+        """The reference fabric's audit, read off ``_v_count``,
+        ``_s_owner`` and the ``H_OCC`` ledger."""
+        count = self._v_count
+        unowned = self._s_owner[: self.NVC] < 0
+        bad = np.flatnonzero((count > 0) & (unowned | (count > self.D)))
+        first: tuple | None = None
+        if len(bad):
+            sid = int(bad[0])
+            first = (*divmod(sid, self.num_vcs), int(count[sid]),
+                     not unowned[sid])
+        return int(self._hdr[H_OCC]), int(count.sum()), first
 
     def detach_frontier(self, sender) -> None:
         """Remove a frontier from the pending set (rescue path).

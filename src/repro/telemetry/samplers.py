@@ -57,9 +57,8 @@ class MetricsSampler:
                 stats.messages_created - stats.total.messages_consumed
             ),
             "blocked_frontiers": sum(
-                1 for s in fabric.pending
-                if s.owner is not None and s.next_sink is None
-                and s.owner.blocked_since >= 0
+                1 for s in fabric.frontier_senders()
+                if s.owner.blocked_since >= 0
             ),
             "ni_occupancy": ni_occupancy,
         }

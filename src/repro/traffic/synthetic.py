@@ -11,6 +11,7 @@ when messages are serviced at end nodes, exactly as in FlexSim.
 from __future__ import annotations
 
 from repro.protocol.transactions import TransactionPattern
+from repro.util.errors import ConfigurationError
 from repro.util.rng import make_rng
 
 
@@ -26,7 +27,12 @@ class SyntheticTraffic:
 
     def attach(self, engine) -> None:
         self.engine = engine
-        self._num_nodes = engine.topology.num_nodes
+        n = self._num_nodes = engine.topology.num_nodes
+        # a home besides the requester, and a third party besides both
+        need = 2 + any(k >= 3 and p > 0 for k, p in self.pattern.length_probs)
+        if n < need:
+            raise ConfigurationError(f"pattern {self.pattern.name} needs at"
+                                     f" least {need} nodes, the network has {n}")
 
     def step(self, now: int) -> None:
         if self.load <= 0.0:

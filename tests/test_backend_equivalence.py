@@ -11,8 +11,10 @@ These tests compare deep snapshots of both engines after identical runs:
   rescue (token captures, lane transfers, priority service),
 * a hypothesis property over random points that also draws the knobs
   exact endpoint waking depends on (MSHRs, queue sizes and modes,
-  service times, bristling, detector and recovery settings), compared
-  again after ``quiesce``,
+  service times, bristling, detector and recovery settings) and the
+  observers (periodic CWG checks, runtime invariants, the liveness
+  watchdog), compared again after ``quiesce`` — an observer that stops
+  a run must stop both at the same cycle with the same dump,
 * traced cells: a message-level tracer records the same events and
   samples, exports the same Perfetto document and stitches the same
   episodes on both backends, and changes no result on either,
@@ -22,10 +24,9 @@ These tests compare deep snapshots of both engines after identical runs:
 
 There is no tolerance anywhere: any field that differs is a failure.
 The only documented divergence between backends is feature *support* —
-flit-level tracing, faults, invariants, the watchdog, CWG detection and
-the CMH detector raise ``UnsupportedFeatureError`` on a config pinned to
-the vector backend (see ``test_unsupported_features_raise``) instead of
-silently diverging.
+what ``reference_only_features`` lists raises ``UnsupportedFeatureError``
+on a config pinned to the vector backend (see
+``test_unsupported_features_raise``) instead of silently diverging.
 """
 
 from __future__ import annotations
@@ -39,11 +40,17 @@ from hypothesis import strategies as st
 
 from repro.config import SimConfig
 from repro.experiments.common import SCALES
+from repro.faults import FaultSpec
 from repro.service.scenarios import SCENARIOS
 from repro.sim.engine import build_engine, resolve_backend
 from repro.sim.sweep import run_point, summarize_window
 from repro.telemetry import Tracer, stitch_episodes, to_perfetto
-from repro.util.errors import ConfigurationError, UnsupportedFeatureError
+from repro.util.errors import (
+    ConfigurationError,
+    DiagnosedError,
+    LivenessError,
+    UnsupportedFeatureError,
+)
 
 pytestmark = []
 
@@ -69,6 +76,8 @@ def engine_snapshot(engine) -> dict:
         "source_depth": [len(ni.source_queue) for ni in engine.interfaces],
         "deadlocks_detected": engine.scheme.deadlocks_detected,
         "recoveries": engine.scheme.recoveries,
+        "cwg_knots_seen": engine.cwg_knots_seen,
+        "checks_run": engine.invariants.checks_run if engine.invariants else 0,
     }
     controller = getattr(engine.scheme, "controller", None)
     for field in (
@@ -105,27 +114,40 @@ def assert_traces_equal(ref: Tracer, vec: Tracer, what: str) -> None:
     assert stitch_episodes(ref) == stitch_episodes(vec), what
 
 
+def outcome(phase, engine):
+    """``phase(engine)``'s value, or the diagnosed failure that ended
+    it: the error's type, message and dump."""
+    try:
+        return phase(engine)
+    except DiagnosedError as exc:
+        return type(exc).__name__, str(exc), exc.dump
+
+
 def assert_backends_identical(cycles: int, drain: int = 0,
                               trace: bool = False, **cfg) -> dict:
     """Run both backends ``cycles`` and compare; with ``drain``, stop
     traffic, ``quiesce(drain)`` both and compare again.  With ``trace``
-    both runs carry a tracer, which must see the same things too."""
+    both runs carry a tracer, which must see the same things too.  A
+    run an observer stops must stop on both, with the same error and
+    dump, and is compared where it stopped."""
     ref = build_engine(SimConfig(backend="reference", **cfg))
     vec = build_engine(SimConfig(backend="vector", **cfg))
     if trace:
         tracers = Tracer(sample_every=100), Tracer(sample_every=100)
         ref.attach_tracer(tracers[0])
         vec.attach_tracer(tracers[1])
-    ref.run(cycles)
-    vec.run(cycles)
-    if trace:
-        assert_traces_equal(*tracers, f"for {cfg}")
-    snap = assert_snapshots_equal(ref, vec, f"for {cfg}")
+    phases = [("", lambda e: e.run(cycles))]
     if drain:
-        assert bool(ref.quiesce(drain)) == bool(vec.quiesce(drain)), cfg
-        assert_snapshots_equal(ref, vec, f"after quiesce for {cfg}")
+        phases.append(("after quiesce ", lambda e: bool(e.quiesce(drain))))
+    for label, phase in phases:
+        what = f"{label}for {cfg}"
+        result = outcome(phase, ref)
+        assert result == outcome(phase, vec), what
         if trace:
-            assert_traces_equal(*tracers, f"after quiesce for {cfg}")
+            assert_traces_equal(*tracers, what)
+        snap = assert_snapshots_equal(ref, vec, what)
+        if isinstance(result, tuple):  # stopped: nothing left to run
+            break
     return snap
 
 
@@ -220,6 +242,51 @@ def test_dr_drain_mode_rearm_ties_identical():
     )
 
 
+_OBSERVERS = dict(cwg_interval=100, invariants_every=200, watchdog_timeout=600)
+
+#: every observer armed: (config, whether the watchdog stops the run)
+OBSERVED_CELLS = {
+    # NONE never recovers: the watchdog stops it, dump and knots included
+    "NONE-wedge": (dict(scheme="NONE", pattern="PAT271", dims=(4, 4),
+                        num_vcs=4, load=0.1, seed=1, queue_capacity=2),
+                   True),
+    "PR-721-8x8": (dict(scheme="PR", pattern="PAT721", dims=(8, 8),
+                        num_vcs=4, load=0.014, seed=3), False),
+    "DR-271-8x8": (dict(scheme="DR", pattern="PAT271", dims=(8, 8),
+                        num_vcs=4, load=0.022, seed=4), False),
+}
+
+
+@pytest.mark.parametrize("cell", OBSERVED_CELLS)
+def test_observed_points_identical(cell):
+    """CWG checks, invariants and the watchdog see the same run on both
+    backends, and a run the watchdog stops stops at the same cycle."""
+    cfg, stops = OBSERVED_CELLS[cell]
+    snap = assert_backends_identical(3000, **cfg, **_OBSERVERS)
+    assert (snap["now"] < 3000) == stops
+    assert snap["checks_run"] == snap["now"] // 200 > 0
+    assert (snap["cwg_knots_seen"] > 0) == stops
+
+
+@pytest.mark.campaign
+def test_dr_long_window_wedge_is_one_knot_on_both_backends():
+    """ROADMAP item 1's DR/PAT721 cell at ``max_outstanding=12``: the
+    watchdog stops it at cycle 31 631 on either engine, with one CWG
+    knot and the same dump — the second long-window regression cell."""
+    cfg = dict(scheme="DR", pattern="PAT721", dims=(8, 8), num_vcs=4,
+               load=0.012, seed=3, max_outstanding=12,
+               watchdog_timeout=1500)
+    dumps = []
+    for backend in ("reference", "vector"):
+        engine = build_engine(SimConfig(backend=backend, **cfg))
+        with pytest.raises(LivenessError) as excinfo:
+            engine.run(35_000)
+        assert engine.now == 31_631
+        dumps.append(excinfo.value.dump)
+    assert dumps[0] == dumps[1]
+    assert len(dumps[0]["cwg_knots"]) == 1
+
+
 def test_run_point_results_identical():
     """The sweep-facing surface (RunResult) agrees field for field."""
     base = dict(
@@ -255,6 +322,10 @@ def test_run_point_results_identical():
         detection_threshold=st.sampled_from([5, 25]),
         detector=st.sampled_from(["endpoint", "timeout"]),
         timeout_threshold=st.sampled_from([20, 200]),
+        # the observers: they read the run, and may stop it
+        cwg_interval=st.sampled_from([0, 100]),
+        invariants_every=st.sampled_from([0, 200]),
+        watchdog_timeout=st.sampled_from([0, 600]),
     )),
 )
 @settings(
@@ -278,7 +349,8 @@ def test_random_points_bit_identical(scheme, dims, load, seed, pattern,
 
 
 def test_failed_drain_reports_on_both_backends():
-    """A drain that cannot finish returns a dump, it does not crash.
+    """A drain that cannot finish returns a dump, it does not crash,
+    and it is the same dump on both backends, CWG knots included.
 
     NONE never recovers, so this saturated 4x4 point wedges; the dump's
     conservation section walks every message the fabric holds, which
@@ -297,19 +369,46 @@ def test_failed_drain_reports_on_both_backends():
         assert result.dump["conservation"]["delta"] == 0
         assert "CWG knots" in repr(result)
     ref, vec = results["reference"].dump, results["vector"].dump
-    assert ref["conservation"] == vec["conservation"]
+    assert ref == vec
     assert ref["conservation"]["live"] > 0
-    # Until the CWG is built from the arrays the vector dump says so.
-    assert ref["cwg_knots"] and vec["cwg_knots"] is None
+    assert vec["cwg_knots"]
+
+
+def test_fabric_queries_agree():
+    """What the observers ask a fabric — owned channels and where each
+    is routed, waiting headers with the fields their candidate row
+    reads, the buffer audit — has one answer, in one order."""
+    def answers(engine):
+        fabric = engine.fabric
+        key = (lambda s: ("inj", s.node, s.vc_class) if s.is_injection
+               else ("vc", s.link.lid, s.index))
+        return (
+            [(key(c), None if n is None else key(n))
+             for c, n in fabric.owned_channels()],
+            [(key(s), s.owner.blocked_since, s.owner.hops,
+              s.owner.crossed_mask) for s in fabric.frontier_senders()],
+            fabric.buffer_audit(),
+        )
+
+    cfg = dict(scheme="PR", pattern="PAT721", dims=(8, 8), num_vcs=4,
+               load=0.014, seed=3)
+    engines = [build_engine(SimConfig(backend=b, **cfg))
+               for b in ("reference", "vector")]
+    for engine in engines:
+        engine.run(1500)
+    ref, vec = map(answers, engines)
+    assert ref == vec
+    owned, frontiers, (ledger, buffered, bad) = ref
+    assert any(n is not None for _, n in owned)
+    assert any(mask for *_, mask in frontiers), "no header past a dateline"
+    assert ledger == buffered > 0 and bad is None
 
 
 def test_unsupported_features_raise():
     """Introspection layers must refuse loudly, never silently diverge."""
     base = dict(scheme="PR", pattern="PAT721", dims=(4, 4), num_vcs=4, load=0.01)
     for extra in (
-        dict(watchdog_timeout=1000),
-        dict(invariants_every=100),
-        dict(cwg_interval=50),
+        dict(faults=(FaultSpec("consumer-stall", target=5, start=50),)),
         dict(detector="cmh"),
     ):
         with pytest.raises(UnsupportedFeatureError):

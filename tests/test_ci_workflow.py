@@ -114,6 +114,8 @@ class TestWorkflow:
         assert "repro.experiments.runner smoke faults" in runs
         assert "--fault consumer-stall:" in runs
         assert "--watchdog" in runs and "--invariants-every" in runs
+        # faults, not the observers, keep the run on the reference engine
+        assert "grep -Eq '^engine +: reference \\(fault injection'" in runs
 
     def test_detection_smoke_runs_lab_and_cmh_cli(self, workflow):
         steps = workflow["jobs"]["detection-smoke"]["steps"]
@@ -162,6 +164,8 @@ class TestWorkflow:
         assert "--topology file" in runs
         assert "--topology-file" in runs
         assert "--watchdog" in runs and "--invariants-every" in runs
+        # with invariants and watchdog armed it runs on the kernel
+        assert "grep -Eq '^engine +: vector$'" in runs
         # And a 1024-router torus through a real subprocess: on the
         # kernel, with the child's peak RSS bounded.
         assert '"--dims", "32x32"' in runs and '"--scheme", "PR"' in runs

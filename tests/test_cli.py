@@ -75,7 +75,8 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "consumer-stall@5" in out and "activated 1x" in out
-        assert "engine              : reference (fault injection (faults=...)," in out
+        # the invariants and the watchdog are not what keeps it off the kernel
+        assert "engine              : reference (fault injection (faults=...))\n" in out
 
     def test_wedged_run_exits_3_with_dump(self, capsys):
         # Stall every consumer permanently: the watchdog must convert the
@@ -139,12 +140,23 @@ class TestCommands:
         assert out["reference"] == out["vector"]
         assert out["vector"][0]["episodes"]
 
-    def test_run_flit_trace_on_vector_backend_is_refused(self, tmp_path):
-        from repro.util.errors import UnsupportedFeatureError
+    def test_run_flit_trace_on_vector_backend_is_refused(self, tmp_path,
+                                                         capsys):
+        assert main(["run", "--dims", "4x4", "--backend", "vector", "--trace",
+                     str(tmp_path / "t.json"), "--trace-level", "flit"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro run: error: flit-level tracing")
+        assert err.count("\n") == 1
 
-        with pytest.raises(UnsupportedFeatureError, match="flit-level"):
-            main(["run", "--dims", "4x4", "--backend", "vector", "--trace",
-                  str(tmp_path / "t.json"), "--trace-level", "flit"])
+    @pytest.mark.parametrize("argv,says", [
+        (["--dims", "2", "--pattern", "PAT721"],
+         "pattern PAT721 needs at least 3 nodes, the network has 2"),
+        (["--pattern", "FOO"], "unknown pattern 'FOO'"),
+    ])
+    def test_run_refused_by_the_engine_is_one_line_exit_2(self, argv, says,
+                                                          capsys):
+        assert main(["run", "--measure", "100", *argv]) == 2
+        assert capsys.readouterr().err == f"repro run: error: {says}\n"
 
     def test_run_trace_and_timeseries_artifacts(self, tmp_path, capsys):
         trace = tmp_path / "run.trace.json"

@@ -29,6 +29,17 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             Engine(SimConfig(), traffic=Dummy())
 
+    def test_two_nodes_refuse_three_party_chains(self):
+        # PAT721 draws a third party distinct from requester and home:
+        # on two nodes there is none, and the draw used to spin forever.
+        with pytest.raises(ConfigurationError,
+                           match="PAT721 needs at least 3 nodes.* has 2"):
+            engine_module.build_engine(SimConfig(dims=(2,), pattern="PAT721"))
+        e = engine_module.build_engine(
+            SimConfig(dims=(2,), pattern="PAT100", load=0.05))
+        e.run(200)
+        assert e.stats.total.messages_delivered > 0
+
     def test_interfaces_one_per_node(self):
         e = build_engine(scheme="PR", dims=(2, 4), bristling=2)
         assert len(e.interfaces) == 16
@@ -39,9 +50,6 @@ class TestConstruction:
 REFERENCE_ONLY = {
     "fault injection": dict(
         faults=(FaultSpec("consumer-stall", target=5, start=50, duration=50),)),
-    "runtime invariants": dict(invariants_every=100),
-    "the liveness watchdog": dict(watchdog_timeout=1000),
-    "CWG detection": dict(cwg_interval=50),
     "the CMH detector": dict(detector="cmh"),
 }
 
@@ -67,6 +75,16 @@ class TestEngineSelection:
         # a pinned engine raises where it cannot do what was asked
         with pytest.raises(UnsupportedFeatureError, match=feature):
             engine_module.build_engine(config.with_(backend="vector"))
+
+    def test_observers_run_on_the_kernel(self):
+        config = SimConfig(**self.TINY, cwg_interval=50, invariants_every=100,
+                           watchdog_timeout=1000)
+        assert engine_module.resolve_backend(config) == ("vector", None)
+        for backend in ("auto", "vector"):
+            engine = engine_module.build_engine(config.with_(backend=backend))
+            assert type(engine) is VectorEngine
+            engine.run(300)
+            assert engine.invariants.checks_run == 3
 
     def test_a_topology_too_large_for_the_route_table_resolves_to_the_reference(
             self):

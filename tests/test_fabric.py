@@ -108,13 +108,17 @@ class TestBlockingAndBackpressure:
         assert any(s.owner is msg for s in frontiers)
         assert msg.blocked_since >= 0
 
-    def test_blocked_frontiers_reported_after_threshold(self):
+    def test_frontier_header_keeps_its_blocking_start(self):
         h = Harness(accept=False)
         msg = Message(M1, src=0, dst=5)
         h.inject(msg)
         h.run(50)
-        assert h.fabric.blocked_frontiers(h.now, threshold=10)
-        assert not h.fabric.blocked_frontiers(h.now, threshold=10_000)
+        [sender] = h.fabric.frontier_senders()
+        assert sender.owner is msg and sender.router == 5
+        # blocked since the header reached router 5, not re-stamped since
+        assert 0 < msg.blocked_since <= h.topology.min_hops(0, 5) + 1
+        # an owned channel, routed nowhere yet
+        assert (sender, None) in list(h.fabric.owned_channels())
 
     def test_acceptance_resumes_delivery(self):
         h = Harness(accept=False)

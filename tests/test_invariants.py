@@ -6,12 +6,13 @@ the checks exist so that a regression in detection/recovery fails loudly
 instead of shifting a throughput curve.
 """
 
+import numpy as np
 import pytest
 
 from repro.config import SimConfig
 from repro.faults import FaultSpec
 from repro.protocol.message import Message
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, build_engine
 from repro.sim.invariants import (
     InvariantChecker,
     QuiesceResult,
@@ -20,6 +21,7 @@ from repro.sim.invariants import (
     format_dump,
     live_message_uids,
 )
+from repro.sim.vector.fabric import H_OCC
 from repro.util.errors import InvariantViolation, LivenessError
 
 
@@ -114,6 +116,40 @@ class TestLedgers:
         token.holder = None
         with pytest.raises(InvariantViolation, match="no holder"):
             chk.check_now(e.now)
+
+    @staticmethod
+    def _orphan_buffered_flits(engine):
+        """Disown the first VC holding flits, on either fabric."""
+        fabric = engine.fabric
+        if engine.backend == "vector":
+            fabric._s_owner[int(np.flatnonzero(fabric._v_count)[0])] = -1
+        else:
+            next(vc for vc in fabric.all_vcs() if vc.fifo).owner = None
+
+    @staticmethod
+    def _bump_ledger(engine):
+        if engine.backend == "vector":
+            engine.fabric._hdr[H_OCC] += 1
+        else:
+            engine.fabric._occ[0] += 1
+
+    @pytest.mark.parametrize("corrupt,match", [
+        ("_orphan_buffered_flits", "unowned link"),
+        ("_bump_ledger", "occupancy ledger"),
+    ])
+    def test_both_fabrics_report_a_corruption_alike(self, corrupt, match):
+        messages = []
+        for backend in ("reference", "vector"):
+            e = build_engine(SimConfig(
+                dims=(4, 4), scheme="PR", pattern="PAT271", num_vcs=4,
+                load=0.012, seed=7, backend=backend))
+            e.run(800)
+            chk = checker(e)
+            getattr(self, corrupt)(e)
+            with pytest.raises(InvariantViolation, match=match) as excinfo:
+                chk.check_now(e.now)
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1]
 
     def test_violation_carries_a_dump(self):
         e = busy_engine()
