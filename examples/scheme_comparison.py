@@ -14,7 +14,7 @@ Run:  python examples/scheme_comparison.py [PAT721] [4]
 import sys
 
 from repro import SimConfig, run_sweep
-from repro.experiments.figures import valid_schemes
+from repro.experiments.common import valid_schemes
 from repro.protocol.transactions import PATTERNS
 
 

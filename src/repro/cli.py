@@ -38,6 +38,7 @@ import json
 import sys
 
 from repro.config import ExecutionConfig, SimConfig
+from repro.experiments.common import add_runner_arguments
 from repro.sim.engine import build_engine
 from repro.sim.invariants import format_dump
 from repro.sim.stats import format_breakdown
@@ -183,8 +184,7 @@ def cmd_sweep(args) -> int:
 def cmd_experiments(args) -> int:
     from repro.experiments import runner
 
-    return runner.run(args.scale, args.names or list(runner.EXPERIMENTS),
-                      from_args(ExecutionConfig, args, progress=True))
+    return runner.run(*runner.interpret(args))
 
 
 def cmd_farm_plan(args) -> int:
@@ -537,10 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("experiments", help="regenerate tables/figures")
-    p.add_argument("scale", nargs="?", default="smoke",
-                   choices=["smoke", "paper"])
-    p.add_argument("names", nargs="*")
-    add_fields(p, ExecutionConfig)
+    add_runner_arguments(p)
     p.set_defaults(func=cmd_experiments)
 
     p = sub.add_parser("farm", help="distributed sweep campaigns")

@@ -1,9 +1,12 @@
-"""Experiment harness: one module per table/figure of the paper.
+"""Experiment harness: the labs behind the paper's tables and figures.
 
-Every module exposes ``run(scale="smoke"|"paper", seed=...) -> dict`` and
-a ``main()`` that prints the regenerated rows/series.  ``smoke`` shrinks
-cycle counts and load grids so the whole suite finishes in minutes;
-``paper`` uses the paper's 30,000-cycle measurement windows.  See
+Figures 8-11 and the ablations are entries of the scenario registry
+(:mod:`repro.service.scenarios`), run as campaigns; each lab module here
+drives engines itself and exposes ``run(scale="smoke"|"paper", ...)``
+and a ``main()`` that prints its rows.  ``smoke`` shrinks cycle counts
+and load grids so the whole suite finishes in minutes; ``paper`` uses
+the paper's 30,000-cycle measurement windows.  The runner
+(:mod:`repro.experiments.runner`) runs either kind by name.  See
 EXPERIMENTS.md for paper-vs-measured values.
 """
 

@@ -1,13 +1,16 @@
-"""Shared experiment infrastructure: scales, load grids, curve helpers."""
+"""Shared experiment infrastructure: scales, load grids, the paper's
+figure cells, curve printing and the runner's command line."""
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass
 
-from repro.config import ExecutionConfig, SimConfig
+from repro.config import ExecutionConfig
+from repro.protocol.transactions import PATTERNS
 from repro.sim.invariants import conservation_delta, format_dump
 from repro.sim.results import SweepResult
-from repro.sim.sweep import run_sweep
+from repro.util.options import add_fields
 
 
 @dataclass(frozen=True)
@@ -50,40 +53,36 @@ def load_grid(scale: Scale, max_load: float) -> list[float]:
 MAX_LOAD_BY_VCS = {4: 0.016, 8: 0.020, 16: 0.024, 64: 0.024}
 
 
-def sweep_scheme(
-    scheme: str,
-    pattern: str,
-    num_vcs: int,
-    scale: Scale,
-    seed: int = 1,
-    queue_mode: str = "auto",
-    execution: ExecutionConfig | None = None,
-    **config_kwargs,
-) -> SweepResult:
-    """One Burton-Normal-Form curve for a (scheme, pattern, C) cell.
+#: Patterns in the paper's panel order for Figures 8 and 9.
+PANEL_PATTERNS = ("PAT100", "PAT721", "PAT451", "PAT271", "PAT280")
 
-    ``execution`` (workers, caching, progress) defaults to the
-    process-wide policy installed by the CLI/runner; see
-    :mod:`repro.sim.parallel`.
+
+def valid_schemes(pattern_name: str, num_vcs: int) -> list[str]:
+    """Schemes the paper plots for a (pattern, VC-count) cell.
+
+    SA needs ``C >= 2L`` escape channels (omitted at 4 VCs for chains
+    longer than two); DR degenerates for two-type patterns (omitted for
+    PAT100).  PR is always valid.
     """
-    config = SimConfig(
-        scheme=scheme,
-        pattern=pattern,
-        num_vcs=num_vcs,
-        queue_mode=queue_mode,
-        seed=seed,
-        **config_kwargs,
-    )
-    loads = load_grid(scale, MAX_LOAD_BY_VCS.get(num_vcs, 0.02))
-    label = f"{scheme}{'-QA' if queue_mode == 'per-type' else ''}/{pattern}/{num_vcs}vc"
-    return run_sweep(
-        config,
-        loads,
-        warmup=scale.warmup,
-        measure=scale.measure,
-        label=label,
-        execution=execution,
-    )
+    pattern = PATTERNS[pattern_name]
+    schemes = []
+    if num_vcs >= 2 * pattern.num_message_types:
+        schemes.append("SA")
+    if pattern.dr_valid:
+        schemes.append("DR")
+    schemes.append("PR")
+    return schemes
+
+
+def add_runner_arguments(parser: argparse.ArgumentParser) -> None:
+    """The experiment runner's command line, declared once for
+    ``python -m repro.experiments.runner`` and ``repro experiments``
+    (here, so the CLI can build it without importing every lab)."""
+    parser.add_argument(
+        "what", nargs="*", metavar="smoke|paper|NAME",
+        help="scale (default: smoke), then scenario-registry or lab names"
+        " (default: all of them)")
+    add_fields(parser, ExecutionConfig)
 
 
 def drain_and_conserve(engine, label: str, max_cycles: int) -> int:

@@ -2,22 +2,24 @@
 
 Usage::
 
-    python -m repro.experiments.runner [smoke|paper] [exp ...] \\
+    python -m repro.experiments.runner [smoke|paper] [name ...] \\
         [--workers N] [--hosts SPEC] [--no-cache] [--cache-dir DIR] \\
         [--retries N] [--point-timeout SECONDS]
 
-With no experiment names, all of them run in order.  ``paper`` scale
-uses the paper's 30,000-cycle measurement windows and takes hours
-serially; ``--workers N`` fans sweep points across N processes, and the
-on-disk result cache (on by default, see :mod:`repro.sim.parallel`)
-lets an interrupted paper-scale run resume instead of restarting.
-``--hosts SPEC`` goes further and fans sweep points across a
-fault-tolerant farm (:mod:`repro.farm`) — the same comma-separated
-``local[:N]``/``ssh:HOST``/``ext:DIR`` syntax as ``repro farm run`` —
-with results bit-identical to local execution and shared through the
-same cache.  ``smoke`` (default) finishes in minutes.  The execution
-flags are :class:`~repro.config.ExecutionConfig`'s fields, derived from
-their declarations like ``repro sweep``'s.
+A name is an entry of the scenario registry
+(:data:`repro.service.scenarios.SCENARIOS`: Figures 8-11, the ablations
+and the service's campaigns), run as one campaign by
+:func:`repro.sim.sweep.run_sweeps` and printed as its curves, or one of
+the labs in :data:`EXPERIMENTS`, which drive engines themselves.  With
+no names, all of them run, labs first.  ``paper`` scale uses the paper's
+30,000-cycle measurement windows; ``--workers N`` fans points across N
+processes, ``--hosts SPEC`` across a fault-tolerant farm
+(:mod:`repro.farm`, the ``local[:N]``/``ssh:HOST``/``ext:DIR`` syntax of
+``repro farm run``), and the on-disk result cache (on by default, see
+:mod:`repro.sim.parallel`) lets an interrupted run resume instead of
+restarting.  Results are bit-identical however they are computed.
+``repro experiments`` is the same command: the arguments are declared
+once, by :func:`repro.experiments.common.add_runner_arguments`.
 
 Exits non-zero on an unknown argument or a failed experiment, so CI
 smoke jobs fail loudly when regeneration breaks.
@@ -32,74 +34,84 @@ import traceback
 
 from repro.config import ExecutionConfig
 from repro.experiments import (
-    ablations,
     cdg_lab,
     detection_lab,
     faults,
     fig6_load_rates,
-    fig8_4vc,
-    fig9_8vc,
-    fig10_16vc,
-    fig11_queues,
-    scenario_sweep,
     table1_responses,
     table3_distributions,
     telemetry,
     topologies,
     trace_deadlocks,
 )
-from repro.experiments.common import SCALES
+from repro.experiments.common import (
+    SCALES,
+    Scale,
+    add_runner_arguments,
+    print_curves,
+)
+from repro.service.scenarios import SCENARIOS, build_campaign
 from repro.sim.parallel import set_default_execution
-from repro.util.options import add_fields, from_args
+from repro.sim.results import SweepResult
+from repro.sim.sweep import run_sweeps
+from repro.util.options import from_args
 
+#: the labs: each module's ``main(scale)`` drives engines itself.
 EXPERIMENTS = {
     "table1": table1_responses,
     "table3": table3_distributions,
     "fig6": fig6_load_rates,
     "trace_deadlocks": trace_deadlocks,
-    "fig8": fig8_4vc,
-    "fig9": fig9_8vc,
-    "fig10": fig10_16vc,
-    "fig11": fig11_queues,
-    "ablations": ablations,
     "faults": faults,
     "telemetry": telemetry,
     "detection_lab": detection_lab,
     "topologies": topologies,
     "cdg_lab": cdg_lab,
-    "scenarios": scenario_sweep,
 }
 
+
+def run_campaign(name: str, scale: str | Scale,
+                 execution: ExecutionConfig | None = None
+                 ) -> list[SweepResult]:
+    """A registry scenario's curves, computed as one campaign."""
+    spec = build_campaign(name, scale)
+    return run_sweeps(spec.configs, spec.warmup, spec.measure,
+                      execution=execution)
+
+
+def interpret(args: argparse.Namespace
+              ) -> tuple[str, list[str], ExecutionConfig]:
+    """(scale, names, execution policy) from a namespace parsed with
+    :func:`add_runner_arguments`."""
+    scales = [word for word in args.what if word in SCALES]
+    names = [word for word in args.what if word not in SCALES]
+    return (scales[-1] if scales else "smoke",
+            names or [*EXPERIMENTS, *SCENARIOS],
+            from_args(ExecutionConfig, args, progress=True))
+
+
 def parse_args(argv: list[str]) -> tuple[str, list[str], ExecutionConfig]:
-    """Split argv into (scale, experiment names, execution policy)."""
+    """Split argv into (scale, names, execution policy)."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.runner",
         description="Regenerate the paper's tables and figures.",
     )
-    parser.add_argument(
-        "what", nargs="*", metavar="smoke|paper|EXPERIMENT",
-        help=f"scale (default: smoke) and experiments (default: all) of"
-        f" {', '.join(EXPERIMENTS)}")
-    add_fields(parser, ExecutionConfig)
-    args = parser.parse_intermixed_args(argv)
-    scales = [word for word in args.what if word in SCALES]
-    names = [word for word in args.what if word not in SCALES]
+    add_runner_arguments(parser)
     try:
-        execution = from_args(ExecutionConfig, args, progress=True)
+        return interpret(parser.parse_intermixed_args(argv))
     except argparse.ArgumentError as exc:
         parser.error(str(exc))
-    return (scales[-1] if scales else "smoke",
-            names or list(EXPERIMENTS), execution)
 
 
 def run(scale: str, names: list[str], execution: ExecutionConfig) -> int:
     """Run the named experiments under ``execution``; returns the exit
     status (1 if any failed)."""
-    unknown = [name for name in names if name not in EXPERIMENTS]
+    unknown = [name for name in names
+               if name not in EXPERIMENTS and name not in SCENARIOS]
     if unknown:
         raise SystemExit(
-            f"unknown experiment(s) {unknown}; experiments:"
-            f" {sorted(EXPERIMENTS)}"
+            f"unknown experiment(s) {unknown}; scenarios: {list(SCENARIOS)};"
+            f" labs: {list(EXPERIMENTS)}"
         )
     previous = set_default_execution(execution)
     failed: list[str] = []
@@ -107,7 +119,11 @@ def run(scale: str, names: list[str], execution: ExecutionConfig) -> int:
         for name in names:
             t0 = time.time()
             try:
-                EXPERIMENTS[name].main(scale)
+                if name in EXPERIMENTS:
+                    EXPERIMENTS[name].main(scale)
+                else:
+                    print_curves(f"{name} @ {scale}",
+                                 run_campaign(name, scale))
             except Exception:
                 traceback.print_exc()
                 print(f"[{name} FAILED after {time.time() - t0:.1f}s]",

@@ -16,6 +16,13 @@ what it decides on this host, and why when that is the reference engine.
 
 Categories
 ----------
+figure
+    The paper's Figures 8-11: one Burton-Normal-Form curve per plotted
+    (scheme, pattern, VCs, queues) cell on the 8x8 torus, swept from
+    light load to past saturation (:func:`repro.sim.sweep.run_sweeps`
+    stops each curve "just beyond saturation", Section 4.3.1).
+ablation
+    Design choices beyond the figures, as curves of the same kind.
 synthetic
     The paper's Table 2/3 synthetic load patterns, as Burton-curve
     ladders per scheme.
@@ -39,7 +46,14 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 
 from repro.config import SimConfig
-from repro.experiments.common import SCALES, Scale, load_grid
+from repro.experiments.common import (
+    MAX_LOAD_BY_VCS,
+    PANEL_PATTERNS,
+    SCALES,
+    Scale,
+    load_grid,
+    valid_schemes,
+)
 from repro.farm.plan import CampaignSpec
 from repro.faults.models import FaultSpec
 from repro.sim.engine import resolve_backend
@@ -77,6 +91,24 @@ def _ladder(config: SimConfig, scale: Scale,
             max_load: float = _LADDER_MAX) -> tuple[SimConfig, ...]:
     return tuple(
         config.with_(load=load) for load in load_grid(scale, max_load)
+    )
+
+
+def _curves(cells: Iterable[SimConfig]) -> Callable[[Scale],
+                                                   tuple[SimConfig, ...]]:
+    """One curve per cell, up to its VC count's load ceiling."""
+    cells = tuple(cells)
+    return lambda scale: tuple(
+        config for cell in cells
+        for config in _ladder(cell, scale, MAX_LOAD_BY_VCS[cell.num_vcs])
+    )
+
+
+def _figure(num_vcs: int, patterns: tuple[str, ...]):
+    """A panel per pattern, a curve per scheme the paper plots there."""
+    return _curves(
+        SimConfig(scheme=scheme, pattern=pattern, num_vcs=num_vcs)
+        for pattern in patterns for scheme in valid_schemes(pattern, num_vcs)
     )
 
 
@@ -164,6 +196,82 @@ def _cdg_cell(config: SimConfig) -> Callable[[Scale], tuple[SimConfig, ...]]:
 
 
 def _builtin_scenarios() -> Iterable[Scenario]:
+    yield Scenario(
+        "fig8", "figure",
+        "Figure 8, 4 VCs, panels PAT100/721/451/271/280.  SA is infeasible"
+        " for chains longer than two (it needs C >= 2L), so it appears only"
+        " for PAT100, where DR is absent (two-type protocols make DR"
+        " degenerate).  PR yields substantially more throughput than DR (up"
+        " to ~2x for PAT721) and than SA for PAT100: partitioning so few"
+        " channels starves the avoidance-based schemes.",
+        _figure(4, PANEL_PATTERNS),
+    )
+    yield Scenario(
+        "fig9", "figure",
+        "Figure 9, 8 VCs: all three schemes are feasible for four-type"
+        " patterns.  SA still saturates early where traffic concentrates on"
+        " few types (only 1 + (8/L - 2) channels per type); for PAT100 SA"
+        " and PR are nearly indistinguishable; DR approaches PR for chains"
+        " longer than two, as two partitions spread traffic almost as"
+        " evenly as none.",
+        _figure(8, PANEL_PATTERNS),
+    )
+    yield Scenario(
+        "fig10", "figure",
+        "Figure 10, 16 VCs, panels PAT721/451/271/280.  With abundant"
+        " channels link balance stops mattering and endpoint message"
+        " coupling dominates: DR (two queues) and PR (one) share NI queues"
+        " between message types and fall below SA, whose per-type queues"
+        " decouple them.  Figure 11 shows the remedy.",
+        _figure(16, PANEL_PATTERNS[1:]),
+    )
+    yield Scenario(
+        "fig11", "figure",
+        "Figure 11, PAT271 at 16 VCs: SA, DR and PR with their own NI"
+        " queues against DR-QA and PR-QA, which give each message type its"
+        " own queues (separation for performance, not deadlock avoidance;"
+        " Section 4.3.2).  Shared queues bottleneck DR and PR below SA;"
+        " per-type queues let both match or beat SA with full routing"
+        " freedom.",
+        _curves(
+            SimConfig(scheme=scheme, pattern="PAT271", num_vcs=16,
+                      queue_mode=queue_mode)
+            for scheme, queue_mode in (("SA", "auto"), ("DR", "auto"),
+                                       ("PR", "auto"), ("DR", "per-type"),
+                                       ("PR", "per-type"))
+        ),
+    )
+    yield Scenario(
+        "ablation-partitioning", "ablation",
+        "Channel partitioning, SA and DR on PAT721 at 16 VCs: split extras"
+        " (availability 1 + (C/L - E_r)) against Martinez-style shared"
+        " extras (1 + (C - E_m)), Section 2.1's two formulas.",
+        _curves(
+            SimConfig(scheme=scheme, pattern="PAT721", num_vcs=16,
+                      shared_extras=shared)
+            for scheme in ("SA", "DR") for shared in (False, True)
+        ),
+    )
+    yield Scenario(
+        "ablation-detection-threshold", "ablation",
+        "DR on PAT271 at 8 VCs under endpoint timeouts T = 10, 25, 100"
+        " (the paper fixes T = 25 as the CWG-detection stand-in).",
+        _curves(
+            SimConfig(scheme="DR", pattern="PAT271", num_vcs=8,
+                      detection_threshold=threshold)
+            for threshold in (10, 25, 100)
+        ),
+    )
+    yield Scenario(
+        "ablation-router-timeout", "ablation",
+        "PR on PAT721 at 4 VCs under Disha router timeouts 25, 100, 400:"
+        " false-positive rescues against time spent deadlocked.",
+        _curves(
+            SimConfig(scheme="PR", pattern="PAT721", num_vcs=4,
+                      router_timeout=timeout)
+            for timeout in (25, 100, 400)
+        ),
+    )
     yield Scenario(
         "baseline-pr", "synthetic",
         "PR/PAT271/4vc Burton ladder on the 4x4 torus", _baseline_pr,

@@ -31,8 +31,8 @@ class ProgressReporter:
     Parameters
     ----------
     total:
-        Number of points expected.  ``update`` may be called fewer times
-        (early-stopped sweeps) — ``finish`` always closes the line.
+        Number of points expected; :meth:`drop` lowers it when a curve
+        stops early.  ``finish`` always closes the line.
     label:
         Short prefix identifying the run (e.g. the sweep label).
     stream:
@@ -74,6 +74,12 @@ class ProgressReporter:
         if failed:
             self.failures += 1
         self._last_elapsed = elapsed
+        self._render()
+
+    def drop(self, points: int) -> None:
+        """Forget ``points`` that will never run (a curve stopped past
+        saturation), so the final line counts only the points that did."""
+        self.total -= points
         self._render()
 
     def eta_seconds(self) -> float:

@@ -43,7 +43,7 @@ from repro.experiments.common import SCALES
 from repro.faults import FaultSpec
 from repro.service.scenarios import SCENARIOS
 from repro.sim.engine import build_engine, resolve_backend
-from repro.sim.sweep import run_point, summarize_window
+from repro.sim.sweep import run_point, split_curves, summarize_window
 from repro.telemetry import Tracer, stitch_episodes, to_perfetto
 from repro.util.errors import (
     ConfigurationError,
@@ -540,13 +540,21 @@ def test_tracer_attached_mid_run_identical():
 
 
 def scenario_points() -> list:
-    """Every point the scenario library runs on the vector backend."""
-    return [
-        pytest.param(config, id=f"{name}-{i}")
-        for name, scenario in SCENARIOS.items()
-        for i, config in enumerate(scenario.build(SCALES["smoke"]))
-        if resolve_backend(config)[0] == "vector"
-    ]
+    """Every point the scenario library runs on the vector backend; of a
+    figure or ablation curve, only its highest load (every point of
+    those would add about 250 traced 8x8 points)."""
+    params = []
+    for name, scenario in SCENARIOS.items():
+        configs = scenario.build(SCALES["smoke"])
+        if scenario.category in ("figure", "ablation"):
+            configs = tuple(max(curve, key=lambda c: c.load)
+                            for curve in split_curves(configs))
+        params.extend(
+            pytest.param(config, id=f"{name}-{i}")
+            for i, config in enumerate(configs)
+            if resolve_backend(config)[0] == "vector"
+        )
+    return params
 
 
 @pytest.mark.campaign

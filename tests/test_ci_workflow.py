@@ -108,6 +108,35 @@ class TestWorkflow:
         assert "2> resume.err" in resume
         assert 'tail -n 1 resume.err | grep -F "[3/3] 3 cached"' in resume
 
+    def test_smoke_job_checks_the_figure_resume_is_all_cached(
+            self, workflow):
+        steps = workflow["jobs"]["smoke-benchmark"]["steps"]
+        [run] = [s["run"] for s in steps
+                 if "--cache-dir .repro_cache" in (s.get("run") or "")]
+        first, resume = [
+            line for line in run.split("python -m ")
+            if line.startswith("repro.experiments.runner smoke fig11")
+        ]
+        # One figure campaign twice on one cache, on two workers; the
+        # second run's last progress line counts every point as cached.
+        assert "--workers 2" in first
+        assert first.split("--cache-dir")[0] == resume.split("--cache-dir")[0]
+        assert "2> fig11.err" in resume
+        assert ("tail -n 1 fig11.err | grep -E"
+                " '\\[([0-9]+)/\\1\\] \\1 cached$'") in resume
+
+    def test_paper_tests_run_each_figure_on_every_cpu(self, workflow):
+        import os
+
+        from tests.test_paper import EXECUTION
+
+        steps = workflow["jobs"]["smoke-benchmark"]["steps"]
+        assert any(s.get("run") == "python -m pytest -m paper -q"
+                   for s in steps)
+        # worked out from the machine, not a flag of the step
+        assert EXECUTION.workers == len(os.sched_getaffinity(0))
+        assert EXECUTION.use_cache is False
+
     def test_fault_smoke_runs_campaign_and_faulted_cli(self, workflow):
         steps = workflow["jobs"]["fault-smoke"]["steps"]
         runs = " ".join(s.get("run") or "" for s in steps)

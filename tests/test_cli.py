@@ -188,6 +188,12 @@ class TestCommands:
         assert rc == 0
         assert "Table 3" in capsys.readouterr().out
 
+    def test_experiments_command_takes_the_runners_arguments(self, capsys):
+        """A name with no scale, as ``python -m repro.experiments.runner
+        table3`` takes it: one parser for both."""
+        assert main(["experiments", "table3"]) == 0
+        assert "Table 3" in capsys.readouterr().out
+
 
 class TestCdgCheck:
     def test_list_names_every_builtin_pair(self, capsys):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import SimConfig
 from repro.experiments import (
     SCALES,
     Scale,
@@ -12,12 +13,21 @@ from repro.experiments.common import (
     MAX_LOAD_BY_VCS,
     get_scale,
     load_grid,
-    sweep_scheme,
+    valid_schemes,
 )
-from repro.experiments.figures import valid_schemes
+from repro.service.scenarios import SCENARIOS
+from repro.sim.sweep import curve_labels, run_sweeps, split_curves
 
 TINY = Scale("tiny", warmup=300, measure=600, sweep_points=2,
              trace_duration=6000)
+
+
+def curve(scale, **cell) -> list[SimConfig]:
+    """One figure curve: ``cell`` on the 8x8 torus over the scale's grid
+    up to its VC count's load ceiling."""
+    config = SimConfig(**cell)
+    return [config.with_(load=load) for load in
+            load_grid(scale, MAX_LOAD_BY_VCS[config.num_vcs])]
 
 
 class TestScales:
@@ -55,25 +65,30 @@ class TestValidSchemes:
 
 class TestSweepScheme:
     def test_label_and_points(self):
-        sweep = sweep_scheme("PR", "PAT721", 4, TINY, seed=3)
+        [sweep] = run_sweeps(curve(TINY, scheme="PR", pattern="PAT721",
+                                   num_vcs=4, seed=3),
+                             TINY.warmup, TINY.measure)
         assert sweep.label == "PR/PAT721/4vc"
         assert 1 <= len(sweep.points) <= 2
         assert all(p.scheme == "PR" for p in sweep.points)
 
     def test_qa_label(self):
-        sweep = sweep_scheme("PR", "PAT721", 4, TINY, seed=3,
-                             queue_mode="per-type")
-        assert sweep.label.startswith("PR-QA/")
+        [label] = curve_labels(split_curves(curve(
+            TINY, scheme="PR", pattern="PAT721", num_vcs=4, seed=3,
+            queue_mode="per-type")))
+        assert label.startswith("PR-QA/")
 
     @pytest.mark.parametrize("scheme, num_vcs",
                              [("SA", 8), ("DR", 4), ("PR", 4)])
     def test_curve_equal_on_both_backends(self, scheme, num_vcs):
-        """The figures' entry point, 8x8 torus, light load to past
-        saturation: the default backend draws the reference's curve."""
+        """A figure curve, 8x8 torus, light load to past saturation:
+        the default backend draws the reference's curve."""
         short = Scale("short", warmup=500, measure=1000, sweep_points=3,
                       trace_duration=6000)
         vector, reference = (
-            sweep_scheme(scheme, "PAT721", num_vcs, short, seed=3, **kwargs)
+            run_sweeps(curve(short, scheme=scheme, pattern="PAT721",
+                             num_vcs=num_vcs, seed=3, **kwargs),
+                       short.warmup, short.measure)[0]
             for kwargs in ({}, {"backend": "reference"})
         )
         assert vector.to_dict() == reference.to_dict()
@@ -150,7 +165,7 @@ class TestRunnerCli:
 
         scale, names, execution = runner.parse_args([])
         assert scale == "smoke"
-        assert names == list(runner.EXPERIMENTS)
+        assert names == [*runner.EXPERIMENTS, *SCENARIOS]
         assert execution.workers == 1 and execution.use_cache is True
 
     def test_parse_args_rejects_bad_workers(self):

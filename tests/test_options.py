@@ -153,16 +153,17 @@ class TestOptionsReachWhatExecutes:
             use_cache=False, progress=True)
 
     def test_runner_hosts_reach_the_scenarios_experiment(self, monkeypatch):
-        """``scenario_sweep.run`` used to pass ``workers`` and the cache
-        only: hosts, timeout and retries never arrived."""
-        from repro.experiments import scenario_sweep
+        """Every registry scenario the runner runs reaches ``run_points``
+        with the hosts, timeout and retries (a bridge once passed
+        ``workers`` and the cache only)."""
         from repro.service.scenarios import SCENARIOS
+        from repro.sim import sweep
         from repro.sim.results import RunResult
 
-        calls = []
+        calls = {}  # one entry per campaign: its progress reporter
 
         def fake_run_points(configs, warmup, measure, **kwargs):
-            calls.append(kwargs)
+            calls[kwargs["reporter"]] = kwargs
             return [RunResult(
                 scheme=c.scheme, pattern=c.pattern, num_vcs=c.num_vcs,
                 load=c.load, cycles=measure, messages_delivered=1,
@@ -171,12 +172,12 @@ class TestOptionsReachWhatExecutes:
                 transactions_completed=1, mean_txn_latency=1.0,
             ) for c in configs]
 
-        monkeypatch.setattr(scenario_sweep, "run_points", fake_run_points)
-        assert runner.main(["smoke", "scenarios", "--hosts", "local:2",
+        monkeypatch.setattr(sweep, "run_points", fake_run_points)
+        assert runner.main(["smoke", *SCENARIOS, "--hosts", "local:2",
                             "--point-timeout", "30", "--retries", "3",
                             "--no-cache"]) == 0
         assert len(calls) == len(SCENARIOS)
-        for kwargs in calls:
+        for kwargs in calls.values():
             [worker] = kwargs["workers"]
             assert worker.slots == 2 and worker.point_timeout == 30.0
             assert kwargs["retries"] == 3 and kwargs["timeout"] == 30.0

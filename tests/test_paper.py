@@ -4,26 +4,44 @@ and asserts its qualitative shape (what makes this a reproduction).
 Marked ``paper`` and deselected from the default suite (about a minute
 and a half at smoke scale); run with ``pytest -m paper``.  The scale is
 the ``REPRO_SCALE`` environment variable (``smoke`` default, ``paper``
-for the full 30,000-cycle windows).
+for the full 30,000-cycle windows).  Figures 8-11 and the ablations are
+scenario-registry campaigns, computed the way the runner computes them,
+on every CPU this process may use.
 """
 
 import os
 
 import pytest
 
+from repro.config import ExecutionConfig
 from repro.experiments import (
-    ablations,
     fig6_load_rates,
-    fig8_4vc,
-    fig9_8vc,
-    fig10_16vc,
-    fig11_queues,
     table1_responses,
     table3_distributions,
     trace_deadlocks,
 )
-from repro.experiments.figures import saturation_by_scheme
+from repro.experiments.runner import run_campaign
 from repro.experiments.table1_responses import PAPER_TABLE1
+
+#: every CPU this process may run on; no cache, so a figure is computed.
+EXECUTION = ExecutionConfig(workers=len(os.sched_getaffinity(0)),
+                            use_cache=False)
+
+
+def figure_curves(name: str, scale) -> list:
+    """A registry figure's curves, as the runner computes them."""
+    return run_campaign(name, scale, EXECUTION)
+
+
+def saturation_by_scheme(sweeps) -> dict:
+    """{pattern: {scheme[-QA]: saturation throughput}} from curve labels
+    ``scheme[-QA]/pattern/Nvc``."""
+    table: dict = {}
+    for sweep in sweeps:
+        scheme, pattern, _ = sweep.label.split("/")
+        table.setdefault(pattern, {})[scheme] = sweep.saturation_throughput()
+    return table
+
 
 pytestmark = pytest.mark.paper
 
@@ -87,8 +105,7 @@ def test_table3(scale):
 
 def test_fig8(scale):
     """Figure 8 (4 VCs) — PR dominates when channels are scarce."""
-    panels = fig8_4vc.run(scale)
-    sat = saturation_by_scheme(panels)
+    sat = saturation_by_scheme(figure_curves("fig8", scale))
     # PAT100: "over 100% more throughput than SA" — we assert a clear win.
     assert sat["PAT100"]["PR"] > 1.15 * sat["PAT100"]["SA"]
     # PAT721: "up to 100% more throughput than DR".
@@ -108,8 +125,7 @@ def test_fig8(scale):
 
 def test_fig9(scale):
     """Figure 9 (8 VCs) — SA lags on skewed mixes; DR approaches PR."""
-    panels = fig9_8vc.run(scale)
-    sat = saturation_by_scheme(panels)
+    sat = saturation_by_scheme(figure_curves("fig9", scale))
     # "SA saturates at an early load ... particularly acute when the
     # message distribution is concentrated on only a few types".
     assert sat["PAT721"]["PR"] > 1.1 * sat["PAT721"]["SA"]
@@ -125,8 +141,7 @@ def test_fig9(scale):
 
 def test_fig10(scale):
     """Figure 10 (16 VCs) — endpoint message coupling dominates."""
-    panels = fig10_16vc.run(scale)
-    sat = saturation_by_scheme(panels)
+    sat = saturation_by_scheme(figure_curves("fig10", scale))
     # "Both of these schemes [DR, PR] have lower throughput than SA due
     # to ... message coupling (and blocking) at network endpoints."
     couplings_hurt = 0
@@ -143,7 +158,7 @@ def test_fig10(scale):
 
 def test_fig11(scale):
     """Figure 11 — per-type queue separation (QA) at the endpoints."""
-    sweeps = fig11_queues.run(scale)
+    sweeps = figure_curves("fig11", scale)
     sat = {s.label: s.saturation_throughput() for s in sweeps}
     sa = sat["SA/PAT271/16vc"]
     dr, pr = sat["DR/PAT271/16vc"], sat["PR/PAT271/16vc"]
@@ -159,18 +174,19 @@ def test_fig11(scale):
 
 def test_ablations(scale):
     """Design-choice ablations (partitioning, thresholds, timeouts)."""
-    results = ablations.run(scale)
     sat = {
-        name: {s.label: s.saturation_throughput() for s in sweeps}
-        for name, sweeps in results.items()
+        name: {s.label: s.saturation_throughput()
+               for s in figure_curves(f"ablation-{name}", scale)}
+        for name in ("partitioning", "detection-threshold", "router-timeout")
     }
     part = sat["partitioning"]
     assert len(part) == 4
     # Shared extras raise availability (3 -> 9 for SA at 16 VCs); they
     # must not cost throughput.
-    assert part["SA/shared-extras"] > 0.85 * part["SA/split"]
-    assert part["DR/shared-extras"] > 0.85 * part["DR/split"]
+    for scheme in ("SA", "DR"):
+        cell = f"{scheme}/PAT721/16vc/shared_extras="
+        assert part[cell + "True"] > 0.85 * part[cell + "False"], scheme
     # Detection threshold: recovery still works across T values.
-    assert all(v > 0 for v in sat["detection_threshold"].values())
+    assert all(v > 0 for v in sat["detection-threshold"].values())
     # Router timeout: PR functions across the sweep.
-    assert all(v > 0 for v in sat["router_timeout"].values())
+    assert all(v > 0 for v in sat["router-timeout"].values())

@@ -32,7 +32,7 @@ from repro.farm import (
 )
 from repro.farm.health import HEALTHY
 from repro.faults.models import FaultSpec
-from repro.sim import parallel
+from repro.sim import parallel, sweep
 from repro.sim.parallel import (
     PointResolution,
     ResultCache,
@@ -40,7 +40,7 @@ from repro.sim.parallel import (
     resolve_points,
     run_points,
 )
-from repro.sim.sweep import run_point, run_sweep
+from repro.sim.sweep import run_point, run_sweep, run_sweeps
 from repro.telemetry import Tracer
 from repro.util.backoff import BackoffPolicy
 from repro.util.errors import LivenessError, PointTimeoutError, SweepExecutionError
@@ -171,6 +171,94 @@ class TestSerialParallelEquivalence:
         )
         assert serial.points == fanned.points
         assert serial.label == fanned.label
+
+
+#: a campaign of four curves (lowest load first) on the 4x4 torus: the
+#: three adversarial ones (one-flit buffers, 8-message queues) pass
+#: saturation before their last point, the SA one never does.
+SWEEP_WINDOW = (100, 300)
+_ADVERSARIAL = dict(dims=(4, 4), pattern="PAT271", num_vcs=4,
+                    queue_capacity=8, flit_buffer_depth=1, seed=3)
+CAMPAIGN = [
+    *[[SimConfig(scheme=scheme, load=0.01 * i, **_ADVERSARIAL)
+       for i in range(1, 7)] for scheme in ("NONE", "DR", "PR")],
+    [SimConfig(dims=(4, 4), scheme="SA", pattern="PAT721", num_vcs=8,
+               seed=3, load=0.005 * i) for i in range(1, 10)],
+]
+
+
+def serial_curve(configs) -> list:
+    """The reference: a curve's points one at a time, lowest load first,
+    until the first one below 0.9 x the best so far (from the third on,
+    paper Section 4.3.1)."""
+    points = []
+    for config in configs:
+        points.append(run_point(config, *SWEEP_WINDOW))
+        best = max(p.throughput_fpc for p in points)
+        if len(points) >= 3 and points[-1].throughput_fpc < 0.9 * best:
+            break
+    return points
+
+
+@pytest.fixture(scope="module")
+def serial_campaign():
+    curves = [serial_curve(configs) for configs in CAMPAIGN]
+    kept = [len(points) for points in curves]
+    # the campaign exercises both endings
+    assert kept[:3] == [5, 5, 5] and kept[3] == len(CAMPAIGN[3])
+    return curves
+
+
+class TestRunSweeps:
+    """A campaign runs as one; every curve is the serial sweep's."""
+
+    @pytest.mark.parametrize("execution", [
+        ExecutionConfig(workers=1, use_cache=False),
+        ExecutionConfig(workers=2, use_cache=False),
+        ExecutionConfig(workers=3, use_cache=False),
+        ExecutionConfig(farm_hosts="local:1,local:2", use_cache=False),
+    ], ids=["workers1", "workers2", "workers3", "hosts"])
+    def test_curves_equal_serial_sweeps(self, execution, serial_campaign):
+        sweeps = run_sweeps([c for curve in CAMPAIGN for c in curve],
+                            *SWEEP_WINDOW, execution=execution)
+        assert [s.points for s in sweeps] == serial_campaign
+        assert [s.label for s in sweeps] == [
+            "NONE/PAT271/4vc", "DR/PAT271/4vc", "PR/PAT271/4vc",
+            "SA/PAT721/8vc"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_computes_only_kept_points(self, workers, tmp_path,
+                                       monkeypatch, serial_campaign):
+        """At least as many live curves as the width: one point per
+        curve a round, so nothing past a stop is ever computed."""
+        point_fn, counter_dir = counting_fn(tmp_path)
+        monkeypatch.setattr(sweep, "run_points", functools.partial(
+            run_points, point_fn=point_fn))
+        run_sweeps([c for curve in CAMPAIGN for c in curve], *SWEEP_WINDOW,
+                   execution=ExecutionConfig(workers=workers,
+                                             use_cache=False))
+        computed = len(list(counter_dir.iterdir()))
+        assert computed == sum(map(len, serial_campaign))
+        assert computed < sum(map(len, CAMPAIGN))
+
+    def test_progress_counts_the_points_that_ran(self, tmp_path):
+        """A stopped curve's unscheduled points leave the total, so a
+        resumed campaign's last line says every point was cached."""
+        configs = [c for curve in CAMPAIGN for c in curve]
+        execution = ExecutionConfig(cache_dir=str(tmp_path), progress=True)
+        run_sweeps(configs, *SWEEP_WINDOW, execution=execution)
+        stream = io.StringIO()
+        real = ProgressReporter
+
+        def reporter(*args, **kwargs):
+            return real(*args, **{**kwargs, "stream": stream})
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sweep, "ProgressReporter", reporter)
+            run_sweeps(configs, *SWEEP_WINDOW, execution=execution)
+        kept = 5 + 5 + 5 + 9
+        assert stream.getvalue().splitlines()[-1] == (
+            f"4 curves [{kept}/{kept}] {kept} cached")
 
 
 class TestResultCache:

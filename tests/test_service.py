@@ -110,7 +110,10 @@ class TestScenarioRegistry:
         reference_only = {
             "fault-storm": "fault injection (faults=...)",
         }
-        on_vector = {"baseline-pr", "scheme-ladder", "splash-mix",
+        on_vector = {"fig8", "fig9", "fig10", "fig11",
+                     "ablation-partitioning", "ablation-detection-threshold",
+                     "ablation-router-timeout",
+                     "baseline-pr", "scheme-ladder", "splash-mix",
                      "adversarial-worstcase", "fat-tree",
                      "cdg-torus4x4-tfar", "cdg-irregular9-tfar",
                      # the CWG checker runs on both engines
@@ -134,10 +137,10 @@ class TestScenarioRegistry:
     def test_one_point_has_one_key_whichever_front_end_built_it(
             self, tmp_path, monkeypatch, capsys):
         """``baseline-pr`` as the library, ``repro sweep``, ``farm plan``
-        and ``sweep_scheme`` build it: the same configs, so the same
+        and the experiment runner build it: the same configs, so the same
         cache entries — a campaign computed by one is cached for all."""
         from repro.cli import main
-        from repro.experiments import common
+        from repro.experiments import runner
 
         library = build_campaign("baseline-pr", TINY)
         keys = [point_key(c, TINY.warmup, TINY.measure)
@@ -157,11 +160,10 @@ class TestScenarioRegistry:
 
         swept = []
         monkeypatch.setattr(
-            common, "run_sweep",
-            lambda config, loads, **kwargs: swept.extend(
-                config.with_(load=load) for load in loads),
+            runner, "run_sweeps",
+            lambda configs, warmup, measure, **kwargs: swept.extend(configs),
         )
-        common.sweep_scheme("PR", "PAT271", 4, TINY, dims=(4, 4))
+        runner.run_campaign("baseline-pr", TINY)
         assert tuple(swept) == library.configs
 
         warm = ResultCache(cache)
@@ -169,10 +171,36 @@ class TestScenarioRegistry:
                    cache=warm)
         assert (warm.hits, warm.misses) == (len(keys), 0)
 
+    def test_one_campaign_for_every_front_end(self, monkeypatch):
+        """``fig11`` as the library builds it, as the runner runs it and
+        as ``tests/test_paper.py`` runs it: one list of point keys, and
+        the paper tests use every CPU they may."""
+        import os
+
+        from repro.experiments import runner
+        from tests.test_paper import figure_curves
+
+        def keys(configs, warmup, measure):
+            return [point_key(c, warmup, measure) for c in configs]
+
+        library = build_campaign("fig11", TINY)
+        ran = []
+        monkeypatch.setattr(
+            runner, "run_sweeps",
+            lambda configs, warmup, measure, **kwargs: ran.append(
+                (keys(configs, warmup, measure), kwargs["execution"])),
+        )
+        runner.run_campaign("fig11", TINY)
+        figure_curves("fig11", TINY)
+        (by_runner, _), (by_paper_test, execution) = ran
+        assert keys(library.configs, library.warmup, library.measure) \
+            == by_runner == by_paper_test
+        assert execution.workers == len(os.sched_getaffinity(0))
+
     def test_expected_categories_present(self):
         categories = {s.category for s in SCENARIOS.values()}
-        assert {"synthetic", "splash", "adversarial", "faults",
-                "cdg"} <= categories
+        assert {"figure", "ablation", "synthetic", "splash", "adversarial",
+                "faults", "cdg"} <= categories
 
     def test_every_scenario_builds_nonempty_campaign(self):
         for name in scenario_names():
@@ -329,6 +357,39 @@ class TestJobManager:
             assert asyncio.get_event_loop().time() < deadline
             await asyncio.sleep(0.02)
         return job
+
+    def test_runner_reads_a_finished_job(self, tmp_path, monkeypatch):
+        """The service computes every point of ``fig11``; the runner on
+        the same cache then computes none, and draws each curve as the
+        job's points cut by the one rule."""
+        import functools
+
+        from repro.config import ExecutionConfig
+        from repro.experiments.runner import run_campaign
+        from repro.sim.sweep import first_past_saturation, split_curves
+        from tests.test_parallel import _boom
+
+        scale = Scale("short", warmup=100, measure=200, sweep_points=4,
+                      trace_duration=1000)
+        spec = build_campaign("fig11", scale)
+
+        async def body(manager):
+            job, _ = manager.submit(spec)
+            await self._wait_done(manager, job)
+            assert job.state == "done" and job.computed == len(spec.configs)
+            return job.results
+
+        results = iter(self.run_manager(tmp_path, body))
+        monkeypatch.setattr(sweep_module, "run_points", functools.partial(
+            run_points, point_fn=_boom))
+        sweeps = run_campaign("fig11", scale, ExecutionConfig(
+            cache_dir=str(tmp_path / "cache")))
+        expected = []
+        for curve in split_curves(spec.configs):
+            points = [next(results) for _ in curve]
+            stop = first_past_saturation(points)
+            expected.append(points if stop is None else points[:stop + 1])
+        assert [s.points for s in sweeps] == expected
 
     def test_execution_bit_identical_to_run_points(self, tmp_path):
         spec = tiny_campaign()
