@@ -26,63 +26,36 @@ removes message-dependent (protocol) deadlock from the picture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.analysis import check_all, gate_failures
 from repro.config import SimConfig
-from repro.experiments.common import Scale, get_scale
-from repro.sim.engine import build_engine
+from repro.experiments.common import (
+    CDG_CERTIFIED_CELLS,
+    CDG_REFUTED_CELLS,
+    LabScale,
+    lab_scale,
+    run_cell,
+)
 
-
-@dataclass(frozen=True)
-class LabScale:
-    """Run-size knobs for the dynamic phases."""
-
-    warmup: int
-    measure: int
-
-
-_LAB_SCALES = {
-    "smoke": LabScale(warmup=500, measure=2500),
-    "paper": LabScale(warmup=2000, measure=10_000),
+#: run sizes of the dynamic phases (cells are not drained).
+_SCALES = {
+    "smoke": LabScale("smoke", warmup=500, measure=2500),
+    "paper": LabScale("paper", warmup=2000, measure=10_000),
 }
 
-#: refuted registry pairs realized as simulator cells: PR's routing is
-#: exactly the registry's true-fully-adaptive pair on each substrate.
-_REFUTED_CELLS = (
-    ("torus4x4-tfar", SimConfig(topology="torus", dims=(4, 4), scheme="PR",
-                                pattern="PAT271", num_vcs=4, load=0.02)),
-    ("irregular9-tfar", SimConfig(topology="irregular", scheme="PR",
-                                  pattern="PAT271", num_vcs=4, load=0.02)),
-)
 
-#: certified registry pairs realized as SA cells (avoidance over the
-#: certified escape routing) with the CWG ground-truth checker on.
-_CERTIFIED_CELLS = (
-    ("torus4x4-duato", SimConfig(topology="torus", dims=(4, 4), scheme="SA",
-                                 pattern="PAT721", num_vcs=8,
-                                 cwg_interval=50, load=0.012)),
-    ("mesh2d4x4-duato", SimConfig(topology="mesh2d", dims=(4, 4), scheme="SA",
-                                  pattern="PAT721", num_vcs=8,
-                                  cwg_interval=50, load=0.012)),
-    ("irregular9-updown", SimConfig(topology="irregular", scheme="SA",
-                                    pattern="PAT721", num_vcs=8,
-                                    cwg_interval=50, load=0.012)),
-)
-
-
-def _run_dynamic(config: SimConfig, ls: LabScale) -> tuple[int, int]:
+def _run_dynamic(pair_name: str, config: SimConfig, ls: LabScale
+                 ) -> tuple[int, int]:
     """(detected deadlocks, CWG knots) over one measured window."""
-    engine = build_engine(config.with_(watchdog_timeout=8000))
-    window = engine.run_measured(ls.warmup, ls.measure)
+    engine, window = run_cell(config.with_(watchdog_timeout=8000), ls,
+                              f"cdg lab cell {pair_name}", drain=False)
+    assert window is not None  # a measured scale
     deadlocks = window.deadlocks + window.deadlocks_unresolved
     return deadlocks, engine.cwg_knots_seen
 
 
-def run(scale: str | Scale = "smoke") -> dict:
+def run(scale: str | LabScale = "smoke") -> dict:
     """Static + dynamic cross-validation; raises on any disagreement."""
-    name = scale if isinstance(scale, str) else get_scale(scale).name
-    ls = _LAB_SCALES[name]
+    ls = lab_scale(scale, _SCALES)
 
     reports = check_all()
     problems = gate_failures(reports)
@@ -90,8 +63,8 @@ def run(scale: str | Scale = "smoke") -> dict:
         raise RuntimeError("cdg gate failures: " + "; ".join(problems))
 
     refuted_rows = []
-    for pair_name, config in _REFUTED_CELLS:
-        deadlocks, _ = _run_dynamic(config, ls)
+    for pair_name, config in CDG_REFUTED_CELLS:
+        deadlocks, _ = _run_dynamic(pair_name, config, ls)
         if deadlocks == 0:
             raise RuntimeError(
                 f"{pair_name} is statically REFUTED but the simulator"
@@ -100,8 +73,8 @@ def run(scale: str | Scale = "smoke") -> dict:
         refuted_rows.append({"pair": pair_name, "deadlocks": deadlocks})
 
     certified_rows = []
-    for pair_name, config in _CERTIFIED_CELLS:
-        deadlocks, knots = _run_dynamic(config, ls)
+    for pair_name, config in CDG_CERTIFIED_CELLS:
+        deadlocks, knots = _run_dynamic(pair_name, config, ls)
         if deadlocks or knots:
             raise RuntimeError(
                 f"{pair_name} is statically CERTIFIED but the simulator"

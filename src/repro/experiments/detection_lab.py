@@ -34,12 +34,11 @@ knots.  Hard guarantees enforced (the run raises on violation):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.config import SimConfig
-from repro.experiments.common import Scale, drain_and_conserve, get_scale
+from repro.experiments.common import SCHEME_CELLS, LabScale, lab_scale, run_cell
 from repro.faults.models import FaultSpec
-from repro.sim.engine import build_engine
 from repro.telemetry import Tracer, stitch_episodes
 from repro.telemetry import events as ev
 
@@ -49,24 +48,13 @@ _PROBE_KINDS = frozenset(
     (ev.PROBE_SEND, ev.PROBE_FORWARD, ev.PROBE_RETURN, ev.PROBE_DROP)
 )
 
-
-@dataclass(frozen=True)
-class LabScale:
-    """Run-size knobs for the detection lab."""
-
-    run_cycles: int
-    fault_start: int
-    fault_duration: int
-    quiesce_cycles: int
-
-
-_LAB_SCALES = {
+_SCALES = {
     "smoke": LabScale(
-        run_cycles=4000, fault_start=600, fault_duration=2000,
+        "smoke", run_cycles=4000, fault_start=600, fault_duration=2000,
         quiesce_cycles=100_000,
     ),
     "paper": LabScale(
-        run_cycles=20_000, fault_start=2000, fault_duration=6000,
+        "paper", run_cycles=20_000, fault_start=2000, fault_duration=6000,
         quiesce_cycles=200_000,
     ),
 }
@@ -78,26 +66,25 @@ class LabCell:
 
     Seeds are pinned per cell: ``none-heavy`` at seed 1 reliably wedges
     the 4x4 torus into CWG knots within the smoke window, which the
-    no-false-negative guarantee needs.
+    no-false-negative guarantee needs.  A ``stall_fault`` cell gets a
+    consumer stall, the watchdog, and a drain.
     """
 
     name: str
-    scheme: str
-    pattern: str
-    load: float
-    seed: int
-    cwg_interval: int
+    config: SimConfig
     stall_fault: bool = False
-    extra: dict = field(default_factory=dict)
 
+
+_NONE_CELL = SimConfig(dims=(4, 4), scheme="NONE", pattern="PAT721",
+                       num_vcs=4, seed=1, cwg_interval=25)
 
 _CELLS = (
-    LabCell("none-light", "NONE", "PAT721", 0.008, seed=1, cwg_interval=25),
-    LabCell("none-heavy", "NONE", "PAT721", 0.020, seed=1, cwg_interval=25),
-    LabCell("dr-stall", "DR", "PAT271", 0.012, seed=11, cwg_interval=50,
-            stall_fault=True, extra={"max_outstanding": 12}),
-    LabCell("pr-stall", "PR", "PAT271", 0.012, seed=11, cwg_interval=50,
-            stall_fault=True),
+    LabCell("none-light", _NONE_CELL.with_(load=0.008)),
+    LabCell("none-heavy", _NONE_CELL.with_(load=0.020)),
+    LabCell("dr-stall", SCHEME_CELLS["DR"].with_(
+        dims=(4, 4), load=0.012, seed=11, cwg_interval=50), stall_fault=True),
+    LabCell("pr-stall", SCHEME_CELLS["PR"].with_(
+        dims=(4, 4), load=0.012, seed=11, cwg_interval=50), stall_fault=True),
 )
 
 
@@ -110,34 +97,22 @@ def _cell_config(cell: LabCell, detector: str, ls: LabScale) -> SimConfig:
                       duration=ls.fault_duration),
         )
         watchdog = max(4 * ls.fault_duration, 4000)
-    return SimConfig(
-        dims=(4, 4),
-        scheme=cell.scheme,
-        pattern=cell.pattern,
-        num_vcs=4,
-        load=cell.load,
-        seed=cell.seed,
+    return cell.config.with_(
         detector=detector,
-        cwg_interval=cell.cwg_interval,
         faults=faults,
         invariants_every=250,
         watchdog_timeout=watchdog,
-        **cell.extra,
     )
 
 
-def run_cell(cell: LabCell, detector: str, ls: LabScale) -> dict:
+def _run_cell(cell: LabCell, detector: str, ls: LabScale) -> dict:
     """Run one (cell, detector) point; returns its metrics row."""
     tracer = Tracer(level="message")
-    engine = build_engine(_cell_config(cell, detector, ls), tracer)
-    engine.run(ls.run_cycles)
-
-    lost = None
-    if cell.stall_fault:
-        lost = drain_and_conserve(
-            engine, f"detection lab cell {cell.name}/{detector}",
-            ls.quiesce_cycles,
-        )
+    engine, _ = run_cell(
+        _cell_config(cell, detector, ls), ls,
+        f"detection lab cell {cell.name}/{detector}", tracer,
+        drain=cell.stall_fault,
+    )
 
     stats = engine.stats
     first = stats.first_deadlock_cycle if stats.first_deadlock_cycle >= 0 else None
@@ -158,9 +133,9 @@ def run_cell(cell: LabCell, detector: str, ls: LabScale) -> dict:
     detections = engine.scheme.deadlocks_detected
     return {
         "cell": cell.name,
-        "scheme": cell.scheme,
+        "scheme": cell.config.scheme,
         "detector": detector,
-        "load": cell.load,
+        "load": cell.config.load,
         "detections": detections,
         "first_detection": first,
         "detect_latency": detect_latency,
@@ -171,7 +146,7 @@ def run_cell(cell: LabCell, detector: str, ls: LabScale) -> dict:
         "episodes": len(episodes),
         "recoveries": engine.scheme.recoveries,
         "delivered": stats.total.messages_delivered,
-        "lost": lost,
+        "lost": 0 if cell.stall_fault else None,
         "cwg_knots_seen": knots,
         # A detection on a run the CWG checker certified deadlock-free.
         "false_positives": detections if knots == 0 and not cell.stall_fault
@@ -228,14 +203,11 @@ def _check_guarantees(rows: list[dict]) -> None:
                 )
 
 
-def run(scale: str | Scale = "smoke") -> list[dict]:
+def run(scale: str | LabScale = "smoke") -> list[dict]:
     """Run the full grid; returns one row dict per (cell, detector)."""
-    name = scale if isinstance(scale, str) else get_scale(scale).name
-    ls = _LAB_SCALES[name]
-    rows = []
-    for cell in _CELLS:
-        for detector in DETECTORS:
-            rows.append(run_cell(cell, detector, ls))
+    ls = lab_scale(scale, _SCALES)
+    rows = [_run_cell(cell, detector, ls)
+            for cell in _CELLS for detector in DETECTORS]
     _check_guarantees(rows)
     return rows
 

@@ -23,35 +23,36 @@ job fails loudly): every cell drains completely once the fault clears,
 and no cell loses or duplicates messages — in particular PR's no-kill
 guarantee (the paper's Section 4.3.2: progressive recovery never
 removes messages from the network).
+
+After the campaign, the torus4x4 DR and PR consumer-stall cells run
+twice more with a flit-level tracer, and the run raises unless each
+traced row equals its untraced campaign row, the two traced runs stitch
+identical recovery episodes, episode 0's detection is the ``detect``
+column, and the exported Chrome/Perfetto trace is valid.  The traces
+land in ``results/telemetry/`` for https://ui.perfetto.dev.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
 
-from repro.config import SimConfig
-from repro.experiments.common import Scale, drain_and_conserve, get_scale
+from repro.experiments.common import SCHEME_CELLS, LabScale, lab_scale, run_cell
 from repro.faults.models import FaultSpec
-from repro.sim.engine import build_engine
+from repro.telemetry import (
+    Tracer,
+    export_perfetto,
+    format_episodes,
+    stitch_episodes,
+    validate_perfetto,
+)
 
-
-@dataclass(frozen=True)
-class CampaignScale:
-    """Run-size knobs for the fault campaign."""
-
-    run_cycles: int
-    fault_start: int
-    fault_duration: int
-    quiesce_cycles: int
-
-
-_CAMPAIGN_SCALES = {
-    "smoke": CampaignScale(
-        run_cycles=4000, fault_start=600, fault_duration=2000,
+_SCALES = {
+    "smoke": LabScale(
+        "smoke", run_cycles=4000, fault_start=600, fault_duration=2000,
         quiesce_cycles=100_000,
     ),
-    "paper": CampaignScale(
-        run_cycles=30_000, fault_start=2000, fault_duration=6000,
+    "paper": LabScale(
+        "paper", run_cycles=30_000, fault_start=2000, fault_duration=6000,
         quiesce_cycles=200_000,
     ),
 }
@@ -59,81 +60,67 @@ _CAMPAIGN_SCALES = {
 #: fault models exercised against every scheme (token faults are PR-only).
 _COMMON_MODELS = ("consumer-stall", "eject-stall", "link-stall", "router-freeze")
 
-_SCHEMES = ("SA", "DR", "PR")
-
 #: substrates the grid runs on.  Fault targets (router 5, link 3) are
 #: interior/busy on all three: the smallest has 9 routers and 22+ links.
-_SUBSTRATES = (
-    ("torus4x4", {"topology": "torus", "dims": (4, 4)}),
-    ("mesh2d4x4", {"topology": "mesh2d", "dims": (4, 4)}),
-    ("irregular9", {"topology": "irregular", "dims": (4, 4)}),
-)
-
-
-#: per-scheme network/protocol configuration: each scheme runs its
-#: paper-representative cell.  SA needs C >= 2L (PAT721's four-type
-#: chains at 8 VCs); DR's detection heuristic needs MSHR headroom below
-#: the reply-queue capacity (max_outstanding < queue_capacity), exactly
-#: as in the Origin2000, so admission-time reservations cannot starve
-#: the service-time ones.
-_SCHEME_CONFIG = {
-    "SA": {"pattern": "PAT721", "num_vcs": 8, "cwg_interval": 50},
-    "DR": {"pattern": "PAT271", "num_vcs": 4, "max_outstanding": 12},
-    "PR": {"pattern": "PAT271", "num_vcs": 4},
+_SUBSTRATES = {
+    "torus4x4": {"topology": "torus", "dims": (4, 4)},
+    "mesh2d4x4": {"topology": "mesh2d", "dims": (4, 4)},
+    "irregular9": {"topology": "irregular", "dims": (4, 4)},
 }
 
+#: (substrate, scheme, model) of the cells re-run traced.
+_TRACED_CELLS = (("torus4x4", "DR", "consumer-stall"),
+                 ("torus4x4", "PR", "consumer-stall"))
 
-def _specs_for(model: str, cs: CampaignScale) -> tuple[FaultSpec, ...]:
+OUTPUT_DIR = os.path.join("results", "telemetry")
+
+
+def _specs_for(model: str, ls: LabScale) -> tuple[FaultSpec, ...]:
     if model == "token-loss":
-        return (FaultSpec("token-loss", start=cs.fault_start),)
+        return (FaultSpec("token-loss", start=ls.fault_start),)
     # Targets sit mid-fabric so the fault shadows real traffic:
     # node/router 5 is interior and link 3 carries busy flows on every
     # substrate in the grid (all have >= 9 routers and >= 22 links).
     target = {"link-stall": 3, "router-freeze": 5}.get(model, 5)
     return (
-        FaultSpec(model, target=target, start=cs.fault_start,
-                  duration=cs.fault_duration),
+        FaultSpec(model, target=target, start=ls.fault_start,
+                  duration=ls.fault_duration),
     )
 
 
-def _run_cell(scheme: str, model: str, cs: CampaignScale, seed: int,
-              tracer=None, substrate: dict | None = None,
-              substrate_name: str = "torus4x4") -> dict:
-    config = SimConfig(
-        **(substrate if substrate is not None
-           else {"topology": "torus", "dims": (4, 4)}),
-        scheme=scheme,
+def _run_cell(substrate: str, scheme: str, model: str, ls: LabScale,
+              seed: int, tracer=None) -> dict:
+    config = SCHEME_CELLS[scheme].with_(
+        **_SUBSTRATES[substrate],
         load=0.012,
         seed=seed,
-        faults=_specs_for(model, cs),
+        faults=_specs_for(model, ls),
+        cwg_interval=50 if scheme == "SA" else 0,
         invariants_every=250,
         # Generous: transient faults stall progress for fault_duration
         # cycles at most, and a recovered system must move again.
-        watchdog_timeout=max(4 * cs.fault_duration, 4000),
-        **_SCHEME_CONFIG[scheme],
+        watchdog_timeout=max(4 * ls.fault_duration, 4000),
     )
-    engine = build_engine(config, tracer)
-    engine.run(cs.run_cycles)
-    lost = drain_and_conserve(
-        engine, f"fault campaign cell {substrate_name}/{scheme}/{model}",
-        cs.quiesce_cycles,
+    engine, _ = run_cell(
+        config, ls, f"fault campaign cell {substrate}/{scheme}/{model}",
+        tracer,
     )
     stats = engine.stats
     controller = getattr(engine.scheme, "controller", None)
     detect = (
-        stats.first_deadlock_cycle - cs.fault_start
+        stats.first_deadlock_cycle - ls.fault_start
         if stats.first_deadlock_cycle >= 0 else None
     )
     regen = getattr(controller, "token_regenerations", 0)
     row = {
-        "substrate": substrate_name,
+        "substrate": substrate,
         "scheme": scheme,
         "model": model,
         "detect_latency": detect,
         "recoveries": engine.scheme.recoveries,
         "token_regenerations": regen,
         "delivered": stats.total.messages_delivered,
-        "lost": lost,
+        "lost": 0,
         "cwg_knots_seen": engine.cwg_knots_seen,
         "invariant_checks": engine.invariants.checks_run,
         "fault_activations": engine.faults.activation_counts(),
@@ -149,44 +136,96 @@ def _run_cell(scheme: str, model: str, cs: CampaignScale, seed: int,
     return row
 
 
-def run(scale: str | Scale = "smoke", seed: int = 11) -> list[dict]:
-    """Run the full campaign matrix; returns one row dict per cell."""
-    name = scale if isinstance(scale, str) else get_scale(scale).name
-    cs = _CAMPAIGN_SCALES[name]
-    rows = []
-    for substrate_name, substrate in _SUBSTRATES:
-        for scheme in _SCHEMES:
-            models = _COMMON_MODELS + (
-                ("token-loss",) if scheme == "PR" else ()
+def _trace_cell(row: dict, ls: LabScale, seed: int) -> None:
+    """Re-run ``row``'s cell twice with a flit tracer, check what the
+    traces say against the campaign, and add the episodes, the event
+    counts and the written trace's path to ``row``."""
+    cell = (row["substrate"], row["scheme"], row["model"])
+    label = "/".join(cell)
+    tracers = []
+    for _ in range(2):
+        tracer = Tracer(level="flit", sample_every=100)
+        traced = _run_cell(*cell, ls, seed, tracer)
+        if traced != row:
+            raise RuntimeError(
+                f"{label}: traced row {traced} differs from the untraced"
+                f" campaign row {row}"
             )
-            for model in models:
-                rows.append(_run_cell(
-                    scheme, model, cs, seed, substrate=substrate,
-                    substrate_name=substrate_name,
-                ))
+        tracers.append(tracer)
+    episodes = stitch_episodes(tracers[0])
+    if ([epi.to_dict() for epi in episodes]
+            != [epi.to_dict() for epi in stitch_episodes(tracers[1])]):
+        raise RuntimeError(f"{label}: episodes differ between identical runs")
+    if row["detect_latency"] is not None:
+        if not episodes:
+            raise RuntimeError(f"{label}: deadlock but no episodes")
+        got = episodes[0].detection_cycle - ls.fault_start
+        if got != row["detect_latency"]:
+            raise RuntimeError(
+                f"{label}: episode detect {got} !="
+                f" campaign detect {row['detect_latency']}"
+            )
+    os.makedirs(OUTPUT_DIR, exist_ok=True)
+    path = os.path.join(OUTPUT_DIR,
+                        f"{row['scheme']}_{row['model']}_{ls.name}.json")
+    validate_perfetto(export_perfetto(tracers[0], path))
+    row.update(episodes=episodes,
+               events_recorded=tracers[0].events_recorded,
+               dropped_events=tracers[0].dropped_events,
+               trace_path=path)
+
+
+def run(scale: str | LabScale = "smoke", seed: int = 11) -> list[dict]:
+    """Run the full campaign matrix, then the traced cells; returns one
+    row dict per cell (the traced cells' rows carry their episodes)."""
+    ls = lab_scale(scale, _SCALES)
+    rows = [
+        _run_cell(substrate, scheme, model, ls, seed)
+        for substrate in _SUBSTRATES
+        for scheme in SCHEME_CELLS
+        for model in _COMMON_MODELS + (
+            ("token-loss",) if scheme == "PR" else ()
+        )
+    ]
+    by_cell = {(r["substrate"], r["scheme"], r["model"]): r for r in rows}
+    for cell in _TRACED_CELLS:
+        _trace_cell(by_cell[cell], ls, seed)
     return rows
+
+
+def _detect(row: dict) -> str:
+    latency = row["detect_latency"]
+    return f"{latency}c" if latency is not None else "-"
 
 
 def main(scale: str = "smoke") -> None:
     rows = run(scale)
     print("\n== Fault campaign: substrate x scheme x fault model ==")
     print(f"{'substrate':11s} {'scheme':7s} {'fault':15s} {'detect':>7s}"
-          f" {'recov':>7s} {'deliv':>7s} {'lost':>5s}")
+          f" {'recov':>9s} {'deliv':>7s} {'lost':>5s}")
     for row in rows:
-        detect = (
-            f"{row['detect_latency']}c"
-            if row["detect_latency"] is not None else "-"
-        )
         recov = str(row["recoveries"])
         if row["token_regenerations"]:
             recov += f"+{row['token_regenerations']}regen"
         print(
             f"{row['substrate']:11s} {row['scheme']:7s} {row['model']:15s}"
-            f" {detect:>7s} {recov:>7s}"
+            f" {_detect(row):>7s} {recov:>9s}"
             f" {row['delivered']:7d} {row['lost']:5d}"
         )
     print("all cells drained on every substrate; conservation delta 0"
           " everywhere (PR no-kill guarantee holds)")
+    print("\n== Traced cells: recovery episodes ==")
+    for row in rows:
+        if "episodes" not in row:
+            continue
+        print(f"\n{row['substrate']}/{row['scheme']}/{row['model']}:"
+              f" detect={_detect(row)} recoveries={row['recoveries']}"
+              f" events={row['events_recorded']}"
+              f" (dropped {row['dropped_events']})")
+        print(format_episodes(row["episodes"]))
+        print(f"trace: {row['trace_path']} (open in ui.perfetto.dev)")
+    print("\nperfetto traces valid; traced rows equal the campaign's;"
+          " episodes deterministic and detected at the detect column")
 
 
 if __name__ == "__main__":

@@ -12,12 +12,15 @@ and the service's campaigns), run as one campaign by
 :func:`repro.sim.sweep.run_sweeps` and printed as its curves, or one of
 the labs in :data:`EXPERIMENTS`, which drive engines themselves.  With
 no names, all of them run, labs first.  ``paper`` scale uses the paper's
-30,000-cycle measurement windows; ``--workers N`` fans points across N
-processes, ``--hosts SPEC`` across a fault-tolerant farm
-(:mod:`repro.farm`, the ``local[:N]``/``ssh:HOST``/``ext:DIR`` syntax of
-``repro farm run``), and the on-disk result cache (on by default, see
+30,000-cycle measurement windows.  For a registry campaign,
+``--workers N`` fans points across N processes, ``--hosts SPEC``
+across a fault-tolerant farm (:mod:`repro.farm`, the
+``local[:N]``/``ssh:HOST``/``ext:DIR`` syntax of ``repro farm run``),
+and the on-disk result cache (on by default, see
 :mod:`repro.sim.parallel`) lets an interrupted run resume instead of
-restarting.  Results are bit-identical however they are computed.
+restarting.  Results are bit-identical however they are computed.  The
+labs run serially and uncached: they ignore ``--workers``, ``--hosts``
+and ``--no-cache``.
 ``repro experiments`` is the same command: the arguments are declared
 once, by :func:`repro.experiments.common.add_runner_arguments`.
 
@@ -40,7 +43,6 @@ from repro.experiments import (
     fig6_load_rates,
     table1_responses,
     table3_distributions,
-    telemetry,
     topologies,
     trace_deadlocks,
 )
@@ -63,7 +65,6 @@ EXPERIMENTS = {
     "fig6": fig6_load_rates,
     "trace_deadlocks": trace_deadlocks,
     "faults": faults,
-    "telemetry": telemetry,
     "detection_lab": detection_lab,
     "topologies": topologies,
     "cdg_lab": cdg_lab,

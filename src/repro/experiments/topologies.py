@@ -20,26 +20,13 @@ when a guarantee breaks (the run raises).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.experiments.common import SCHEME_CELLS, LabScale, lab_scale, run_cell
 
-from repro.config import SimConfig
-from repro.experiments.common import Scale, drain_and_conserve, get_scale
-from repro.sim.engine import build_engine
-
-
-@dataclass(frozen=True)
-class CampaignScale:
-    """Run-size knobs for the topology campaign."""
-
-    warmup: int
-    measure: int
-    quiesce_cycles: int
-
-
-_CAMPAIGN_SCALES = {
-    "smoke": CampaignScale(warmup=500, measure=2500, quiesce_cycles=100_000),
-    "paper": CampaignScale(warmup=2000, measure=10_000,
-                           quiesce_cycles=200_000),
+_SCALES = {
+    "smoke": LabScale("smoke", warmup=500, measure=2500,
+                      quiesce_cycles=100_000),
+    "paper": LabScale("paper", warmup=2000, measure=10_000,
+                      quiesce_cycles=200_000),
 }
 
 #: the non-torus substrates: (kind, dims, label).  "fullmesh" gets 8
@@ -50,37 +37,27 @@ _TOPOLOGIES = (
     ("irregular", (4, 4), "irregular9"),
 )
 
-_SCHEMES = ("SA", "DR", "PR")
-
-#: per-scheme cell configuration, mirroring the fault campaign: SA needs
-#: C >= 2L for PAT721's four-type chains and runs the CWG ground-truth
-#: checker; DR/PR run the paper's request-reply pattern at a load that
-#: provokes deadlock on adaptive substrates.
-_SCHEME_CONFIG = {
-    "SA": {"pattern": "PAT721", "num_vcs": 8, "cwg_interval": 50,
-           "load": 0.012},
-    "DR": {"pattern": "PAT271", "num_vcs": 4, "max_outstanding": 12,
-           "load": 0.02},
-    "PR": {"pattern": "PAT271", "num_vcs": 4, "load": 0.02},
-}
+#: per-scheme load on top of the scheme's cell: SA runs the CWG
+#: ground-truth checker at the fault campaign's load; DR/PR run at a
+#: load that provokes deadlock on adaptive substrates.
+_LOADS = {"SA": 0.012, "DR": 0.02, "PR": 0.02}
 
 
 def _run_cell(kind: str, dims: tuple[int, ...], label: str, scheme: str,
-              cs: CampaignScale, seed: int) -> dict:
-    config = SimConfig(
+              ls: LabScale, seed: int) -> dict:
+    config = SCHEME_CELLS[scheme].with_(
         topology=kind,
         dims=dims,
-        scheme=scheme,
         seed=seed,
+        load=_LOADS[scheme],
+        cwg_interval=50 if scheme == "SA" else 0,
         invariants_every=250,
         watchdog_timeout=8000,
-        **_SCHEME_CONFIG[scheme],
     )
-    engine = build_engine(config)
-    window = engine.run_measured(cs.warmup, cs.measure)
-    lost = drain_and_conserve(
-        engine, f"topology campaign cell {label}/{scheme}", cs.quiesce_cycles
+    engine, window = run_cell(
+        config, ls, f"topology campaign cell {label}/{scheme}"
     )
+    assert window is not None  # a measured scale
     deadlocks = window.deadlocks + window.deadlocks_unresolved
     if scheme == "SA" and (deadlocks or engine.cwg_knots_seen):
         raise RuntimeError(
@@ -98,18 +75,17 @@ def _run_cell(kind: str, dims: tuple[int, ...], label: str, scheme: str,
         "deadlocks": deadlocks,
         "recoveries": engine.scheme.recoveries,
         "cwg_knots_seen": engine.cwg_knots_seen,
-        "lost": lost,
+        "lost": 0,
     }
 
 
-def run(scale: str | Scale = "smoke", seed: int = 7) -> list[dict]:
+def run(scale: str | LabScale = "smoke", seed: int = 7) -> list[dict]:
     """Run the scheme x topology grid; returns one row dict per cell."""
-    name = scale if isinstance(scale, str) else get_scale(scale).name
-    cs = _CAMPAIGN_SCALES[name]
+    ls = lab_scale(scale, _SCALES)
     return [
-        _run_cell(kind, dims, label, scheme, cs, seed)
+        _run_cell(kind, dims, label, scheme, ls, seed)
         for kind, dims, label in _TOPOLOGIES
-        for scheme in _SCHEMES
+        for scheme in SCHEME_CELLS
     ]
 
 

@@ -35,7 +35,7 @@ adversarial
 faults
     Fault storms layered on healthy traffic (stacked injector specs).
 cdg
-    The CDG registry pairs of :mod:`repro.experiments.cdg_lab`,
+    The CDG registry pairs that :mod:`repro.experiments.cdg_lab` checks,
     realized as simulator cells (Mendlovic & Matias's arbitrary-network
     framing as first-class named scenarios).
 """
@@ -47,9 +47,12 @@ from dataclasses import dataclass, replace
 
 from repro.config import SimConfig
 from repro.experiments.common import (
+    CDG_CERTIFIED_CELLS,
+    CDG_REFUTED_CELLS,
     MAX_LOAD_BY_VCS,
     PANEL_PATTERNS,
     SCALES,
+    SCHEME_CELLS,
     Scale,
     load_grid,
     valid_schemes,
@@ -121,14 +124,11 @@ def _baseline_pr(scale: Scale) -> tuple[SimConfig, ...]:
 
 def _scheme_ladder(scale: Scale) -> tuple[SimConfig, ...]:
     """The paper's SA/DR/PR comparison, one short ladder per scheme."""
-    cells = (
-        SimConfig(dims=(4, 4), scheme="SA", pattern="PAT721", num_vcs=8),
-        SimConfig(dims=(4, 4), scheme="DR", pattern="PAT271", num_vcs=4,
-                  max_outstanding=12),
-        SimConfig(dims=(4, 4), scheme="PR", pattern="PAT271", num_vcs=4),
-    )
     loads = load_grid(scale, _LADDER_MAX)[:3]
-    return tuple(c.with_(load=load) for c in cells for load in loads)
+    return tuple(
+        cell.with_(dims=(4, 4), load=load)
+        for cell in SCHEME_CELLS.values() for load in loads
+    )
 
 
 def _splash_mix(scale: Scale) -> tuple[SimConfig, ...]:
@@ -301,18 +301,16 @@ def _builtin_scenarios() -> Iterable[Scenario]:
         "fat-tree", "synthetic",
         "uniform traffic on the fat_tree substrate (PR + SA)", _fat_tree,
     )
-    # The CDG registry pairs realized as simulator cells — imported from
-    # the lab so the service and the cdg_lab experiment can never drift.
-    from repro.experiments.cdg_lab import _CERTIFIED_CELLS, _REFUTED_CELLS
-
-    for pair_name, config in _REFUTED_CELLS:
+    # The CDG registry pairs realized as simulator cells: the cells the
+    # cdg_lab experiment runs, so the two can never drift.
+    for pair_name, config in CDG_REFUTED_CELLS:
         yield Scenario(
             f"cdg-{pair_name}", "cdg",
             f"registry pair {pair_name} (statically REFUTED; the"
             " simulator must deadlock and recover)",
             _cdg_cell(config),
         )
-    for pair_name, config in _CERTIFIED_CELLS:
+    for pair_name, config in CDG_CERTIFIED_CELLS:
         yield Scenario(
             f"cdg-{pair_name}", "cdg",
             f"registry pair {pair_name} (statically CERTIFIED; SA over"

@@ -16,7 +16,7 @@ metrics at a configurable interval, and exports both as:
   :func:`export_timeseries_json`);
 * per-deadlock :class:`RecoveryEpisode` records
   (:func:`stitch_episodes`) — formation → detection → resolution →
-  drain timelines consumed by the ``telemetry`` experiment and attached
+  drain timelines checked by the fault campaign and attached
   to :func:`repro.sim.invariants.format_dump`.
 
 Attach with ``engine.attach_tracer(Tracer(level="message"))``; trace
@@ -34,6 +34,7 @@ from repro.telemetry.export import (
     export_timeseries_csv,
     export_timeseries_json,
     to_perfetto,
+    validate_perfetto,
 )
 from repro.telemetry.samplers import MetricsSampler
 
@@ -47,6 +48,7 @@ __all__ = [
     "format_episodes",
     "to_perfetto",
     "export_perfetto",
+    "validate_perfetto",
     "export_timeseries_csv",
     "export_timeseries_json",
 ]

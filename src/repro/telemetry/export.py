@@ -247,6 +247,46 @@ def export_perfetto(tracer, path) -> dict[str, Any]:
     return trace
 
 
+#: required keys per trace-event phase.
+_REQUIRED_KEYS = {
+    "b": {"name", "cat", "id", "ts", "pid", "tid"},
+    "e": {"name", "cat", "id", "ts", "pid", "tid"},
+    "n": {"name", "cat", "id", "ts", "pid", "tid"},
+    "i": {"name", "ts", "pid", "tid", "s"},
+    "C": {"name", "ts", "pid", "args"},
+    "M": {"name", "pid", "args"},
+}
+
+
+def validate_perfetto(trace: dict) -> None:
+    """Raise ``AssertionError`` unless ``trace`` is loadable trace JSON:
+    the required keys per phase, and balanced async begin/end spans."""
+    events = trace["traceEvents"]
+    assert events, "empty traceEvents"
+    open_spans: dict[tuple[str, int], int] = {}
+    for event in events:
+        ph = event.get("ph")
+        assert ph in _REQUIRED_KEYS, f"unknown phase {ph!r}"
+        missing = _REQUIRED_KEYS[ph] - set(event)
+        assert not missing, f"{ph!r} event missing {sorted(missing)}"
+        if ph != "M":
+            assert isinstance(event["ts"], int) and event["ts"] >= 0
+        if ph == "b":
+            key = (event["cat"], event["id"])
+            open_spans[key] = open_spans.get(key, 0) + 1
+        elif ph == "e":
+            key = (event["cat"], event["id"])
+            assert open_spans.get(key, 0) > 0, f"end without begin: {key}"
+            open_spans[key] -= 1
+        elif ph == "n":
+            key = (event["cat"], event["id"])
+            assert open_spans.get(key, 0) > 0, f"instant outside span: {key}"
+    unbalanced = {k: v for k, v in open_spans.items() if v}
+    assert not unbalanced, f"unterminated spans: {unbalanced}"
+    # Must round-trip as JSON (what chrome://tracing actually parses).
+    json.loads(json.dumps(trace))
+
+
 #: aggregate CSV columns (per-NI detail lives in the JSON export).
 CSV_FIELDS = (
     "cycle", "busy_links", "channel_utilization", "flit_occupancy",

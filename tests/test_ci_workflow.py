@@ -141,6 +141,10 @@ class TestWorkflow:
         steps = workflow["jobs"]["fault-smoke"]["steps"]
         runs = " ".join(s.get("run") or "" for s in steps)
         assert "repro.experiments.runner smoke faults" in runs
+        # the campaign's traced cells ran and their traces validated
+        assert "set -o pipefail" in runs
+        assert "| tee faults.out" in runs
+        assert "grep -q '^perfetto traces valid' faults.out" in runs
         assert "--fault consumer-stall:" in runs
         assert "--watchdog" in runs and "--invariants-every" in runs
         # faults, not the observers, keep the run on the reference engine
@@ -211,6 +215,10 @@ class TestWorkflow:
         # cdg-check exits 1 on a mismatch or un-annotated REFUTED pair.
         assert "repro.cli cdg-check" in runs
         assert "--json cdg_report.json" in runs
+        # then the lab checks the verdicts against simulated deadlock
+        assert "repro.experiments.runner smoke cdg_lab" in runs
+        assert runs.index("repro.cli cdg-check") \
+            < runs.index("repro.experiments.runner smoke cdg_lab")
         upload = next(
             s for s in job["steps"] if "upload-artifact" in (s.get("uses") or "")
         )

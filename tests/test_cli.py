@@ -167,7 +167,7 @@ class TestCommands:
             "flit", "--sample-every", "50", "--timeseries", str(series),
         ])
         assert rc == 0
-        from repro.experiments.telemetry import validate_perfetto
+        from repro.telemetry import validate_perfetto
 
         validate_perfetto(json.loads(trace.read_text()))
         header = series.read_text().splitlines()[0]

@@ -6,17 +6,23 @@ from repro.config import SimConfig
 from repro.experiments import (
     SCALES,
     Scale,
+    cdg_lab,
+    detection_lab,
+    faults,
     table1_responses,
     table3_distributions,
+    topologies,
 )
 from repro.experiments.common import (
     MAX_LOAD_BY_VCS,
+    LabScale,
     get_scale,
     load_grid,
     valid_schemes,
 )
 from repro.service.scenarios import SCENARIOS
 from repro.sim.sweep import curve_labels, run_sweeps, split_curves
+from repro.telemetry import Tracer
 
 TINY = Scale("tiny", warmup=300, measure=600, sweep_points=2,
              trace_duration=6000)
@@ -114,6 +120,69 @@ class TestCharacterizationExperiments:
 
         with pytest.raises(SystemExit):
             runner.main(["bogus"])
+
+
+#: the shortest fault campaign whose PR cells still detect and
+#: regenerate every lost token.
+FAULTS_TINY = LabScale("tiny", run_cycles=1500, fault_start=300,
+                       fault_duration=800, quiesce_cycles=100_000)
+#: none-heavy first wedges into CWG knots after ~3,000 cycles; before
+#: that, the endpoint detector's early declarations count as false
+#: positives.
+DETECTION_TINY = LabScale("tiny", run_cycles=3500, fault_start=300,
+                          fault_duration=800, quiesce_cycles=100_000)
+
+
+class TestLabs:
+    """The engine-driving labs end to end.  Each raises when a guarantee
+    it enforces breaks, so a run that returns is most of the check."""
+
+    def test_topologies_and_cdg_lab_at_smoke(self):
+        rows = topologies.run("smoke")
+        assert len(rows) == 9
+        assert all(r["lost"] == 0 for r in rows)
+        result = cdg_lab.run("smoke")
+        assert all(r["deadlocks"] for r in result["refuted"])
+        assert len(result["certified"]) == 3
+
+    def test_faults_campaign_and_traced_cells(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rows = faults.run(FAULTS_TINY)
+        assert len(rows) == 39
+        assert all(r["token_regenerations"]
+                   for r in rows if r["model"] == "token-loss")
+        traced = [r for r in rows if "episodes" in r]
+        assert [(r["substrate"], r["scheme"], r["model"]) for r in traced] \
+            == [("torus4x4", "DR", "consumer-stall"),
+                ("torus4x4", "PR", "consumer-stall")]
+        # PR detects, so episode 0 was checked against the detect column
+        assert traced[1]["detect_latency"] is not None
+        assert traced[1]["episodes"]
+        assert sorted(p.name for p in (tmp_path / "results/telemetry")
+                      .iterdir()) == ["DR_consumer-stall_tiny.json",
+                                      "PR_consumer-stall_tiny.json"]
+
+    def test_faults_raises_when_a_traced_row_differs(self, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        row = faults._run_cell("torus4x4", "PR", "consumer-stall",
+                               FAULTS_TINY, 11)
+        applied = Tracer.fault_applied
+
+        def perturbing(self, description, now):
+            applied(self, description, now)
+            self.engine.stats.total.messages_delivered += 1
+
+        monkeypatch.setattr(Tracer, "fault_applied", perturbing)
+        with pytest.raises(RuntimeError, match="differs from the untraced"):
+            faults._trace_cell(row, FAULTS_TINY, 11)
+
+    def test_detection_lab(self):
+        rows = detection_lab.run(DETECTION_TINY)
+        assert len(rows) == 12
+        heavy = [r for r in rows if r["cell"] == "none-heavy"]
+        assert all(r["cwg_knots_seen"] for r in heavy)
+        assert all(r["lost"] == 0 for r in rows if r["cell"].endswith("stall"))
 
 
 class TestRunnerCli:

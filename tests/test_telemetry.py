@@ -1,7 +1,7 @@
 """The telemetry subsystem: tracer, samplers, exporters, episode stitching.
 
 The tracer is attached to real engines running the fault-campaign cells
-(the same configurations the telemetry experiment traces), so the tests
+(the same configurations the fault campaign traces), so the tests
 pin the properties the subsystem promises: deterministic traces across
 identically seeded runs, valid Perfetto JSON, ring-buffer bounds, and
 episode timelines whose detection cycle matches ``SimStats``.
@@ -13,7 +13,6 @@ import json
 import pytest
 
 from repro.config import SimConfig
-from repro.experiments.telemetry import validate_perfetto
 from repro.faults import FaultSpec
 from repro.sim.engine import Engine
 from repro.telemetry import (
@@ -25,6 +24,7 @@ from repro.telemetry import (
     format_episodes,
     stitch_episodes,
     to_perfetto,
+    validate_perfetto,
 )
 from repro.telemetry import events as ev
 from repro.util.errors import ConfigurationError
