@@ -452,9 +452,9 @@ def cmd_jobs(args) -> int:
                 print(f"{entry['name']:24s} {entry['category']:12s}"
                       f" {entry['smoke_points']:3d}pt  {entry['backend']:9s} "
                       f"{entry['description']}")
-                if entry["reference_only"]:
-                    print(f"{'':24s} reference engine only:"
-                          f" {entry['reference_only']}")
+                if entry["backend_reason"]:
+                    print(f"{'':24s} on the reference engine:"
+                          f" {entry['backend_reason']}")
             return 0
         if args.job_id is None:
             for job in client.jobs():

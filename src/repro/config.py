@@ -135,8 +135,9 @@ class SimConfig:
     #: see EXPERIMENTS.md for the bit-identity contract.
     backend: str = _opt(
         "auto", "engine implementation; results are bit-identical. auto:"
-        " the compiled vector engine unless the run needs something only"
-        " the reference engine has. A named engine is never switched",
+        " the compiled vector engine unless its route table cannot hold"
+        " the topology or no C compiler is found. A named engine is never"
+        " switched",
         choices=("auto", "reference", "vector"))
     seed: int = _opt(1, "seed of every random stream of the run")
     cwg_interval: int = _opt(

@@ -55,7 +55,6 @@ class MemoryController:
         self._priority: tuple[Message, object] | None = None
         self._current_is_priority = False
         self.messages_serviced = 0
-        self.busy_cycles = 0
         #: fault hook (repro.faults): a stalled controller services
         #: nothing — the consumer-stall model of a wedged memory system.
         self.stalled = False
@@ -82,10 +81,8 @@ class MemoryController:
     def step(self, now: int) -> None:
         if self.stalled:
             return
-        if self.current is not None:
-            self.busy_cycles += 1
-            if now >= self.busy_until:
-                self._complete(now)
+        if self.current is not None and now >= self.busy_until:
+            self._complete(now)
         if self.current is None:
             self._select(now)
 

@@ -78,7 +78,7 @@ class LabCell:
 _NONE_CELL = SimConfig(dims=(4, 4), scheme="NONE", pattern="PAT721",
                        num_vcs=4, seed=1, cwg_interval=25)
 
-_CELLS = (
+CELLS = (
     LabCell("none-light", _NONE_CELL.with_(load=0.008)),
     LabCell("none-heavy", _NONE_CELL.with_(load=0.020)),
     LabCell("dr-stall", SCHEME_CELLS["DR"].with_(
@@ -88,7 +88,7 @@ _CELLS = (
 )
 
 
-def _cell_config(cell: LabCell, detector: str, ls: LabScale) -> SimConfig:
+def cell_config(cell: LabCell, detector: str, ls: LabScale) -> SimConfig:
     faults = ()
     watchdog = 0
     if cell.stall_fault:
@@ -109,7 +109,7 @@ def _run_cell(cell: LabCell, detector: str, ls: LabScale) -> dict:
     """Run one (cell, detector) point; returns its metrics row."""
     tracer = Tracer(level="message")
     engine, _ = run_cell(
-        _cell_config(cell, detector, ls), ls,
+        cell_config(cell, detector, ls), ls,
         f"detection lab cell {cell.name}/{detector}", tracer,
         drain=cell.stall_fault,
     )
@@ -207,7 +207,7 @@ def run(scale: str | LabScale = "smoke") -> list[dict]:
     """Run the full grid; returns one row dict per (cell, detector)."""
     ls = lab_scale(scale, _SCALES)
     rows = [_run_cell(cell, detector, ls)
-            for cell in _CELLS for detector in DETECTORS]
+            for cell in CELLS for detector in DETECTORS]
     _check_guarantees(rows)
     return rows
 

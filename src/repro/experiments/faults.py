@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import os
 
+from repro.config import SimConfig
 from repro.experiments.common import SCHEME_CELLS, LabScale, lab_scale, run_cell
 from repro.faults.models import FaultSpec
 from repro.telemetry import (
@@ -88,9 +89,21 @@ def _specs_for(model: str, ls: LabScale) -> tuple[FaultSpec, ...]:
     )
 
 
-def _run_cell(substrate: str, scheme: str, model: str, ls: LabScale,
-              seed: int, tracer=None) -> dict:
-    config = SCHEME_CELLS[scheme].with_(
+def cells(token_models=("token-loss",)) -> list[tuple[str, str, str]]:
+    """``(substrate, scheme, model)`` of every campaign cell, in run
+    order; ``token_models`` run on PR only."""
+    return [
+        (substrate, scheme, model)
+        for substrate in _SUBSTRATES
+        for scheme in SCHEME_CELLS
+        for model in _COMMON_MODELS + (token_models if scheme == "PR" else ())
+    ]
+
+
+def cell_config(substrate: str, scheme: str, model: str, ls: LabScale,
+                seed: int = 11) -> SimConfig:
+    """The config of one campaign cell."""
+    return SCHEME_CELLS[scheme].with_(
         **_SUBSTRATES[substrate],
         load=0.012,
         seed=seed,
@@ -101,6 +114,11 @@ def _run_cell(substrate: str, scheme: str, model: str, ls: LabScale,
         # cycles at most, and a recovered system must move again.
         watchdog_timeout=max(4 * ls.fault_duration, 4000),
     )
+
+
+def _run_cell(substrate: str, scheme: str, model: str, ls: LabScale,
+              seed: int, tracer=None) -> dict:
+    config = cell_config(substrate, scheme, model, ls, seed)
     engine, _ = run_cell(
         config, ls, f"fault campaign cell {substrate}/{scheme}/{model}",
         tracer,
@@ -179,14 +197,7 @@ def run(scale: str | LabScale = "smoke", seed: int = 11) -> list[dict]:
     """Run the full campaign matrix, then the traced cells; returns one
     row dict per cell (the traced cells' rows carry their episodes)."""
     ls = lab_scale(scale, _SCALES)
-    rows = [
-        _run_cell(substrate, scheme, model, ls, seed)
-        for substrate in _SUBSTRATES
-        for scheme in SCHEME_CELLS
-        for model in _COMMON_MODELS + (
-            ("token-loss",) if scheme == "PR" else ()
-        )
-    ]
+    rows = [_run_cell(*cell, ls, seed) for cell in cells()]
     by_cell = {(r["substrate"], r["scheme"], r["model"]): r for r in rows}
     for cell in _TRACED_CELLS:
         _trace_cell(by_cell[cell], ls, seed)

@@ -185,10 +185,13 @@ class FaultInjector:
             fault.validate(engine)
             self.faults.append(fault)
 
-    def step(self, now: int) -> None:
+    def step(self, now: int) -> bool:
+        """Step every fault; True if any was applied or revoked."""
         engine = self.engine
+        before = [(f.active, f.activations) for f in self.faults]
         for fault in self.faults:
             fault.step(engine, now)
+        return before != [(f.active, f.activations) for f in self.faults]
 
     # -- introspection (dumps, experiments, tests) ---------------------
     def active_descriptions(self) -> list[str]:

@@ -176,6 +176,12 @@ class Message:
             return 1
         return 1 + max(spec.chain_length() for spec in self.continuation)
 
+    @property
+    def label(self) -> str:
+        """Uid-free label, stable across identically seeded runs (what
+        traces and deadlock dumps name a message by)."""
+        return f"{self.mtype.name} {self.src}->{self.dst} @{self.created_cycle}"
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Message(#{self.uid} {self.mtype.name} "

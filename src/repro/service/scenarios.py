@@ -86,7 +86,7 @@ class Scenario:
             "smoke_points": len(configs),
             "backend": "/".join(sorted(resolved)),
             # only a point kept off the kernel comes with a reason
-            "reference_only": next(filter(None, resolved.values()), None),
+            "backend_reason": next(filter(None, resolved.values()), None),
         }
 
 

@@ -240,28 +240,27 @@ class Engine:
 _warned_no_kernel = False
 
 
-def resolve_backend(config: SimConfig, tracer=None) -> tuple[str, str | None]:
+def resolve_backend(config: SimConfig) -> tuple[str, str | None]:
     """Which engine runs ``config``, and what kept ``"auto"`` off the
     kernel if something did — the one place this is decided.
 
     A named ``backend`` is returned as declared: a pinned engine is
     never switched, it raises where it cannot do what was asked.
-    ``"auto"`` is the vector engine unless the point needs something on
-    the one list (:func:`~repro.sim.vector.engine.reference_only_features`),
-    ``tracer`` is flit-level, or this host cannot build the kernel —
-    then the reference engine computes the identical result.
+    ``"auto"`` is the vector engine unless the kernel's route table
+    cannot hold the topology
+    (:func:`~repro.sim.vector.engine.route_table_overflow`) or this host
+    cannot build the kernel — then the reference engine computes the
+    identical result.
     """
     global _warned_no_kernel
     if config.backend != "auto":
         return config.backend, None
-    from repro.sim.vector.engine import reference_only_features
+    from repro.sim.vector.engine import route_table_overflow
     from repro.sim.vector.kernel import KernelBuildError, load_kernel
 
-    features = reference_only_features(config)
-    if tracer is not None and tracer.flit_level:
-        features.append("flit-level tracing")
-    if features:
-        return "reference", ", ".join(features)
+    too_big = route_table_overflow(config)
+    if too_big:
+        return "reference", too_big
     try:
         load_kernel()
     except KernelBuildError as exc:
@@ -279,7 +278,7 @@ def build_engine(config: SimConfig, tracer=None, **kwargs) -> Engine:
     """The engine :func:`resolve_backend` names — the object-per-flit
     :class:`Engine` or the bit-identical struct-of-arrays
     :class:`repro.sim.vector.VectorEngine` — with ``tracer`` attached."""
-    backend, reason = resolve_backend(config, tracer)
+    backend, reason = resolve_backend(config)
     if backend == "vector":
         from repro.sim.vector import VectorEngine
 

@@ -35,11 +35,6 @@ from repro.util.errors import InvariantViolation, LivenessError
 _DUMP_LIMIT = 32
 
 
-def _describe_message(msg) -> str:
-    """Uid-free message label, stable across identically seeded runs."""
-    return f"{msg.mtype.name} {msg.src}->{msg.dst} @{msg.created_cycle}"
-
-
 def live_message_uids(engine) -> set[int]:
     """Uids of every message currently held by some resource.
 
@@ -167,7 +162,7 @@ def capture_dump(engine, reason: str = "") -> dict:
             rows.append({
                 "class": cls,
                 "in": f"{len(q.entries)}+{q.held}h+{q.reserved}r/{q.capacity}",
-                "in_head": _describe_message(head) if head else None,
+                "in_head": head.label if head else None,
                 "in_head_waits": ni.controller.head_waits_for(cls),
                 "out": (
                     f"{len(out_q.entries)}+{out_q.held}h+{out_q.reserved}r"
@@ -182,7 +177,7 @@ def capture_dump(engine, reason: str = "") -> dict:
                     "stalled": ni.controller.stalled,
                     "busy": not ni.controller.idle,
                     "current": (
-                        _describe_message(ni.controller.current)
+                        ni.controller.current.label
                         if ni.controller.current is not None else None
                     ),
                 },
@@ -199,7 +194,7 @@ def capture_dump(engine, reason: str = "") -> dict:
         blocked.append({
             "router": sender.router,
             "kind": "inj" if sender.is_injection else "vc",
-            "message": _describe_message(msg),
+            "message": msg.label,
             "blocked_for": engine.now - msg.blocked_since,
         })
         if len(blocked) >= _DUMP_LIMIT:

@@ -17,9 +17,8 @@ Gating is sound because every skipped call is a proven no-op:
   MSHR count did not change does nothing in ``step`` (blocked
   ``_admit_roots`` attempts roll back completely, empty ``_select``
   scans mutate nothing);
-* a mid-service memory controller only increments ``busy_cycles``,
-  which is reconciled in one addition when the service completes
-  (see ``_step_node``);
+* a mid-service memory controller does nothing until the service
+  ends, which the completion calendar schedules (see ``_step_node``);
 * a detector whose queues and controller did not change evaluates the
   same conditions to the same value, so its fire time is a pure
   function of its last materialized state (see
@@ -70,6 +69,9 @@ The rules, each with the reason the step it skips is a no-op:
 * **Priority-service request** wakes an idle controller; a busy one
   selects the rescued message when the calendar ends its service.
 * **Service completion** comes from the calendar, as before.
+* **Fault change**: a cycle whose fault injector applied or revoked a
+  fault steps every node.  It is rare, and a stalled consumer ignores
+  the steps it gets, so the one after its stall ends finds it.
 * **Own progress**: own-step queue notifies never wake (a blocked
   attempt's hold/reserve rollback would re-wake the node every cycle).
   Instead ``_step_node`` re-wakes its node for the next cycle only if
@@ -94,22 +96,23 @@ missing (bit-identical results, also after ``quiesce``);
 
 Tracing
 -------
-``attach_tracer`` takes a message-level :class:`~repro.telemetry.Tracer`
-and the run records the events and samples the reference engine
+``attach_tracer`` takes a :class:`~repro.telemetry.Tracer` at either
+level and the run records the events and samples the reference engine
 records, byte for byte (``tests/test_backend_equivalence.py``, traced
 cells).  A :class:`~repro.telemetry.SampleTap` hooks no event site, so
 attaching one changes nothing below but the per-cycle ``on_cycle``.
-Every lifecycle, recovery and token event comes from endpoint and scheme
-code the two engines share; three things do not, and each is reported
-where the reference reports it:
+Every lifecycle, recovery and token event (token hops included) comes
+from endpoint and scheme code the two engines share; three things do
+not, and each is reported where the reference reports it:
 
 * *Allocation outcomes.*  Grants and failed attempts happen inside the
   kernel.  ``attach_tracer`` sets the ``H_TRACE`` header flag and the
-  kernel then emits ``EV_GRANT``/``EV_BLOCKED`` for them, in frontier
-  order among the claims, so ``_drain_events`` replays the reference's
-  tracer calls in the reference's order (the tracer folds the per-cycle
-  ``blocked`` calls into spans itself).  Untraced, the kernel emits
-  exactly the events it always did.
+  kernel then emits ``EV_GRANT`` (with the granted VC) and
+  ``EV_BLOCKED`` for them, in frontier order among the claims, so
+  ``_drain_events`` replays the reference's tracer calls in the
+  reference's order (the tracer folds the per-cycle ``blocked`` calls
+  into spans itself).  Untraced, the kernel emits exactly the events it
+  always did.
 * *Detections.*  The reference reports a detector the first cycle it is
   fired.  DR and NONE already visit a detector on exactly that cycle
   (the bank's calendar) and report there.  PR does not: the token asks
@@ -137,16 +140,20 @@ where the reference reports it:
   Nothing but the trace payload reads either field in between, so no
   result can tell.
 
-The observers (periodic CWG check, runtime invariants, liveness
-watchdog) run from ``Engine._end_cycle`` on queries both fabrics
-answer; ``frontier_senders`` first copies a waiting header's
-``blocked_since``, ``hops`` and ``crossed_mask`` from the arrays.
-What this backend does not run is listed once, in
-:func:`reference_only_features`.  A config pinned to this backend that
-asks for one raises :class:`~repro.util.errors.UnsupportedFeatureError`
-— at construction, or at ``attach_tracer`` — never a silent no-op;
-``backend="auto"`` (:func:`repro.sim.engine.resolve_backend`) sends such
-a point to the reference engine instead.
+The CMH detector moves its probes every cycle, so under it the scheme
+runs its own per-cycle ``step`` and no detector bank is built.  Faults
+act through the stall sets and the controllers' ``stalled`` flags, as
+on the reference; the fabric copies the sets into the kernel's stall
+mask on the cycles the injector changes them.  The observers (periodic
+CWG check, runtime invariants, liveness watchdog) run from
+``Engine._end_cycle`` on queries both fabrics answer;
+``frontier_senders`` first copies a waiting header's ``blocked_since``,
+``hops`` and ``crossed_mask`` from the arrays.  The one thing this
+backend cannot run is a torus or mesh whose route table is too large
+(:func:`route_table_overflow`): a config pinned here raises
+:class:`~repro.util.errors.UnsupportedFeatureError`, and
+``backend="auto"`` (:func:`repro.sim.engine.resolve_backend`) sends it
+to the reference engine.
 """
 
 from __future__ import annotations
@@ -163,47 +170,22 @@ from repro.sim.vector.fabric import H_TRACE, VectorFabric, oversized_route_table
 from repro.util.errors import UnsupportedFeatureError
 
 
-def reference_only_features(config: SimConfig) -> list[str]:
-    """What ``config`` requests that only the reference engine has.
+def route_table_overflow(config: SimConfig) -> str | None:
+    """Why the kernel cannot route ``config``'s torus or mesh, or None.
 
-    This is the list, stated once: fault injection, the CMH detector
-    (its probes travel hop by hop between NIs every cycle; the lazy
-    detector bank evaluates a site only when its own queues change) and
-    a torus or mesh too large for the kernel's route table.  That size
-    is counted, not built: ``prod(dims)`` routers (the grid's own rule)
-    and the scheme's VC classes for ``config.pattern``'s message types.
+    Counted, not built: ``prod(dims)`` routers (the grid's own rule) and
+    the scheme's VC classes for ``config.pattern``'s message types.
     Other topologies, and a caller's own ``types_used``, are checked
     where :class:`~repro.sim.vector.fabric.VectorFabric` builds the
     table, which raises :class:`~repro.util.errors.ConfigurationError`.
-    Flit-level tracing is the one other reference-only layer; it is a
-    property of the tracer, not of the config.  Empty means the point
-    runs on the kernel; :func:`repro.sim.engine.resolve_backend` is the
-    one caller that decides with it.
     """
-    features = []
-    if config.faults:
-        features.append("fault injection (faults=...)")
-    if config.detector == "cmh":
-        features.append("the CMH detector (detector='cmh')")
     pattern = PATTERNS.get(config.pattern)  # unknown: the engine refuses it
-    if pattern is not None and config.topology in ("torus", "mesh2d"):
-        too_big = oversized_route_table(
-            math.prod(config.dims),
-            SCHEMES[config.scheme].vc_classes(pattern.types_used),
-        )
-        if too_big:
-            features.append(too_big)
-    return features
-
-
-def _check_supported(config: SimConfig) -> None:
-    unsupported = reference_only_features(config)
-    if unsupported:
-        raise UnsupportedFeatureError(
-            "the vector backend does not support "
-            + ", ".join(unsupported)
-            + "; run these with backend='reference'"
-        )
+    if pattern is None or config.topology not in ("torus", "mesh2d"):
+        return None
+    return oversized_route_table(
+        math.prod(config.dims),
+        SCHEMES[config.scheme].vc_classes(pattern.types_used),
+    )
 
 
 class VectorNI(NetworkInterface):
@@ -439,7 +421,12 @@ class VectorEngine(Engine):
     backend = "vector"
 
     def __init__(self, config: SimConfig, **kwargs) -> None:
-        _check_supported(config)
+        too_big = route_table_overflow(config)
+        if too_big:
+            raise UnsupportedFeatureError(
+                f"the vector backend cannot route {too_big}; run it with"
+                " backend='reference'"
+            )
         super().__init__(config, **kwargs)
         N = self.topology.num_nodes
         # Endpoint gating state.  _due is the current cycle's worklist,
@@ -455,36 +442,32 @@ class VectorEngine(Engine):
         self._suppress = [-1]
         #: completion calendar: cycle -> nodes whose service ends then.
         self._calendar: dict[int, list[int]] = {}
-        #: cycle each node's in-progress service was last accounted to.
-        self._svc_start = [0] * N
         for ni in self.interfaces:
             ni._vec_engine = self
 
         # Scheme dispatch + detector bank.  The reference scheme
         # controllers poll every detector every cycle; the vector
         # backend re-evaluates only dirtied ones and runs the identical
-        # recovery code on those that fire.
+        # recovery code on those that fire.  SA has nothing to poll,
+        # and CMH's probes move every cycle: both keep the scheme's
+        # own step.
         scheme = self.scheme
         name = scheme.name
         detectors = ()
-        if name == "SA":
-            self._scheme_step = scheme.step  # base no-op
+        if name == "SA" or config.detector == "cmh":
+            self._scheme_step = scheme.step
         elif name == "NONE":
             detectors = scheme.detectors
             self._scheme_step = self._none_step
         elif name == "DR":
             detectors = scheme.controller.detectors
             self._scheme_step = self._dr_step
-        elif name == "PR":
+        else:
             detectors = scheme.controller.detectors
             self._scheme_step = self._pr_step
-            self._install_pr_hooks()
-        else:
-            raise UnsupportedFeatureError(
-                f"the vector backend does not support scheme {name!r}; "
-                "run it with backend='reference'"
-            )
         self._det_bank = _LazyDetectorBank(detectors) if detectors else None
+        if name == "PR":
+            self._install_pr_hooks()
         dirty = self._det_bank.dirty if self._det_bank is not None else None
 
         # Queue hooks: kernel slot mirror (input queues), wakes, and
@@ -526,13 +509,7 @@ class VectorEngine(Engine):
         )
 
     def attach_tracer(self, tracer) -> None:
-        """Message-level tracing, event for event the reference's."""
-        if tracer.flit_level:
-            raise UnsupportedFeatureError(
-                "flit-level tracing (VC grants, token hops) is not "
-                "supported by the vector backend; use level='message' or "
-                "backend='reference'"
-            )
+        """Tracing at either level, event for event the reference's."""
         super().attach_tracer(tracer)
         if self.fabric.tracer is None:
             # A sampler-only tap hooks no event site: the kernel keeps
@@ -569,14 +546,15 @@ class VectorEngine(Engine):
     # Cycle
     # ------------------------------------------------------------------
     def step(self) -> None:
-        """Reference cycle order with the endpoint phase gated.
-
-        Faults, the one skipped layer, are rejected at construction, so
-        this matches ``Engine.step`` exactly for every supported
-        configuration, ending in the same ``_end_cycle``.
-        """
+        """``Engine.step``'s cycle order with the endpoint phase gated,
+        ending in the same ``_end_cycle``."""
         self.now += 1
         now = self.now
+        if self.faults is not None and self.faults.step(now):
+            # Before traffic, as on the reference (module docstring,
+            # "fault change").
+            self.fabric.sync_stalls()
+            self._due_next[:] = b"\x01" * len(self._due_next)
         due = self._due
         due[:] = self._due_next
         self._due_next[:] = self._zero
@@ -620,16 +598,11 @@ class VectorEngine(Engine):
         c = ni.controller
         current = c.current
         if current is None or now >= c.busy_until:
-            # Mid-service the reference step only increments
-            # busy_cycles; reconciled here at completion (and in
-            # _reconcile_busy for end-of-run snapshots).
-            if current is not None:
-                c.busy_cycles += now - self._svc_start[node] - 1
+            # Mid-service the reference step does nothing.
             c.step(now)
             if c.current is not current:
                 moved = True
                 if c.current is not None:
-                    self._svc_start[node] = now
                     # A zero-length service still ends on the next step.
                     end = c.busy_until if c.busy_until > now else now + 1
                     self._calendar.setdefault(end, []).append(node)
@@ -639,35 +612,6 @@ class VectorEngine(Engine):
             (ni.source_queue and ni.can_admit()) or _loadable(ni)
         ):
             self._due_next[node] = 1
-
-    def run(self, cycles: int) -> None:
-        try:
-            for _ in range(cycles):
-                self.step()
-        finally:
-            self._reconcile_busy()  # an observer's error can end it mid-service
-
-    def quiesce(self, max_cycles: int = 200_000):
-        try:
-            return super().quiesce(max_cycles)
-        finally:
-            self._reconcile_busy()  # a failed drain can end mid-service
-
-    def _reconcile_busy(self) -> None:
-        """Charge deferred mid-service busy_cycles up to ``now``.
-
-        The reference increments ``busy_cycles`` every in-service cycle;
-        the vector backend skips those steps and adds the whole span at
-        completion.  For services still in flight when a run window
-        closes, the span so far is charged here so snapshots agree.
-        """
-        now = self.now
-        svc_start = self._svc_start
-        for node, ni in enumerate(self.interfaces):
-            c = ni.controller
-            if c.current is not None and now > svc_start[node]:
-                c.busy_cycles += now - svc_start[node]
-                svc_start[node] = now
 
     # ------------------------------------------------------------------
     # Scheme steps (reference recovery actions, lazy detection)
@@ -761,6 +705,8 @@ class VectorEngine(Engine):
             return sender
 
         pc._blocked_at_router = _blocked_at_router
+        if self._det_bank is None:
+            return  # CMH: its sites' ``since`` is current every cycle
 
         capture_at_ni = pc._capture_at_ni
 

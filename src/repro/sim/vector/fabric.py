@@ -46,6 +46,7 @@ H_PN = 0
 H_OCC = 2
 H_BUSYN = 3
 H_TRACE = 4
+H_STALL = 5
 H_MISS_R = 6
 H_MISS_DSTR = 7
 H_MISS_CLS = 8
@@ -257,6 +258,10 @@ class VectorFabric:
         #: reports them as events only while the engine's
         #: ``attach_tracer`` has set ``H_TRACE``.
         self.tracer = None
+        # Fault hooks, as on the reference fabric (see sync_stalls).
+        self.stalled_links: set[int] = set()
+        self.stalled_routers: set[int] = set()
+        self.stalled_ejects: set[int] = set()
         #: engine wake hook ``wake_node(node)``: called when an
         #: injection channel frees up so the gated NI reloads it.
         self.wake_node = None
@@ -343,6 +348,7 @@ class VectorFabric:
         )
         self._ev = z(evcap * 3)
         self._inj_used = z(N)
+        self._stall = z(L + R + N)
         self._hdr = z(16)
         self._cnt = np.zeros(4, dtype=np.int64)
 
@@ -360,7 +366,7 @@ class VectorFabric:
             self._ep_s, self._ep_n, self._ep_rr,
             self._pending, self._still, self._qm_free, self._qm_res,
             self._rk_idx, self._rows, self._ev, self._inj_used,
-            self._hdr, self._cnt,
+            self._stall, self._hdr, self._cnt,
         )
         self._array_refs = arrays  # keep the buffers alive for the kernel
         import ctypes
@@ -492,8 +498,18 @@ class VectorFabric:
             # The last two kinds arrive only while a tracer is attached.
             elif etype == EV_BLOCKED:  # ``sid`` cell carries the router
                 tracer.message_blocked(msg, sid, now)
-            else:  # EV_GRANT
-                tracer.message_unblocked(msg, now)
+            else:  # EV_GRANT: ``sid`` cell carries the granted VC
+                vc = self._handle(sid)
+                tracer.vc_granted(msg, vc.link.src, vc, now)
+
+    def sync_stalls(self) -> None:
+        """Copy the three stall sets into the kernel's stall mask."""
+        L, R = self.soa.num_links, self.topology.num_routers
+        self._stall[:] = 0
+        self._stall[[*self.stalled_links,
+                     *(L + r for r in self.stalled_routers),
+                     *(L + R + n for n in self.stalled_ejects)]] = 1
+        self._hdr[H_STALL] = int(self._stall.any())
 
     def _release_injector(self, sid: int) -> None:
         chan = self._inj_by_sid[sid]

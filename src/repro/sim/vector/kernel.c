@@ -24,9 +24,16 @@
  *
  * With the H_TRACE header flag set (a tracer is attached) allocation
  * also reports its other two outcomes, in frontier order between the
- * claims: EV_GRANT for a VC grant and EV_BLOCKED for every failed
- * attempt — the calls the reference fabric makes on its tracer, which
- * de-duplicates them into blocked spans.
+ * claims: EV_GRANT (third cell: the granted VC) for a VC grant and
+ * EV_BLOCKED for every failed attempt — the calls the reference fabric
+ * makes on its tracer, which de-duplicates them into blocked spans.
+ *
+ * With the H_STALL header flag set (a fault injector has stalled
+ * something) the phases consult the stall mask, laid out [links |
+ * routers | ejection ports]: a stalled link forwards nothing, a frozen
+ * router's frontiers stay blocked without counting an allocation
+ * failure, and a stalled port ejects nothing — the reference fabric's
+ * stalled_links / stalled_routers / stalled_ejects.
  *
  * The route table (network/soa.py) is complete before the first cycle:
  * a missing (router, dst_router, class) key makes k_step return
@@ -43,6 +50,7 @@
 #define H_OCC 2       /* VC flit occupancy */
 #define H_BUSYN 3     /* busy link count */
 #define H_TRACE 4     /* nonzero: report EV_GRANT / EV_BLOCKED too */
+#define H_STALL 5     /* nonzero: consult the stall mask */
 #define H_MISS_R 6    /* key of a route-table miss (fatal; Python raises) */
 #define H_MISS_DSTR 7
 #define H_MISS_CLS 8
@@ -62,7 +70,7 @@
 #define EV_CLAIM 1
 #define EV_DELIVER 2
 #define EV_INJDONE 3
-#define EV_GRANT 4    /* traced only */
+#define EV_GRANT 4    /* traced only; third cell is the granted VC */
 #define EV_BLOCKED 5  /* traced only; third cell is the router, not the sid */
 
 typedef struct {
@@ -84,6 +92,7 @@ typedef struct {
     int32_t *rk_idx, *rows;
     int32_t *ev;
     int32_t *inj_used;
+    int32_t *stall;   /* L link + R router + N port flags */
     int32_t *hdr;
     int64_t *cnt;
 } KState;
@@ -159,6 +168,7 @@ void *k_new(const int64_t *ptrs, const int32_t *dims)
     k->rows = (int32_t *)(intptr_t)ptrs[i++];
     k->ev = (int32_t *)(intptr_t)ptrs[i++];
     k->inj_used = (int32_t *)(intptr_t)ptrs[i++];
+    k->stall = (int32_t *)(intptr_t)ptrs[i++];
     k->hdr = (int32_t *)(intptr_t)ptrs[i++];
     k->cnt = (int64_t *)(intptr_t)ptrs[i++];
     return k;
@@ -177,9 +187,10 @@ static void k_eject(void *h, int32_t now)
 {
     KState *k = (KState *)h;
     const int32_t NVC = k->NVC, D = k->D, EPCAP = k->EPCAP;
+    const int32_t *stalled = k->hdr[H_STALL] ? k->stall + k->L + k->R : NULL;
     for (int32_t node = 0; node < k->N; node++) {
         int32_t n = k->ep_n[node];
-        if (n == 0)
+        if (n == 0 || (stalled && stalled[node]))
             continue;
         int32_t *eps = k->ep_s + (int64_t)node * EPCAP;
         int32_t start = k->ep_rr[node] % n;
@@ -247,6 +258,7 @@ static int32_t k_alloc(void *h, int32_t now)
     const int32_t R = k->R, VCLS = k->VCLS;
     const int32_t STRIDE = k->STRIDE;
     const int32_t trace = k->hdr[H_TRACE];
+    const int32_t *frozen = k->hdr[H_STALL] ? k->stall + k->L : NULL;
     int32_t pn = k->hdr[H_PN];
     int32_t sn = 0;
     for (int32_t i = 0; i < pn; i++) {
@@ -258,6 +270,15 @@ static int32_t k_alloc(void *h, int32_t now)
             continue; /* already routed */
         int32_t dstr = k->m_dstr[vid];
         int32_t r = k->s_router[sid];
+        if (frozen && frozen[r]) {
+            /* a fault victim, not contention: no allocation failure */
+            if (k->m_blocked[vid] < 0)
+                k->m_blocked[vid] = now;
+            if (trace)
+                emit(k, EV_BLOCKED, vid, r);
+            k->still[sn++] = sid;
+            continue;
+        }
         if (r == dstr) {
             int32_t node = k->m_dst[vid];
             int32_t qi = node * C + k->m_qcls[vid];
@@ -325,7 +346,7 @@ static int32_t k_alloc(void *h, int32_t now)
                 }
                 k->m_blocked[vid] = -1;
                 if (trace)
-                    emit(k, EV_GRANT, vid, sid);
+                    emit(k, EV_GRANT, vid, best);
                 continue;
             }
         }
@@ -356,11 +377,14 @@ static void k_links(void *h, int32_t now)
 {
     KState *k = (KState *)h;
     const int32_t NVC = k->NVC, V = k->V, D = k->D, C = k->C;
+    const int32_t *stalled = k->hdr[H_STALL] ? k->stall : NULL;
     memset(k->inj_used, 0, (size_t)k->N * sizeof(int32_t));
     int32_t busyn = k->hdr[H_BUSYN];
     int64_t forwarded = 0, injected = 0;
     for (int32_t b = 0; b < busyn; b++) {
         int32_t lid = k->busy_order[b];
+        if (stalled && stalled[lid])
+            continue; /* stays busy, in its place */
         int32_t n = k->ls_n[lid];
         if (n == 0) {
             k->busy_in[lid] = 0;

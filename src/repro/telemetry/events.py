@@ -18,8 +18,8 @@ token}.py`` (detection and recovery) and ``faults/injector.py``; each
 site guards its call with one ``if tracer is not None`` test, which is
 all the healthy untraced hot path ever pays.  The vector backend
 (``sim/vector/``) shares the endpoint and scheme sites and makes the
-fabric's and the detectors' calls itself, in the same order, at message
-level only (see its engine docstring, "Tracing").
+fabric's and the detectors' calls itself, in the same order (see its
+engine docstring, "Tracing").
 """
 
 from __future__ import annotations
@@ -94,11 +94,6 @@ EVENT_KINDS = (
 #: default ring capacity: roomy enough for any smoke run, bounded for
 #: always-on tracing of long campaigns.
 DEFAULT_CAPACITY = 1_000_000
-
-
-def message_label(msg: "Message") -> str:
-    """Uid-free message label, stable across identically seeded runs."""
-    return f"{msg.mtype.name} {msg.src}->{msg.dst} @{msg.created_cycle}"
 
 
 class Tracer:
@@ -199,7 +194,7 @@ class Tracer:
         mid = self._ids.get(msg.uid)
         if mid is None:
             mid = self._ids[msg.uid] = len(self._ids)
-            self._labels[mid] = message_label(msg)
+            self._labels[mid] = msg.label
         return mid
 
     def label_of(self, mid: int) -> str:
@@ -302,8 +297,8 @@ class Tracer:
         self.message_created(brp, now)
         self._record(now, DEFLECT, {
             "node": node,
-            "head_mid": self._mid(head), "head": message_label(head),
-            "brp_mid": self._mid(brp), "brp": message_label(brp),
+            "head_mid": self._mid(head), "head": head.label,
+            "brp_mid": self._mid(brp), "brp": brp.label,
             "since": since,
         })
         self.message_consumed(head, now)
@@ -318,7 +313,7 @@ class Tracer:
     def token_captured(self, stop, msg, since: int, now: int) -> None:
         self._record(now, TOKEN_CAPTURE, {
             "kind": stop.kind, "ident": stop.ident,
-            "mid": self._mid(msg), "message": message_label(msg),
+            "mid": self._mid(msg), "message": msg.label,
             "since": since,
         })
 

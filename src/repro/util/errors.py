@@ -22,12 +22,11 @@ class SimulationError(RuntimeError):
 
 
 class UnsupportedFeatureError(ConfigurationError):
-    """A config pinned to the vector engine asks for something only the
-    reference engine has (the list is
-    :func:`repro.sim.vector.engine.reference_only_features`, plus
-    flit-level tracing).  Raised eagerly instead of silently dropping
-    events; the default ``backend`` never raises it — it runs such a
-    point on the reference engine.
+    """A config pinned to the vector engine has a torus or mesh too
+    large for the kernel's route table
+    (:func:`repro.sim.vector.engine.route_table_overflow`).  Raised at
+    construction; the default ``backend`` never raises it — it runs such
+    a point on the reference engine.
     """
 
 

@@ -11,22 +11,22 @@ These tests compare deep snapshots of both engines after identical runs:
   rescue (token captures, lane transfers, priority service),
 * a hypothesis property over random points that also draws the knobs
   exact endpoint waking depends on (MSHRs, queue sizes and modes,
-  service times, bristling, detector and recovery settings) and the
-  observers (periodic CWG checks, runtime invariants, the liveness
-  watchdog), compared again after ``quiesce`` — an observer that stops
-  a run must stop both at the same cycle with the same dump,
-* traced cells: a message-level tracer records the same events and
-  samples, exports the same Perfetto document and stitches the same
-  episodes on both backends, and changes no result on either,
-* the full seeded smoke campaign grid and every vector-capable point of
-  the scenario library, traced (marked ``campaign``; run by the
-  ``backend-equivalence`` CI job, deselected from the default suite).
+  service times, bristling, detector and recovery settings), faults,
+  the tracer level and the observers (periodic CWG checks, runtime
+  invariants, the liveness watchdog), compared again after
+  ``quiesce`` — an observer that stops a run must stop both at the same
+  cycle with the same dump,
+* traced cells: a tracer records the same events and samples, exports
+  the same Perfetto document and stitches the same episodes on both
+  backends, and changes no result on either,
+* the full seeded smoke campaign grid, the fault and detection labs'
+  grids and every kernel point of the scenario library, traced (marked
+  ``campaign``; run by the ``backend-equivalence`` CI job, deselected
+  from the default suite).
 
 There is no tolerance anywhere: any field that differs is a failure.
-The only documented divergence between backends is feature *support* —
-what ``reference_only_features`` lists raises ``UnsupportedFeatureError``
-on a config pinned to the vector backend (see
-``test_unsupported_features_raise``) instead of silently diverging.
+The one thing the vector backend refuses is a route table too large
+for it (``test_unsupported_features_raise``).
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 from repro.config import SimConfig
+from repro.experiments import detection_lab, faults
 from repro.experiments.common import SCALES
 from repro.faults import FaultSpec
 from repro.service.scenarios import SCENARIOS
@@ -72,12 +73,13 @@ def engine_snapshot(engine) -> dict:
         "queued": engine.total_queued_messages(),
         "outstanding": [ni.outstanding for ni in engine.interfaces],
         "serviced": [ni.controller.messages_serviced for ni in engine.interfaces],
-        "busy_cycles": [ni.controller.busy_cycles for ni in engine.interfaces],
         "source_depth": [len(ni.source_queue) for ni in engine.interfaces],
         "deadlocks_detected": engine.scheme.deadlocks_detected,
         "recoveries": engine.scheme.recoveries,
         "cwg_knots_seen": engine.cwg_knots_seen,
         "checks_run": engine.invariants.checks_run if engine.invariants else 0,
+        "faults": engine.faults.activation_counts() if engine.faults else None,
+        "probes": engine.detector.overhead() if engine.detector else None,
     }
     controller = getattr(engine.scheme, "controller", None)
     for field in (
@@ -124,23 +126,26 @@ def outcome(phase, engine):
 
 
 def assert_backends_identical(cycles: int, drain: int = 0,
-                              trace: bool = False, **cfg) -> dict:
-    """Run both backends ``cycles`` and compare; with ``drain``, stop
-    traffic, ``quiesce(drain)`` both and compare again.  With ``trace``
+                              trace: str | None = None,
+                              config: SimConfig | None = None, **cfg) -> dict:
+    """Run both backends on ``config`` (else ``SimConfig(**cfg)``) for
+    ``cycles`` and compare; with ``drain``, stop traffic,
+    ``quiesce(drain)`` both and compare again.  With a ``trace`` level
     both runs carry a tracer, which must see the same things too.  A
     run an observer stops must stop on both, with the same error and
     dump, and is compared where it stopped."""
-    ref = build_engine(SimConfig(backend="reference", **cfg))
-    vec = build_engine(SimConfig(backend="vector", **cfg))
+    config = config or SimConfig(**cfg)
+    ref = build_engine(config.with_(backend="reference"))
+    vec = build_engine(config.with_(backend="vector"))
     if trace:
-        tracers = Tracer(sample_every=100), Tracer(sample_every=100)
+        tracers = [Tracer(level=trace, sample_every=100) for _ in range(2)]
         ref.attach_tracer(tracers[0])
         vec.attach_tracer(tracers[1])
     phases = [("", lambda e: e.run(cycles))]
     if drain:
         phases.append(("after quiesce ", lambda e: bool(e.quiesce(drain))))
     for label, phase in phases:
-        what = f"{label}for {cfg}"
+        what = f"{label}for {cfg or config}"
         result = outcome(phase, ref)
         assert result == outcome(phase, vec), what
         if trace:
@@ -298,6 +303,28 @@ def test_run_point_results_identical():
     assert ref == vec
 
 
+def _fault(kind: str, target: int, start: int, duration: int,
+           probability: float) -> FaultSpec:
+    if kind.startswith("token"):
+        target = -1  # token faults have none
+    if probability:
+        duration = 200  # a probabilistic fault lasts a while each time
+    return FaultSpec(kind, target=target, start=start, duration=duration,
+                     probability=probability)
+
+
+#: one fault of any kind; targets below 5 exist on every drawn grid
+FAULTS = st.builds(
+    _fault,
+    kind=st.sampled_from(["consumer-stall", "eject-stall", "link-stall",
+                          "router-freeze", "token-loss", "token-dup"]),
+    target=st.integers(min_value=0, max_value=4),
+    start=st.sampled_from([50, 300]),
+    duration=st.sampled_from([0, 200]),
+    probability=st.sampled_from([0.0, 0.0, 0.01]),
+)
+
+
 @given(
     scheme=st.sampled_from(["NONE", "DR", "PR", "SA"]),
     dims=st.sampled_from([(3, 3), (4, 4), (2, 4), (5,)]),
@@ -307,8 +334,9 @@ def test_run_point_results_identical():
     # What exact waking depends on: MSHR- and reservation-bound
     # admission, per-type queues with several injection pairs, short
     # and long services, several nodes per router, detector and
-    # recovery timing.
-    trace=st.booleans(),
+    # recovery timing, and faults that stall and release them.
+    trace=st.sampled_from([None, "message", "flit"]),
+    fault_specs=st.lists(FAULTS, max_size=2).map(tuple),
     knobs=st.fixed_dictionaries(dict(
         max_outstanding=st.sampled_from([1, 2, 4, 16]),
         queue_capacity=st.sampled_from([2, 4, 8, 16]),
@@ -320,7 +348,7 @@ def test_run_point_results_identical():
         recovery_policy=st.sampled_from(["minimum", "drain"]),
         token_ring=st.sampled_from(["interleaved", "routers-first"]),
         detection_threshold=st.sampled_from([5, 25]),
-        detector=st.sampled_from(["endpoint", "timeout"]),
+        detector=st.sampled_from(["endpoint", "timeout", "cmh"]),
         timeout_threshold=st.sampled_from([20, 200]),
         # the observers: they read the run, and may stop it
         cwg_interval=st.sampled_from([0, 100]),
@@ -334,17 +362,18 @@ def test_run_point_results_identical():
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_random_points_bit_identical(scheme, dims, load, seed, pattern,
-                                     trace, knobs):
+                                     trace, fault_specs, knobs):
     cfg = dict(
         scheme=scheme, pattern=pattern, dims=dims,
-        num_vcs=8 if scheme == "SA" else 4, load=load, seed=seed, **knobs,
+        num_vcs=8 if scheme == "SA" else 4, load=load, seed=seed,
+        faults=fault_specs, **knobs,
     )
     if scheme == "SA":
         cfg["detector"] = "endpoint"  # SA runs no detector
     try:
         build_engine(SimConfig(**cfg))
     except ConfigurationError:
-        reject()  # e.g. SA with shared queues: not a point, not a failure
+        reject()  # e.g. SA with shared queues or a token fault: not a point
     assert_backends_identical(900, drain=3000, trace=trace, **cfg)
 
 
@@ -405,21 +434,11 @@ def test_fabric_queries_agree():
 
 
 def test_unsupported_features_raise():
-    """Introspection layers must refuse loudly, never silently diverge."""
-    base = dict(scheme="PR", pattern="PAT721", dims=(4, 4), num_vcs=4, load=0.01)
-    for extra in (
-        dict(faults=(FaultSpec("consumer-stall", target=5, start=50),)),
-        dict(detector="cmh"),
-    ):
-        with pytest.raises(UnsupportedFeatureError):
-            build_engine(SimConfig(backend="vector", **base, **extra))
-    # Message-level tracing is supported; VC grants and token hops are
-    # not, and say so when the tracer is attached, not mid-run.
-    engine = build_engine(SimConfig(backend="vector", **base))
-    with pytest.raises(UnsupportedFeatureError, match="flit-level"):
-        engine.attach_tracer(Tracer(level="flit"))
-    assert engine.tracer is None and engine.fabric.tracer is None
-    engine.run(50)  # and the refused tracer left nothing behind
+    """The one thing the kernel refuses is a route table too large for
+    it: a pinned config says so at construction, before building it."""
+    with pytest.raises(UnsupportedFeatureError, match="key space"):
+        build_engine(SimConfig(backend="vector", dims=(64, 64), scheme="PR",
+                               num_vcs=4))
 
 
 # ----------------------------------------------------------------------
@@ -563,6 +582,36 @@ def test_scenario_point_traced_identical(config):
     """What ``repro serve`` runs by default, at the smoke window."""
     scale = SCALES["smoke"]
     assert_traced_point_identical(config, scale.warmup, scale.measure)
+
+
+#: every fault-lab cell, token duplication included (the invariant
+#: suite stops it: the dump must agree too)
+FAULT_LAB = faults.cells(("token-loss", "token-dup"))
+
+
+@pytest.mark.campaign
+@pytest.mark.parametrize("trace", [None, "flit"])
+@pytest.mark.parametrize("cell", FAULT_LAB, ids="/".join)
+def test_fault_lab_cell_identical(cell, trace):
+    """The fault campaign's cells at smoke scale: run, drain, and the
+    trace of each, equal on both engines."""
+    ls = faults._SCALES["smoke"]
+    assert_backends_identical(ls.run_cycles, drain=ls.quiesce_cycles,
+                              trace=trace,
+                              config=faults.cell_config(*cell, ls))
+
+
+@pytest.mark.campaign
+@pytest.mark.parametrize("detector", detection_lab.DETECTORS)
+@pytest.mark.parametrize("cell", detection_lab.CELLS, ids=lambda c: c.name)
+def test_detection_lab_cell_identical(cell, detector):
+    """The detection lab's grid, traced as the lab traces it: probes,
+    detections and episodes equal on both engines."""
+    ls = detection_lab._SCALES["smoke"]
+    assert_backends_identical(
+        ls.run_cycles, drain=ls.quiesce_cycles if cell.stall_fault else 0,
+        trace="message", config=detection_lab.cell_config(cell, detector, ls),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -147,8 +147,8 @@ class TestWorkflow:
         assert "grep -q '^perfetto traces valid' faults.out" in runs
         assert "--fault consumer-stall:" in runs
         assert "--watchdog" in runs and "--invariants-every" in runs
-        # faults, not the observers, keep the run on the reference engine
-        assert "grep -Eq '^engine +: reference \\(fault injection'" in runs
+        # and it runs on the kernel, faults and observers included
+        assert "grep -Eq '^engine +: vector$'" in runs
 
     def test_detection_smoke_runs_lab_and_cmh_cli(self, workflow):
         steps = workflow["jobs"]["detection-smoke"]["steps"]
@@ -160,6 +160,8 @@ class TestWorkflow:
         # ground-truth checker armed alongside the probes.
         assert "--detector cmh" in runs
         assert "--cwg-interval" in runs
+        # on the kernel, probes and CWG checker included
+        assert "grep -Eq '^engine +: vector$'" in runs
         for step in steps:
             if step.get("run") and "repro" in step["run"]:
                 assert step["env"]["PYTHONPATH"] == "src"

@@ -75,8 +75,8 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "consumer-stall@5" in out and "activated 1x" in out
-        # the invariants and the watchdog are not what keeps it off the kernel
-        assert "engine              : reference (fault injection (faults=...))\n" in out
+        # faults, invariants and the watchdog all run on the kernel
+        assert "engine              : vector\n" in out
 
     def test_wedged_run_exits_3_with_dump(self, capsys):
         # Stall every consumer permanently: the watchdog must convert the
@@ -140,13 +140,18 @@ class TestCommands:
         assert out["reference"] == out["vector"]
         assert out["vector"][0]["episodes"]
 
-    def test_run_flit_trace_on_vector_backend_is_refused(self, tmp_path,
-                                                         capsys):
-        assert main(["run", "--dims", "4x4", "--backend", "vector", "--trace",
-                     str(tmp_path / "t.json"), "--trace-level", "flit"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("repro run: error: flit-level tracing")
-        assert err.count("\n") == 1
+    def test_run_flit_trace_on_vector_backend_equals_reference(self, tmp_path,
+                                                               capsys):
+        traces = []
+        for backend in ("vector", "reference"):
+            traces.append(tmp_path / f"{backend}.json")
+            assert main(["run", "--dims", "4x4", "--backend", backend,
+                         "--warmup", "200", "--measure", "600", "--trace",
+                         str(traces[-1]), "--trace-level", "flit"]) == 0
+            assert f"engine              : {backend}\n" in (
+                capsys.readouterr().out)
+        assert traces[0].read_text() == traces[1].read_text()
+        assert '"vc_grant"' in traces[0].read_text()
 
     @pytest.mark.parametrize("argv,says", [
         (["--dims", "2", "--pattern", "PAT721"],

@@ -45,9 +45,8 @@ class TestConstruction:
         assert len(e.interfaces) == 16
 
 
-#: each thing only the reference engine has, alone, and what
-#: ``backend_reason`` must say about it
-REFERENCE_ONLY = {
+#: what once kept a point off the kernel, each alone
+ON_THE_KERNEL = {
     "fault injection": dict(
         faults=(FaultSpec("consumer-stall", target=5, start=50, duration=50),)),
     "the CMH detector": dict(detector="cmh"),
@@ -66,15 +65,17 @@ class TestEngineSelection:
         assert type(engine) is VectorEngine
         assert (engine.backend, engine.backend_reason) == ("vector", None)
 
-    @pytest.mark.parametrize("feature", REFERENCE_ONLY)
-    def test_reference_only_feature_resolves_to_the_reference(self, feature):
-        config = SimConfig(**self.TINY, **REFERENCE_ONLY[feature])
+    @pytest.mark.parametrize("feature", ON_THE_KERNEL)
+    def test_feature_resolves_to_the_kernel(self, feature):
+        config = SimConfig(**self.TINY, **ON_THE_KERNEL[feature])
+        assert engine_module.resolve_backend(config) == ("vector", None)
         engine = engine_module.build_engine(config)
-        assert type(engine) is Engine and engine.backend == "reference"
-        assert engine.backend_reason.startswith(feature)
-        # a pinned engine raises where it cannot do what was asked
-        with pytest.raises(UnsupportedFeatureError, match=feature):
-            engine_module.build_engine(config.with_(backend="vector"))
+        assert type(engine) is VectorEngine
+        assert (engine.backend, engine.backend_reason) == ("vector", None)
+        engine.run(200)
+        reference = engine_module.build_engine(config.with_(backend="reference"))
+        reference.run(200)
+        assert engine.stats.total == reference.stats.total
 
     def test_observers_run_on_the_kernel(self):
         config = SimConfig(**self.TINY, cwg_interval=50, invariants_every=100,
@@ -101,17 +102,20 @@ class TestEngineSelection:
             assert engine_module.resolve_backend(
                 fits.with_(scheme=scheme, num_vcs=8))[0] == "reference"
 
-    def test_flit_level_tracer_resolves_to_the_reference(self):
+    def test_flit_level_tracer_resolves_to_the_kernel(self):
         config = SimConfig(**self.TINY)
-        tracer = Tracer(level="flit")
-        engine = engine_module.build_engine(config, tracer)
-        assert type(engine) is Engine and engine.tracer is tracer
-        assert engine.backend_reason == "flit-level tracing"
-        message = Tracer(level="message")
-        assert type(engine_module.build_engine(config, message)) is VectorEngine
-        with pytest.raises(UnsupportedFeatureError, match="flit-level"):
-            engine_module.build_engine(config.with_(backend="vector"),
+        engines = [
+            engine_module.build_engine(config.with_(backend=backend),
                                        Tracer(level="flit"))
+            for backend in ("auto", "reference")
+        ]
+        assert type(engines[0]) is VectorEngine
+        assert engines[0].backend_reason is None
+        for engine in engines:
+            engine.run(300)
+        kernel_events, reference_events = (e.tracer.events for e in engines)
+        assert kernel_events == reference_events
+        assert "vc_grant" in {kind for _, kind, _ in kernel_events}
 
     def test_pinned_engines_are_built_as_named(self):
         for backend, cls in (("reference", Engine), ("vector", VectorEngine)):

@@ -104,35 +104,17 @@ class TestScenarioRegistry:
             get_scenario("no-such-scenario")
 
     def test_backend_of_every_scenario(self):
-        """Vector unless a point asks for something only the reference
-        engine has, and then the listing names that feature.  A feature
-        landing on the vector backend moves its scenarios here."""
-        reference_only = {
-            "fault-storm": "fault injection (faults=...)",
-        }
-        on_vector = {"fig8", "fig9", "fig10", "fig11",
-                     "ablation-partitioning", "ablation-detection-threshold",
-                     "ablation-router-timeout",
-                     "baseline-pr", "scheme-ladder", "splash-mix",
-                     "adversarial-worstcase", "fat-tree",
-                     "cdg-torus4x4-tfar", "cdg-irregular9-tfar",
-                     # the CWG checker runs on both engines
-                     "cdg-torus4x4-duato", "cdg-mesh2d4x4-duato",
-                     "cdg-irregular9-updown"}
-        assert set(reference_only) | on_vector == set(scenario_names())
+        """Every scenario, fault storms and CWG cells included, runs on
+        the kernel of a host that builds it, and the listing says so."""
         for entry in describe_scenarios():
             name = entry["name"]
             configs = build_campaign(name, TINY).configs
             # the library declares no engine; the one function decides
             assert {c.backend for c in configs} == {"auto"}, name
-            backends = {resolve_backend(c)[0] for c in configs}
-            assert backends == {entry["backend"]}, name
-            if name in on_vector:
-                assert entry["backend"] == "vector", name
-                assert entry["reference_only"] is None, name
-            else:
-                assert entry["backend"] == "reference", name
-                assert entry["reference_only"] == reference_only[name]
+            assert {resolve_backend(c) for c in configs} == {
+                ("vector", None)}, name
+            assert entry["backend"] == "vector", name
+            assert entry["backend_reason"] is None, name
 
     def test_one_point_has_one_key_whichever_front_end_built_it(
             self, tmp_path, monkeypatch, capsys):
@@ -647,8 +629,8 @@ class TestJobManager:
 
     def test_flit_level_trace_of_a_vector_job_reruns_on_the_reference(
             self, tmp_path):
-        # the kernel records no flit-level event, and by the equivalence
-        # contract need not: the reference engine's run is the same run
+        # the re-run is on the kernel, and by the equivalence contract
+        # its flit-level trace is the reference engine's
         spec = tiny_campaign(points=1)
 
         async def body(manager):
