@@ -39,8 +39,9 @@ class CmhSite(DetectorPair):
     """One NI coupling watched by the CMH detector.
 
     The local blocked predicate and declaration latch are maintained by
-    :meth:`CmhDetector.pre_step`; ``step`` only reports the latch, so
-    the scheme controllers drive this site exactly like any other.
+    :meth:`CmhDetector.pre_step`, so :meth:`update` has nothing to do
+    and :meth:`fired` reports the latch: the scheme controllers drive
+    this site exactly like any other.
     """
 
     __slots__ = ("blocked_since", "declared_at", "last_probe_cycle", "detector")
@@ -60,7 +61,12 @@ class CmhSite(DetectorPair):
     def key(self) -> tuple[int, int, int]:
         return (self.ni.node, self.in_cls, self.out_cls)
 
-    def step(self, now: int) -> bool:
+    def update(self, now: int) -> bool:
+        """Nothing to move (the latch moves in
+        :meth:`CmhDetector.pre_step`); a declared site is armed."""
+        return self.declared_at >= 0
+
+    def fired(self, now: int) -> bool:
         return self.declared_at >= 0
 
     def reset(self, now: int) -> None:
@@ -115,23 +121,18 @@ class ProbeNetwork:
 class CmhDetector(Detector):
     """The edge-chasing mechanism over a grid of :class:`CmhSite`\\ s."""
 
-    kind = "cmh"
-
     def __init__(self, scheme, engine, require_request_child: bool) -> None:
         config = scheme.config
         sites = build_detectors(
             scheme, engine, scheme.couplings, require_request_child,
             site_class=CmhSite, threshold=config.cmh_block_threshold,
         )
-        super().__init__(scheme, engine, sites)
+        super().__init__("cmh", scheme, engine, sites)
         for site in self.sites:
             site.detector = self
         self.block_threshold = config.cmh_block_threshold
         self.probe_interval = config.cmh_probe_interval
         self.net = ProbeNetwork(engine.topology)
-        self._sites_by_node: dict[int, list[CmhSite]] = {}
-        for site in self.sites:
-            self._sites_by_node.setdefault(site.ni.node, []).append(site)
         #: initiator site key -> nodes already engaged by its chase.
         self._engaged: dict[tuple[int, int, int], set[int]] = {}
         self._site_by_key = {site.key: site for site in self.sites}
@@ -246,7 +247,7 @@ class CmhDetector(Detector):
                     tracer.probe_dropped(probe, now)
                 continue
             targets: set[int] = set()
-            for site in self._sites_by_node.get(node, ()):
+            for site in self.by_node.get(node, ()):
                 if self._forward_blocked(site):
                     targets.update(self._dependents(site))
             targets.discard(node)

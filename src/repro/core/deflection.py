@@ -24,27 +24,19 @@ from repro.protocol.message import Message, NetClass
 
 
 class DeflectionController:
-    """Per-cycle DR behaviour: run detectors, deflect stressed heads."""
+    """DR's recovery act: deflect the stressed head of a fired site."""
 
     def __init__(self, scheme, engine) -> None:
         self.scheme = scheme
         self.engine = engine
         self.detector = build_detector(scheme, engine, require_request_child=True)
         scheme.detector = self.detector
-        self.detectors = self.detector.sites
         self.deflections = 0
 
-    def step(self, now: int) -> None:
-        self.detector.pre_step(now)
-        for det in self.detectors:
-            if det.step(now):
-                self.recover(det, now)
-
     def recover(self, det: DetectorPair, now: int) -> bool:
-        """Act on one fired detector: report it, deflect, re-arm.  False
-        if nothing could be deflected yet (the detector stays fired).
-        Both engines call this for every detector fired at ``now``, in
-        build order."""
+        """Act on one fired detector (``scheme.act``): report it,
+        deflect, re-arm.  False if nothing could be deflected yet (the
+        detector stays fired)."""
         det.report_firing(self.scheme.tracer, now)
         if not self._try_deflect(det, now):
             return False

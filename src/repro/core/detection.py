@@ -26,12 +26,19 @@ from repro.protocol.message import Message, NetClass
 class DetectorPair:
     """One (input class, output class) coupling to watch at one NI.
 
-    ``step`` runs for every detector on every cycle, so the queue
-    references are resolved once and the conditions are evaluated
-    cheapest-first (version change, then queue stress, then head
-    eligibility) — the state transitions are identical to evaluating
-    everything up front.  A different kind of site overrides
-    :meth:`conditions` only.
+    The state machine is ``since`` (the cycle the current stalled
+    episode began), ``armed`` (conditions 1-2 held at the last
+    :meth:`update`) and ``episode_counted``.  Only :meth:`update` moves
+    them as cycles pass; a recovery's :meth:`reset` and
+    :meth:`report_firing` are the one other writers, and every consumer
+    asks :meth:`fired`.  The reference engine calls :meth:`update` every
+    cycle; the vector backend's lazy bank calls it only on cycles after
+    a queue ``notify`` or a change of ``controller.current`` —
+    conditions 1-2 read nothing else, so ``armed`` and, while armed,
+    ``since`` come out the same.  A different kind of site overrides
+    :meth:`conditions` only; one that keeps its own state
+    (:class:`~repro.core.cmh.CmhSite`) overrides :meth:`update` and
+    :meth:`fired` too.
     """
 
     ni: object
@@ -42,6 +49,7 @@ class DetectorPair:
     require_request_child: bool
     since: int = -1
     last_version: int = -1
+    armed: bool = False
     episode_counted: bool = field(default=False)
     _in_q: object = field(default=None, init=False, repr=False)
     _out_q: object = field(default=None, init=False, repr=False)
@@ -96,19 +104,38 @@ class DetectorPair:
             and self._head_eligible(in_q.entries[0] if in_q.entries else None)
         )
 
-    def step(self, now: int) -> bool:
-        """Advance one cycle; return True while the detector is *fired*."""
+    def update(self, now: int) -> bool:
+        """Bring the state up to ``now`` and return ``armed`` (only an
+        armed site can be fired).  A caller may skip cycles on which
+        nothing the conditions read changed: they held throughout at the
+        value ``armed`` recorded.  Queue progress (a version change) or a
+        false condition starts the episode clock afresh."""
         version = self._in_q.version + self._out_q.version
         if version != self.last_version:
-            self.since = now
             self.last_version = version
+            self.since = now
             self.episode_counted = False
-            return False
+            self.armed = armed = self.conditions()
+            return armed
         if not self.conditions():
             self.since = now
             self.episode_counted = False
+            self.armed = False
             return False
-        return (now - self.since) > self.threshold
+        if not self.armed:
+            # False until this cycle's change: a caller every cycle last
+            # restamped ``since`` at the previous one.
+            self.since = now - 1
+            self.armed = True
+        return True
+
+    def fired(self, now: int) -> bool:
+        """Conditions 1-2 have held, without progress, past ``threshold``."""
+        return self.armed and now - self.since > self.threshold
+
+    def step(self, now: int) -> bool:
+        """Advance one cycle; return True while the detector is *fired*."""
+        return self.update(now) and self.fired(now)
 
     def reset(self, now: int) -> None:
         self.since = now

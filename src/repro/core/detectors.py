@@ -3,16 +3,18 @@
 The paper's schemes are agnostic to *how* deadlock is found; this
 module makes that explicit.  A :class:`Detector` owns a list of
 per-(NI, queue-coupling) **sites** — objects interface-compatible with
-:class:`~repro.core.detection.DetectorPair` — that the scheme
-controllers poll in build order every cycle, exactly as before.  The
-detector additionally gets one :meth:`Detector.pre_step` call at the
-top of the scheme's step, which is where distributed mechanisms (the
-Chandy-Misra-Haas edge chase) move their probes.
+:class:`~repro.core.detection.DetectorPair` — that :meth:`Detector.poll`
+steps in build order every cycle, handing each fired one to the
+scheme's recovery act.  The detector additionally gets one
+:meth:`Detector.pre_step` call at the top of the poll, which is where
+distributed mechanisms (the Chandy-Misra-Haas edge chase) move their
+probes.
 
 Mechanisms
 ----------
 ``endpoint``
-    The paper's three-condition detector (:mod:`repro.core.detection`).
+    The paper's three-condition detector
+    (:class:`~repro.core.detection.DetectorPair`).
 ``cmh``
     Chandy-Misra-Haas edge chasing with real probe messages
     (:mod:`repro.core.cmh`).
@@ -38,29 +40,37 @@ OVERHEAD_FIELDS = (
 
 
 class Detector:
-    """Base detector: a list of poll-compatible sites plus a pre-step.
+    """A detection mechanism: a list of sites plus a per-cycle pre-step.
 
-    ``sites`` is fixed at construction; scheme controllers iterate it in
-    order and call ``site.step(now)`` / ``site.reset(now)`` exactly as
-    they always did with bare :class:`DetectorPair` lists, so recovery
-    ordering (and with it bit-identicality on the default mechanism) is
-    untouched by the abstraction.
+    ``sites`` is fixed at construction, in build order (NI by NI, each
+    NI's couplings sorted); ``by_node`` groups them per NI in the same
+    order.  :meth:`poll` is the reference engine's one detection loop;
+    the vector backend's lazy bank replaces it for the sites whose state
+    moves only in :meth:`~repro.core.detection.DetectorPair.update`.
+    ``kind`` names the mechanism (``SimConfig.detector``).
     """
 
-    kind = "?"
-
-    def __init__(self, scheme, engine, sites) -> None:
+    def __init__(self, kind: str, scheme, engine, sites) -> None:
+        self.kind = kind
         self.scheme = scheme
         self.engine = engine
         self.sites = list(sites)
+        self.by_node: dict[int, list] = {}
+        for site in self.sites:
+            self.by_node.setdefault(site.ni.node, []).append(site)
         #: telemetry hook (repro.telemetry.Tracer) or None.
         self.tracer = None
 
     def pre_step(self, now: int) -> None:
         """Per-cycle mechanism work before the sites are polled."""
 
-    def sites_at(self, node: int) -> list:
-        return [site for site in self.sites if site.ni.node == node]
+    def poll(self, now: int, act) -> None:
+        """One cycle: the pre-step, then ``act(site, now)`` for every
+        fired site in build order (the order recoveries interleave in)."""
+        self.pre_step(now)
+        for site in self.sites:
+            if site.update(now) and site.fired(now):
+                act(site, now)
 
     def overhead(self) -> dict[str, int]:
         """Probe-traffic bill of the run so far (all zero if probeless)."""
@@ -70,54 +80,28 @@ class Detector:
         return {"detector": self.kind, "sites": len(self.sites)}
 
 
-class EndpointDetector(Detector):
-    """The paper's three-condition endpoint detector (the default)."""
-
-    kind = "endpoint"
-
-    def __init__(self, scheme, engine, require_request_child: bool) -> None:
-        super().__init__(
-            scheme, engine,
-            build_detectors(
-                scheme, engine, scheme.couplings, require_request_child
-            ),
-        )
-
-
-class TimeoutDetector(Detector):
-    """Progress-timeout heuristic over the same site grid."""
-
-    kind = "timeout"
-
-    def __init__(self, scheme, engine, require_request_child: bool) -> None:
-        super().__init__(
-            scheme, engine,
-            build_detectors(
-                scheme, engine, scheme.couplings, require_request_child,
-                site_class=TimeoutSite,
-                threshold=scheme.config.timeout_threshold,
-            ),
-        )
-
-
 def build_detector(scheme, engine, require_request_child: bool) -> Detector:
     """Instantiate the detector named by ``scheme.config.detector``."""
-    kind = scheme.config.detector
-    if kind == "endpoint":
-        return EndpointDetector(scheme, engine, require_request_child)
-    if kind == "timeout":
-        return TimeoutDetector(scheme, engine, require_request_child)
+    config = scheme.config
+    kind = config.detector
     if kind == "cmh":
         from repro.core.cmh import CmhDetector
 
         return CmhDetector(scheme, engine, require_request_child)
-    raise ConfigurationError(f"unknown detector {kind!r}")
+    if kind == "endpoint":
+        site_class, threshold = DetectorPair, config.detection_threshold
+    elif kind == "timeout":
+        site_class, threshold = TimeoutSite, config.timeout_threshold
+    else:
+        raise ConfigurationError(f"unknown detector {kind!r}")
+    return Detector(kind, scheme, engine, build_detectors(
+        scheme, engine, scheme.couplings, require_request_child,
+        site_class=site_class, threshold=threshold,
+    ))
 
 
 __all__ = [
     "Detector",
-    "EndpointDetector",
-    "TimeoutDetector",
     "DetectorPair",
     "build_detector",
     "OVERHEAD_FIELDS",

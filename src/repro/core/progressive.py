@@ -10,22 +10,24 @@ Recovery resources
 
 Rescue procedure (Figure 4 / Appendix proof)
 --------------------------------------------
-On capture at an NI, the non-terminating head of the input queue is
-processed by the memory controller; subordinates that do not fit in the
-output queue are placed in the DMB and routed over the DB lane to their
-destination's DMB, the token travelling with them.  At the destination
-the message enters the input queue if space exists; otherwise the memory
-controller is *preempted* after its current operation and processes the
-message directly.  A terminating message sinks (Case 2); a non-
-terminating one whose subordinates fit the output queue completes the
-leg (Case 1); otherwise the rescue continues down the dependency chain,
-*reusing* the token (Cases 3-4), with multiple subordinates delivered
-sequentially before the token is returned to the sender.  When the token
-finally returns to the original capturer with nothing left to deliver,
-it is released for re-circulation.  On capture at a *router* (routing-
-dependent deadlock under true fully adaptive routing), the longest-
-blocked packet is progressively rerouted over the lane to its
-destination DMB, exactly as in Disha Sequential.
+A token reaching an NI is captured there when a detector pair at the NI
+has fired with a non-terminating head; that head (of the first such
+pair, in build order) is processed by the memory controller;
+subordinates that do not fit in the output queue are placed in the DMB
+and routed over the DB lane to their destination's DMB, the token
+travelling with them.  At the destination the message enters the input
+queue if space exists; otherwise the memory controller is *preempted*
+after its current operation and processes the message directly.  A
+terminating message sinks (Case 2); a non-terminating one whose
+subordinates fit the output queue completes the leg (Case 1); otherwise
+the rescue continues down the dependency chain, *reusing* the token
+(Cases 3-4), with multiple subordinates delivered sequentially before
+the token is returned to the sender.  When the token finally returns to
+the original capturer with nothing left to deliver, it is released for
+re-circulation.  On capture at a *router* (routing-dependent deadlock
+under true fully adaptive routing), the longest-blocked packet is
+progressively rerouted over the lane to its destination DMB, exactly as
+in Disha Sequential.
 
 Because each message dependency chain is finite and acyclic and the lane
 is dedicated, every rescue terminates — no messages are ever killed,
@@ -145,10 +147,6 @@ class ProgressiveController:
         self.topology = engine.topology
         self.detector = build_detector(scheme, engine, require_request_child=False)
         scheme.detector = self.detector
-        self.detectors = self.detector.sites
-        self._dets_by_node: dict[int, list] = {}
-        for det in self.detectors:
-            self._dets_by_node.setdefault(det.ni.node, []).append(det)
         self.token = Token(
             build_ring(engine.topology, scheme.config.token_ring)
         )
@@ -156,7 +154,6 @@ class ProgressiveController:
         self.phase = ProgressiveController.IDLE
         self.capture_stop: Stop | None = None
         self.stack: list[Frame] = []
-        self._fired: dict[int, bool] = {}
         self._return_timer = 0
         self._leg_msg: Message | None = None
         self.rescues = 0
@@ -176,17 +173,16 @@ class ProgressiveController:
     # ------------------------------------------------------------------
     def step(self, now: int) -> None:
         # Detectors always run so episode timing is continuous.
-        self.detector.pre_step(now)
-        self._fired = {}
-        for det in self.detectors:
-            if det.step(now):
-                self._fired[det.ni.node] = True
-                det.report_firing(self.tracer, now)
+        self.detector.poll(now, self.report_firing)
         self.advance(now)
 
+    def report_firing(self, det, now: int) -> None:
+        """A fired site waits for the token; only a listener hears of it."""
+        det.report_firing(self.tracer, now)
+
     def advance(self, now: int) -> None:
-        """One cycle of the token and rescue machine, given ``_fired``
-        (both engines call this once per cycle)."""
+        """One cycle of the token and rescue machine, on detector state
+        brought up to ``now`` (both engines call this once per cycle)."""
         if self.phase == ProgressiveController.IDLE:
             self._circulate(now)
         elif self.phase == ProgressiveController.LANE:
@@ -212,8 +208,7 @@ class ProgressiveController:
             return
         stop = token.advance()
         if stop.kind == "ni":
-            if self._fired.get(stop.ident):
-                self._capture_at_ni(stop, now)
+            self._capture_at_ni(stop, now)
         else:
             sender = self._blocked_at_router(stop.ident, now)
             if sender is not None:
@@ -235,26 +230,23 @@ class ProgressiveController:
         return best
 
     def _capture_at_ni(self, stop: Stop, now: int) -> None:
-        ni = self.engine.interfaces[stop.ident]
-        head = None
-        since = now
-        for det in self._dets_by_node.get(stop.ident, ()):  # pick a fired pair
-            if self._fired.get(stop.ident):
-                candidate = det.head()
-                if candidate is not None and candidate.continuation:
-                    head = candidate
-                    in_q = ni.in_bank.queue(det.in_cls)
-                    since = det.since
+        """Rescue the head of the first fired pair at the NI whose head
+        is non-terminating, if any."""
+        for det in self.detector.by_node.get(stop.ident, ()):
+            if det.fired(now):
+                head = det.head()
+                if head is not None and head.continuation:
                     break
-        if head is None:
+        else:
             return
+        ni = self.engine.interfaces[stop.ident]
         self.token.capture(stop)
         self.capture_stop = stop
         self.ni_captures += 1
         self._count_deadlock(now)
         if self.tracer is not None:
-            self.tracer.token_captured(stop, head, since, now)
-        in_q.pop()
+            self.tracer.token_captured(stop, head, det.since, now)
+        ni.in_bank.queue(det.in_cls).pop()
         head.rescued = True
         if head.transaction is not None:
             head.transaction.rescues += 1

@@ -175,7 +175,16 @@ class Scheme(ABC):
         self.engine = engine
 
     def step(self, now: int) -> None:
-        """Per-cycle detection/recovery work (default: none)."""
+        """Per-cycle detection/recovery work: poll the detector and
+        :meth:`act` on every fired site (SA has no detector)."""
+        if self.detector is not None:
+            self.detector.poll(now, self.act)
+
+    def act(self, det, now: int) -> bool:
+        """Act on one fired detector site; False if nothing could be
+        done yet (the site stays fired).  Both engines call this for
+        every site fired at ``now``, in build order."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Helpers for subclasses
@@ -334,8 +343,8 @@ class DeflectiveRecovery(Scheme):
 
         self.controller = DeflectionController(self, engine)
 
-    def step(self, now: int) -> None:
-        self.controller.step(now)
+    def act(self, det, now: int) -> bool:
+        return self.controller.recover(det, now)
 
 
 class ProgressiveRecovery(Scheme):
@@ -402,7 +411,6 @@ class DetectionOnly(Scheme):
         )
         self.routing = duato_routing(topology, self.vc_map)
         self._mode = self._resolve_queue_mode("shared")
-        self.detectors = []
 
     def queue_class_of(self, mtype) -> int:
         if self._mode == "shared":
@@ -421,22 +429,15 @@ class DetectionOnly(Scheme):
         from repro.core.detectors import build_detector
 
         self.detector = build_detector(self, engine, require_request_child=False)
-        self.detectors = self.detector.sites
 
-    def step(self, now: int) -> None:
-        self.detector.pre_step(now)
-        for det in self.detectors:
-            if det.step(now):
-                self.on_fired(det, now)
-
-    def on_fired(self, det, now: int) -> None:
-        """Count a stalled episode once, at its first firing (both
-        engines call this for every detector fired at ``now``)."""
+    def act(self, det, now: int) -> bool:
+        """Count a stalled episode once, at its first firing."""
         if not det.episode_counted:
             self.deadlocks_detected += 1
             self.engine.stats.on_deadlock(now, resolved=False)
             det.report_firing(self.tracer, now)
             det.episode_counted = True  # also when nobody listens
+        return True
 
 
 SCHEMES = {

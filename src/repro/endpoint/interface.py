@@ -10,9 +10,9 @@ plus, for schemes with reply preallocation, a reserved reply slot — the
 paper's Section 3 assumption that internal resources are preallocated so
 subordinate messages can always sink.
 
-The NI also owns the progress markers consumed by the endpoint deadlock
-detector (:mod:`repro.core.detection`) and, under progressive recovery, a
-deadlock message buffer (DMB) managed by
+The endpoint deadlock detector (:mod:`repro.core.detection`) watches the
+NI's queues through their version counters.  Under progressive recovery
+the NI also has a deadlock message buffer (DMB) managed by
 :mod:`repro.core.progressive`.
 """
 
@@ -134,18 +134,8 @@ class NetworkInterface:
         self.outstanding -= 1
 
     # ------------------------------------------------------------------
-    # Introspection for detection/recovery
+    # Introspection for detection
     # ------------------------------------------------------------------
-    def input_queue(self, cls: int):
-        return self.in_bank.queue(cls)
-
-    def output_queue(self, cls: int):
-        return self.out_bank.queue(cls)
-
-    def progress_version(self) -> int:
-        """Monotone counter that advances whenever the NI makes progress."""
-        return self.in_bank.total_version() + self.out_bank.total_version()
-
     def frontier_destinations(self, out_cls: int) -> set[int]:
         """Destinations this NI's ``out_cls`` traffic is waiting to reach.
 

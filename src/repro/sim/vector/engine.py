@@ -21,7 +21,7 @@ Gating is sound because every skipped call is a proven no-op:
   ends, which the completion calendar schedules (see ``_step_node``);
 * a detector whose queues and controller did not change evaluates the
   same conditions to the same value, so its fire time is a pure
-  function of its last materialized state (see
+  function of its state at its last ``update`` (see
   :class:`_LazyDetectorBank`).
 
 Wake rules
@@ -116,29 +116,22 @@ not, and each is reported where the reference reports it:
 * *Detections.*  The reference reports a detector the first cycle it is
   fired.  DR and NONE already visit a detector on exactly that cycle
   (the bank's calendar) and report there.  PR does not: the token asks
-  "is this node fired?" lazily through :class:`_FiredView`, which can
-  answer at any later cycle from ``since`` alone and never needs the
-  moment of firing.  So while a tracer listens ``_pr_step`` uses
-  ``collect_due`` — the same materialization as ``drain_dirty`` plus the
-  calendar DR uses — which changes no detector state the view reads and
-  yields each detector on the cycle ``now - since`` first exceeds its
-  threshold.  ``episode_counted`` de-duplicates as in the reference.
-  Attaching re-dirties every node so detectors that were already
-  counting get their calendar entry.
-* *``since`` at a token capture.*  Two values a capture reports are not
-  current on this backend until asked for.  At a router, while a header
-  waits in the network only the kernel's ``m_blocked`` is current; the
-  message's ``blocked_since`` is stale until ``detach_frontier`` copies
-  it back, which is after ``token_captured`` has reported it — so the
+  the pairs of the NI it reaches whether they have ``fired(now)``,
+  which the bank's state answers at any later cycle and never needs
+  the moment of firing.  So while a tracer listens ``_pr_step`` uses
+  ``collect_due`` — the same ``update`` calls as ``drain_dirty`` plus
+  the calendar DR uses — which yields each detector on the cycle
+  ``now - since`` first exceeds its threshold.  ``episode_counted``
+  de-duplicates as in the reference.  Attaching re-dirties every node
+  so detectors that were already counting get their calendar entry.
+* *``blocked_since`` at a router capture.*  While a header waits in
+  the network only the kernel's ``m_blocked`` is current; the message's
+  ``blocked_since`` is stale until ``detach_frontier`` copies it back,
+  which is after ``token_captured`` has reported it — so the
   kernel-routed ``_blocked_at_router`` copies it before returning the
-  sender.  At an NI, the capture reports the ``since`` of the first
-  detector whose head is rescuable, which need not be the fired one;
-  the reference re-stamps a detector whose conditions are false every
-  cycle, the bank only when it is next evaluated — so the wrapped
-  ``_capture_at_ni`` stamps the node's condition-false detectors with
-  ``now`` first (the value ``materialize`` would give them anyway).
-  Nothing but the trace payload reads either field in between, so no
-  result can tell.
+  sender.  Nothing but the trace payload reads the field in between, so
+  no result can tell.  (An NI capture reports a fired pair's ``since``,
+  which the bank keeps current.)
 
 The CMH detector moves its probes every cycle, so under it the scheme
 runs its own per-cycle ``step`` and no detector bank is built.  Faults
@@ -236,63 +229,26 @@ class VectorNI(NetworkInterface):
                 eng._due_next[self.node] = 1
 
 
-class _FiredView:
-    """Dict-like ``_fired`` facade for the progressive controller.
-
-    The reference recomputes ``{node: True}`` from every detector every
-    cycle; this view answers ``get(node)`` from the lazy bank's
-    materialized state.  All reads in ``_circulate``/``_capture_at_ni``
-    precede the rescue's queue mutations, so the snapshot is never
-    consulted stale.
-    """
-
-    __slots__ = ("bank", "now")
-
-    def __init__(self, bank: "_LazyDetectorBank", now: int) -> None:
-        self.bank = bank
-        self.now = now
-
-    def get(self, node, default=None):
-        bank = self.bank
-        now = self.now
-        for i in bank.by_node.get(node, ()):
-            if bank.snap[i]:
-                det = bank.dets[i]
-                if now - det.since > det.threshold:
-                    return True
-        return default
-
-
 class _LazyDetectorBank:
-    """Evaluate detectors only when their inputs change.
+    """Update detectors only when their inputs change.
 
-    ``DetectorPair.step`` is a pure function of (queue versions, queue
-    slot accounting, controller state); between changes its conditions
-    are constant, so the fire time is ``since + threshold + 1``.  The
-    bank keeps, per detector, the condition value at last evaluation
-    (``snap``) and re-runs exactly one reference-equivalent step
+    ``DetectorPair.update`` reads only queue versions, queue slot
+    accounting and controller state; between changes its conditions are
+    constant, so an armed detector fires at ``since + threshold + 1``.
+    The bank calls :meth:`~repro.core.detection.DetectorPair.update`
     (:meth:`materialize`) whenever the detector's node is dirtied by a
-    queue ``notify`` or a controller step.  State transitions:
-
-    * version changed → ``since = now``, remember version, re-snapshot
-      (the reference's early return; a same-cycle fire is impossible
-      because ``now - since`` is 0);
-    * conditions false → ``since = now`` (the reference sets it on
-      every false cycle; only the final value before a transition is
-      observable, and a transition always dirties the node);
-    * conditions true, were false → ``since = now - 1`` (the reference
-      last set ``since`` on the previous cycle, which was false);
-    * conditions true, were true → leave ``since`` (the reference does
-      not touch it while fired).
+    queue ``notify`` or a controller step, which leaves ``armed`` and,
+    while armed, ``since`` as the reference's every-cycle calls would
+    (``tests/test_detection.py`` checks this under random queue
+    events).  A disarmed detector's ``since`` goes stale; nothing reads
+    it before the next ``update``.
 
     ``gen`` invalidates calendar entries armed before a re-evaluation.
     """
 
     def __init__(self, detectors) -> None:
         self.dets = list(detectors)
-        n = len(self.dets)
-        self.snap = [False] * n
-        self.gen = [0] * n
+        self.gen = [0] * len(self.dets)
         self.by_node: dict[int, list[int]] = {}
         for i, det in enumerate(self.dets):
             self.by_node.setdefault(det.ni.node, []).append(i)
@@ -303,28 +259,9 @@ class _LazyDetectorBank:
         #: (fire_cycle, det_index, gen) min-heap (DR/NONE calendar).
         self.heap: list[tuple[int, int, int]] = []
 
-    # -- one reference-equivalent detector step ------------------------
     def materialize(self, i: int, now: int) -> None:
-        det = self.dets[i]
-        version = det._in_q.version + det._out_q.version
-        if version != det.last_version:
-            det.last_version = version
-            det.since = now
-            det.episode_counted = False
-            self.snap[i] = det.conditions()
-        else:
-            cond = det.conditions()
-            if not cond:
-                det.since = now
-                det.episode_counted = False
-            elif not self.snap[i]:
-                det.since = now - 1
-            self.snap[i] = cond
+        self.dets[i].update(now)
         self.gen[i] += 1
-
-    def fired(self, i: int, now: int) -> bool:
-        det = self.dets[i]
-        return self.snap[i] and now - det.since > det.threshold
 
     # -- per-cycle maintenance -----------------------------------------
     def drain_dirty(self, now: int) -> None:
@@ -344,8 +281,8 @@ class _LazyDetectorBank:
             for node in self.dirty:
                 for i in by_node.get(node, ()):
                     self.materialize(i, now)
-                    if self.snap[i]:
-                        det = self.dets[i]
+                    det = self.dets[i]
+                    if det.armed:
                         t_fire = det.since + det.threshold + 1
                         if t_fire <= now:
                             due.append(i)
@@ -445,28 +382,22 @@ class VectorEngine(Engine):
         for ni in self.interfaces:
             ni._vec_engine = self
 
-        # Scheme dispatch + detector bank.  The reference scheme
-        # controllers poll every detector every cycle; the vector
-        # backend re-evaluates only dirtied ones and runs the identical
-        # recovery code on those that fire.  SA has nothing to poll,
-        # and CMH's probes move every cycle: both keep the scheme's
-        # own step.
+        # Scheme dispatch + detector bank.  The reference engine polls
+        # every detector every cycle; the vector backend updates only
+        # dirtied ones and runs the identical recovery code on those
+        # that fire.  SA has nothing to poll, and CMH's probes move
+        # every cycle: both keep the scheme's own step.
         scheme = self.scheme
-        name = scheme.name
-        detectors = ()
-        if name == "SA" or config.detector == "cmh":
+        detector = scheme.detector
+        self._det_bank = None
+        if detector is None or detector.kind == "cmh":
             self._scheme_step = scheme.step
-        elif name == "NONE":
-            detectors = scheme.detectors
-            self._scheme_step = self._none_step
-        elif name == "DR":
-            detectors = scheme.controller.detectors
-            self._scheme_step = self._dr_step
         else:
-            detectors = scheme.controller.detectors
-            self._scheme_step = self._pr_step
-        self._det_bank = _LazyDetectorBank(detectors) if detectors else None
-        if name == "PR":
+            self._det_bank = _LazyDetectorBank(detector.sites)
+            self._scheme_step = (
+                self._pr_step if scheme.name == "PR" else self._act_step
+            )
+        if scheme.name == "PR":
             self._install_pr_hooks()
         dirty = self._det_bank.dirty if self._det_bank is not None else None
 
@@ -616,20 +547,14 @@ class VectorEngine(Engine):
     # ------------------------------------------------------------------
     # Scheme steps (reference recovery actions, lazy detection)
     # ------------------------------------------------------------------
-    def _none_step(self, now: int) -> None:
-        # Counted detectors stay fired silently, as in the reference; a
-        # new episode passes through a condition change, which dirties
-        # the node and re-arms the calendar.
-        bank = self._det_bank
-        for i in sorted(bank.collect_due(now)):
-            self.scheme.on_fired(bank.dets[i], now)
-
-    def _dr_step(self, now: int) -> None:
+    def _act_step(self, now: int) -> None:
+        """``Detector.poll`` over the bank: ``scheme.act`` on every
+        detector fired at ``now``, in build order (NONE and DR)."""
         bank = self._det_bank
         due = bank.collect_due(now)
         if not due:
             return
-        controller = self.scheme.controller
+        act = self.scheme.act
         dirty = bank.dirty
         pending = set(due)
         processed: set[int] = set()
@@ -645,12 +570,14 @@ class VectorEngine(Engine):
                 # re-evaluate its detectors exactly as the reference's
                 # in-order sweep would observe the mutations.
                 self._rearm_midloop(bank, det.ni.node, now, pending, processed, i)
-                if not bank.fired(i, now):
+                if not det.fired(now):
                     continue
             # A deflection's pops/pushes dirtied the node, so the next
             # drain re-arms whatever is still stressed; without one the
-            # reference retries the fired detector every cycle.
-            if not controller.recover(det, now):
+            # reference retries the fired detector every cycle.  (NONE
+            # counts an episode and is done: its detector stays fired
+            # silently until a condition change dirties the node.)
+            if not act(det, now):
                 heappush(bank.heap, (now + 1, i, bank.gen[i]))
 
     @staticmethod
@@ -659,7 +586,7 @@ class VectorEngine(Engine):
             bank.materialize(j, now)
             if j == cur or j in processed:
                 continue
-            if bank.fired(j, now):
+            if bank.dets[j].fired(now):
                 # Only detectors after the mutating one in build order
                 # may act this cycle, matching the reference sweep; the
                 # node stays dirty, so earlier ones re-arm next cycle.
@@ -674,17 +601,16 @@ class VectorEngine(Engine):
         if pc.tracer is None:
             bank.drain_dirty(now)
         else:
-            # The token polls firing lazily (_FiredView), which never
-            # learns *when* a detector fired; a listener needs the
-            # cycle, so the bank keeps its calendar (module docstring).
+            # The token asks ``fired`` lazily, which never learns *when*
+            # a detector fired; a listener needs the cycle, so the bank
+            # keeps its calendar (module docstring).
             for i in sorted(bank.collect_due(now)):
-                bank.dets[i].report_firing(pc.tracer, now)
-        pc._fired = _FiredView(bank, now)
+                pc.report_firing(bank.dets[i], now)
         pc.advance(now)
 
     def _install_pr_hooks(self) -> None:
         """Route the router-capture scan through the kernel, and bring
-        what a capture reports to a tracer up to date first (module
+        the ``blocked_since`` a capture reports up to date first (module
         docstring, "Tracing")."""
         pc = self.scheme.controller
         fabric = self.fabric
@@ -697,28 +623,9 @@ class VectorEngine(Engine):
             if sid < 0:
                 return None
             sender = fabric._handle(sid)
-            # The capture reports msg.blocked_since, which only the
-            # kernel has kept current (module docstring).
             sender.owner.blocked_since = int(
                 fabric._m_blocked[fabric._s_owner[sid]]
             )
             return sender
 
         pc._blocked_at_router = _blocked_at_router
-        if self._det_bank is None:
-            return  # CMH: its sites' ``since`` is current every cycle
-
-        capture_at_ni = pc._capture_at_ni
-
-        def _capture_at_ni(stop, now: int) -> None:
-            # The capture reports the ``since`` of the first detector at
-            # the node whose head is rescuable, fired or not.  The
-            # reference re-stamps a detector whose conditions are false
-            # every cycle; the bank lets it go stale, so catch up here.
-            bank = self._det_bank
-            for i in bank.by_node.get(stop.ident, ()):
-                if not bank.snap[i]:
-                    bank.dets[i].since = now
-            capture_at_ni(stop, now)
-
-        pc._capture_at_ni = _capture_at_ni

@@ -207,14 +207,37 @@ def test_new_topology_points_bit_identical(cfg):
     assert_backends_identical(4000, **cfg)
 
 
-def test_saturated_pr_exercises_rescue():
-    """8x8 PR past saturation: token captures and lane rescues occur and agree."""
-    snap = assert_backends_identical(
-        2500,
-        scheme="PR", pattern="PAT721", dims=(8, 8), num_vcs=4,
-        load=0.014, seed=3,
-    )
-    assert snap["rescues"] > 0, "point too light to exercise the rescue path"
+@pytest.mark.parametrize("cycles,cfg,counter", [
+    (2500, dict(scheme="PR", pattern="PAT721", dims=(8, 8), num_vcs=4,
+                load=0.014, seed=3), "rescues"),
+    # CMH sites keep their own latch: PR asks their ``fired`` too
+    (6000, dict(scheme="PR", pattern="PAT271", dims=(4, 4), num_vcs=4,
+                load=0.016, seed=3, detector="cmh"), "ni_captures"),
+], ids=["8x8-PAT721", "4x4-cmh"])
+def test_saturated_pr_exercises_rescue(cycles, cfg, counter):
+    """PR past saturation: token captures and lane rescues occur and agree."""
+    snap = assert_backends_identical(cycles, **cfg)
+    assert snap[counter] > 0, f"point too light to exercise {counter}"
+
+
+def test_pr_ni_capture_rescues_a_fired_pair():
+    """With per-type queues an NI holds several detector pairs; a token
+    captured there rescues the head of one that has fired, so every NI
+    capture reports a stalled episode older than the threshold."""
+    config = SimConfig(scheme="PR", pattern="PAT280", dims=(8, 8), num_vcs=4,
+                       load=0.03, seed=1, queue_mode="per-type")
+    captures = []
+    for backend in ("reference", "vector"):
+        engine = build_engine(config.with_(backend=backend))
+        tracer = Tracer(level="message")
+        engine.attach_tracer(tracer)
+        engine.run(8000)
+        captures.append([(cycle, p["since"]) for cycle, kind, p in tracer.events
+                         if kind == "token_capture" and p["kind"] == "ni"])
+    assert captures[0] == captures[1]
+    assert captures[0], "point too light to capture at an NI"
+    ages = [cycle - since for cycle, since in captures[0]]
+    assert min(ages) > config.detection_threshold, ages
 
 
 def test_saturated_dr_exercises_deflection():
@@ -503,8 +526,8 @@ TRACED_CELLS = {
                        500, 2000, {"blocked"}),
     "adversarial-PR": (dict(scheme="PR", **_ADVERSARIAL),
                        500, 2000, {"detect", "token_capture"}),
-    # NI captures whose rescued head sits at a detector that is not the
-    # fired one: the payload's ``since`` is a condition-false detector's
+    # NI captures with several detector pairs per NI (per-type queues):
+    # the payload's ``since`` is the fired pair's
     "PR-ni-capture": (dict(scheme="PR", pattern="PAT721", dims=(3, 3),
                            num_vcs=4, load=0.04, seed=0, max_outstanding=1,
                            queue_capacity=2, service_time=1,

@@ -1,6 +1,10 @@
 """Tests for the three-condition endpoint deadlock detector."""
 
-from repro.core.detection import DetectorPair, build_detectors
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.detection import DetectorPair, TimeoutSite, build_detectors
+from repro.protocol.message import Message
 from repro.protocol.transactions import PAT721
 from tests.helpers import build_engine, stall_endpoint
 
@@ -120,3 +124,89 @@ class TestBuildDetectors:
         # Only the (request-in, request-out) pair survives.
         assert len(dets) == e.topology.num_nodes
         assert all(d.in_cls == 0 and d.out_cls == 0 for d in dets)
+
+
+#: one queue event: (what, which queue, message kind)
+_EVENT = st.tuples(
+    st.sampled_from(["push", "pop", "reserve", "release", "serve", "finish"]),
+    st.sampled_from(["in", "out"]),
+    st.sampled_from(["request", "terminating"]),
+)
+#: one cycle: its queue events, then the recovery act on a fired site
+_CYCLE = st.tuples(
+    st.lists(_EVENT, max_size=3),
+    st.sampled_from([None, "count", "recover"]),
+)
+
+
+class TestLazyUpdateContract:
+    """What the vector backend's lazy detector bank relies on.
+
+    ``update`` called only on cycles after a queue ``notify`` or a
+    change of ``controller.current`` leaves ``armed``,
+    ``episode_counted`` and ``fired`` as calling it every cycle does,
+    and ``since`` too whenever the site is armed (a disarmed site's
+    ``since`` is the one value the lazy copy lets go stale, and nothing
+    reads it).
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cycles=st.lists(_CYCLE, min_size=1, max_size=60),
+        site_class=st.sampled_from([DetectorPair, TimeoutSite]),
+        threshold=st.integers(0, 6),
+        occupancy=st.sampled_from([1.0, 0.5]),
+        require_request_child=st.booleans(),
+    )
+    def test_lazy_updates_agree_with_every_cycle(
+        self, cycles, site_class, threshold, occupancy, require_request_child
+    ):
+        e = build_engine(scheme="PR", queue_capacity=3)
+        ni = e.interfaces[5]
+        queues = {"in": ni.in_bank.queue(0), "out": ni.out_bank.queue(0)}
+        mc = ni.controller
+        eager, lazy = (
+            site_class(ni=ni, in_cls=0, out_cls=0, threshold=threshold,
+                       occupancy_threshold=occupancy,
+                       require_request_child=require_request_child)
+            for _ in range(2)
+        )
+        notified = [True]  # the bank starts all-dirty
+        for q in queues.values():
+            q.notify = lambda: notified.__setitem__(0, True)
+        txn = make_pat721_txn(e, 5)
+        terminating = e.protocol.types[-1]
+        for now, (events, act) in enumerate(cycles, 1):
+            current = mc.current
+            for what, which, kind in events:
+                q = queues[which]
+                if what == "push" and q.free_slots > 0:
+                    q.push(txn(now).root if kind == "request"
+                           else Message(terminating, src=0, dst=5))
+                elif what == "pop" and q.entries:
+                    q.pop()
+                elif what == "reserve":
+                    q.try_reserve_reply()
+                elif what == "release" and q.reserved:
+                    q.release_reservation()
+                elif what == "serve":
+                    mc.current = object()
+                    mc.current_in_cls = 0 if kind == "request" else None
+                elif what == "finish":
+                    mc.current = mc.current_in_cls = None
+            eager.update(now)
+            if notified[0] or mc.current is not current:
+                notified[0] = False
+                lazy.update(now)
+            assert lazy.armed == eager.armed
+            assert lazy.episode_counted == eager.episode_counted
+            assert lazy.fired(now) == eager.fired(now)
+            if eager.armed:
+                assert lazy.since == eager.since
+            if act and eager.fired(now):
+                for det in (eager, lazy):
+                    det.episode_counted = True
+                if act == "recover" and queues["in"].entries:
+                    queues["in"].pop()
+                    for det in (eager, lazy):
+                        det.reset(now)

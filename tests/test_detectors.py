@@ -20,13 +20,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import SimConfig
-from repro.core.cmh import CmhDetector, CmhSite, ProbeNetwork
+from repro.core.cmh import CmhSite, ProbeNetwork
 from repro.core.detection import DetectorPair, TimeoutSite
-from repro.core.detectors import (
-    OVERHEAD_FIELDS,
-    EndpointDetector,
-    TimeoutDetector,
-)
+from repro.core.detectors import OVERHEAD_FIELDS
 from repro.protocol.message import Message
 from repro.protocol.probe import PROBE_TYPE, Probe
 from repro.protocol.transactions import PAT721
@@ -80,16 +76,14 @@ def chase_until_declared(det, max_cycles=60):
 # ----------------------------------------------------------------------
 class TestDetectorSelection:
     @pytest.mark.parametrize(
-        "name,cls",
-        [("endpoint", EndpointDetector), ("timeout", TimeoutDetector),
-         ("cmh", CmhDetector)],
+        "name,site_cls",
+        [("endpoint", DetectorPair), ("timeout", TimeoutSite),
+         ("cmh", CmhSite)],
     )
-    def test_config_selects_mechanism(self, name, cls):
+    def test_config_selects_mechanism(self, name, site_cls):
         e = build_engine(scheme="NONE", detector=name)
-        assert isinstance(e.detector, cls)
         assert e.detector.kind == name
-        # Scheme controllers poll the detector's own site list.
-        assert e.scheme.detectors is e.detector.sites
+        assert {type(site) for site in e.detector.sites} == {site_cls}
         assert set(e.detector.overhead()) == set(OVERHEAD_FIELDS)
         described = e.detector.describe()
         assert described["detector"] == name
@@ -331,7 +325,7 @@ class TestCmhSelfDependence:
 # ----------------------------------------------------------------------
 class TestTimeoutDetector:
     def _site(self, engine, node):
-        site = engine.detector.sites_at(node)[0]
+        site = engine.detector.by_node[node][0]
         assert isinstance(site, TimeoutSite)
         return site
 
