@@ -183,10 +183,10 @@ class SimConfig:
                 raise ConfigurationError(
                     f"faults entries must be FaultSpec, got {spec!r}"
                 )
-        if self.invariants_every < 0:
-            raise ConfigurationError("invariants_every must be >= 0")
-        if self.watchdog_timeout < 0:
-            raise ConfigurationError("watchdog_timeout must be >= 0")
+        for name in ("detection_threshold", "router_timeout",
+                     "invariants_every", "watchdog_timeout"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be >= 0")
 
     def with_(self, **kwargs) -> "SimConfig":
         """A modified copy (convenience for sweeps)."""

@@ -12,8 +12,8 @@ subordinate messages can always sink.
 
 The endpoint deadlock detector (:mod:`repro.core.detection`) watches the
 NI's queues through their version counters.  Under progressive recovery
-the NI also has a deadlock message buffer (DMB) managed by
-:mod:`repro.core.progressive`.
+the deadlock message buffer (DMB) is held by :mod:`repro.core.progressive`
+(its lane's ``msg``), not by the NI.
 """
 
 from __future__ import annotations
@@ -59,8 +59,6 @@ class NetworkInterface:
             (fabric.injection_channel(node, cls), self.out_bank.queue(cls))
             for cls in range(num_queue_classes)
         ]
-        #: Deadlock message buffer; managed by progressive recovery.
-        self.dmb: Message | None = None
         #: telemetry hook (repro.telemetry.Tracer) or None.
         self.tracer = None
 

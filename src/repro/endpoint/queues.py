@@ -193,8 +193,5 @@ class QueueBank:
     def total_occupancy(self) -> int:
         return sum(q.occupancy for q in self.queues)
 
-    def total_version(self) -> int:
-        return sum(q.version for q in self.queues)
-
     def __iter__(self):
         return iter(self.queues)

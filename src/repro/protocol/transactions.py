@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,13 +40,12 @@ _txn_uid = itertools.count()
 @functools.lru_cache(maxsize=None)
 def _length_sampler(
     length_probs: tuple[tuple[int, float], ...],
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[list[int], list[float]]:
     """Chain lengths and their normalized CDF, computed once per pattern."""
-    lengths = np.asarray([length for length, _ in length_probs])
     p = np.asarray([p for _, p in length_probs], dtype=np.float64)
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    return lengths, cdf
+    return [length for length, _ in length_probs], cdf.tolist()
 
 
 @dataclass(frozen=True)
@@ -172,15 +172,16 @@ class TransactionPattern:
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------
-    def sample_chain_length(self, rng: np.random.Generator) -> int:
-        # Equivalent to ``rng.choice(lengths, p=probs)`` but with the CDF
-        # cached across calls: choice() revalidates and re-normalizes the
-        # probability vector on every draw, which dominated traffic
-        # generation.  The single uniform draw and the searchsorted lookup
-        # mirror choice()'s internals, so the RNG stream and the sampled
-        # values are unchanged.
+    def sample_chain_length(self, u: float) -> int:
+        """The chain length the uniform draw ``u`` in [0, 1) selects.
+
+        Given ``u = rng.random()`` this is ``rng.choice(lengths,
+        p=probs)``: choice() draws the same single uniform and looks it
+        up with ``searchsorted(side="right")`` in the same normalized
+        CDF, which is cached here instead of revalidated per draw.
+        """
         lengths, cdf = _length_sampler(self.length_probs)
-        return int(lengths[cdf.searchsorted(rng.random(), side="right")])
+        return lengths[bisect_right(cdf, u)]
 
     def build_transaction(
         self,
@@ -201,7 +202,7 @@ class TransactionPattern:
         if length is None:
             if rng is None:
                 raise ConfigurationError("either length or rng must be given")
-            length = self.sample_chain_length(rng)
+            length = self.sample_chain_length(rng.random())
         types = self.chain_types(length)
         t = Transaction(
             uid=next(_txn_uid),

@@ -56,8 +56,6 @@ def live_message_uids(engine) -> set[int]:
             seen.add(controller.current.uid)
         if controller._priority is not None:
             seen.add(controller._priority[0].uid)
-        if ni.dmb is not None:
-            seen.add(ni.dmb.uid)
     for msg in engine.fabric.held_messages():
         seen.add(msg.uid)
     controller = getattr(engine.scheme, "controller", None)

@@ -43,6 +43,13 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             SimConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["detection_threshold", "router_timeout"])
+    def test_timeouts_reject_negative_allow_zero(self, name):
+        for bad in (-3, -1):
+            with pytest.raises(ConfigurationError, match=name):
+                SimConfig(dims=(4, 4), **{name: bad})
+        assert getattr(SimConfig(dims=(4, 4), **{name: 0}), name) == 0
+
     def test_frozen(self):
         cfg = SimConfig()
         with pytest.raises(Exception):

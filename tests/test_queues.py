@@ -101,12 +101,6 @@ class TestQueueBank:
         assert bank.total_occupancy() == 1
         assert bank.num_classes == 3
 
-    def test_total_version(self):
-        bank = QueueBank(2, 2)
-        v0 = bank.total_version()
-        bank.queue(1).push(msg())
-        assert bank.total_version() == v0 + 1
-
 
 @settings(max_examples=200, deadline=None)
 @given(

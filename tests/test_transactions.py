@@ -114,7 +114,7 @@ class TestBuildTransaction:
 
     def test_sampling_respects_probabilities(self):
         rng = make_rng(11, "test")
-        lengths = [PAT271.sample_chain_length(rng) for _ in range(4000)]
+        lengths = [PAT271.sample_chain_length(rng.random()) for _ in range(4000)]
         frac3 = lengths.count(3) / len(lengths)
         assert frac3 == pytest.approx(0.7, abs=0.04)
 
