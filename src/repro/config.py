@@ -183,8 +183,9 @@ class SimConfig:
                 raise ConfigurationError(
                     f"faults entries must be FaultSpec, got {spec!r}"
                 )
-        for name in ("detection_threshold", "router_timeout",
-                     "invariants_every", "watchdog_timeout"):
+        for name in ("detection_threshold", "router_timeout", "service_time",
+                     "sink_time", "cwg_interval", "invariants_every",
+                     "watchdog_timeout"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be >= 0")
 

@@ -44,10 +44,10 @@ class Detector:
 
     ``sites`` is fixed at construction, in build order (NI by NI, each
     NI's couplings sorted); ``by_node`` groups them per NI in the same
-    order.  :meth:`poll` is the reference engine's one detection loop;
-    the vector backend's lazy bank replaces it for the sites whose state
-    moves only in :meth:`~repro.core.detection.DetectorPair.update`.
-    ``kind`` names the mechanism (``SimConfig.detector``).
+    order.  :meth:`poll` is the one detection loop of both engines: the
+    reference sweeps every site, the vector backend only the NIs its
+    lazy bank has due.  ``kind`` names the mechanism
+    (``SimConfig.detector``).
     """
 
     def __init__(self, kind: str, scheme, engine, sites) -> None:
@@ -64,13 +64,18 @@ class Detector:
     def pre_step(self, now: int) -> None:
         """Per-cycle mechanism work before the sites are polled."""
 
-    def poll(self, now: int, act) -> None:
+    def poll(self, now: int, act, nodes=None) -> None:
         """One cycle: the pre-step, then ``act(site, now)`` for every
-        fired site in build order (the order recoveries interleave in)."""
+        fired site in build order (the order recoveries interleave in).
+        ``nodes``, ascending, limits the sweep to those NIs' sites, in
+        build order too, as sites are built NI by NI: the vector
+        backend passes the nodes its lazy bank has due."""
         self.pre_step(now)
-        for site in self.sites:
-            if site.update(now) and site.fired(now):
-                act(site, now)
+        by_node = self.by_node
+        for sites in [self.sites] if nodes is None else [by_node[n] for n in nodes]:
+            for site in sites:
+                if site.update(now) and site.fired(now):
+                    act(site, now)
 
     def overhead(self) -> dict[str, int]:
         """Probe-traffic bill of the run so far (all zero if probeless)."""

@@ -171,9 +171,9 @@ class ProgressiveController:
         self._leg_route: tuple[int, int] | None = None
 
     # ------------------------------------------------------------------
-    def step(self, now: int) -> None:
-        # Detectors always run so episode timing is continuous.
-        self.detector.poll(now, self.report_firing)
+    def step(self, now: int, nodes=None) -> None:
+        # Poll every cycle, mid-rescue too, so episode timing is continuous.
+        self.detector.poll(now, self.report_firing, nodes)
         self.advance(now)
 
     def report_firing(self, det, now: int) -> None:

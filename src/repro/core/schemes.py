@@ -174,16 +174,18 @@ class Scheme(ABC):
     def attach(self, engine) -> None:
         self.engine = engine
 
-    def step(self, now: int) -> None:
-        """Per-cycle detection/recovery work: poll the detector and
-        :meth:`act` on every fired site (SA has no detector)."""
+    def step(self, now: int, nodes=None) -> None:
+        """Per-cycle detection/recovery work: poll the detector (over
+        ``nodes`` only, see ``Detector.poll``) and :meth:`act` on every
+        fired site (SA has no detector)."""
         if self.detector is not None:
-            self.detector.poll(now, self.act)
+            self.detector.poll(now, self.act, nodes)
 
     def act(self, det, now: int) -> bool:
         """Act on one fired detector site; False if nothing could be
-        done yet (the site stays fired).  Both engines call this for
-        every site fired at ``now``, in build order."""
+        done yet (the site stays fired).  ``Scheme.step`` calls this for
+        every site fired at ``now``, in build order.  It may change only
+        ``det``'s own NI's queues (the vector backend relies on it)."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -389,8 +391,8 @@ class ProgressiveRecovery(Scheme):
 
         self.controller = ProgressiveController(self, engine)
 
-    def step(self, now: int) -> None:
-        self.controller.step(now)
+    def step(self, now: int, nodes=None) -> None:
+        self.controller.step(now, nodes)
 
 
 class DetectionOnly(Scheme):

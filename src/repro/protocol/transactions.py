@@ -23,7 +23,6 @@ Length    Messages
 
 from __future__ import annotations
 
-import functools
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -35,17 +34,6 @@ from repro.protocol.message import Message, MessageSpec, MessageType, Transactio
 from repro.util.errors import ConfigurationError
 
 _txn_uid = itertools.count()
-
-
-@functools.lru_cache(maxsize=None)
-def _length_sampler(
-    length_probs: tuple[tuple[int, float], ...],
-) -> tuple[list[int], list[float]]:
-    """Chain lengths and their normalized CDF, computed once per pattern."""
-    p = np.asarray([p for _, p in length_probs], dtype=np.float64)
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return [length for length, _ in length_probs], cdf.tolist()
 
 
 @dataclass(frozen=True)
@@ -69,6 +57,8 @@ class TransactionPattern:
     _chain_types: dict = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
+    #: (chain lengths, their normalized CDF), for sample_chain_length.
+    _length_cdf: tuple = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         total = sum(p for _, p in self.length_probs)
@@ -83,6 +73,11 @@ class TransactionPattern:
                 raise ConfigurationError(
                     f"{self.name}: unsupported chain length {length}"
                 )
+        cdf = np.asarray([p for _, p in self.length_probs], dtype=np.float64).cumsum()
+        cdf /= cdf[-1]
+        object.__setattr__(self, "_length_cdf", (
+            [length for length, _ in self.length_probs], cdf.tolist()
+        ))
 
     # ------------------------------------------------------------------
     # Chain structure
@@ -178,9 +173,10 @@ class TransactionPattern:
         Given ``u = rng.random()`` this is ``rng.choice(lengths,
         p=probs)``: choice() draws the same single uniform and looks it
         up with ``searchsorted(side="right")`` in the same normalized
-        CDF, which is cached here instead of revalidated per draw.
+        CDF, which is built once per pattern instead of revalidated per
+        draw.
         """
-        lengths, cdf = _length_sampler(self.length_probs)
+        lengths, cdf = self._length_cdf
         return lengths[bisect_right(cdf, u)]
 
     def build_transaction(

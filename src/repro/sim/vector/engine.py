@@ -19,10 +19,10 @@ Gating is sound because every skipped call is a proven no-op:
   scans mutate nothing);
 * a mid-service memory controller does nothing until the service
   ends, which the completion calendar schedules (see ``_step_node``);
-* a detector whose queues and controller did not change evaluates the
-  same conditions to the same value, so its fire time is a pure
-  function of its state at its last ``update`` (see
-  :class:`_LazyDetectorBank`).
+* a detector site whose queues and controller did not change evaluates
+  the same conditions to the same value, so its fire time is a pure
+  function of its state at its last ``update``, and ``Scheme.step``
+  polls only the nodes with a site due (see :class:`_LazyDetectorBank`).
 
 Wake rules
 ----------
@@ -113,17 +113,14 @@ not, and each is reported where the reference reports it:
   reference's order (the tracer folds the per-cycle ``blocked`` calls
   into spans itself).  Untraced, the kernel emits exactly the events it
   always did.
-* *Detections.*  The reference reports a detector the first cycle it is
-  fired.  DR and NONE already visit a detector on exactly that cycle
-  (the bank's calendar) and report there.  PR does not: the token asks
-  the pairs of the NI it reaches whether they have ``fired(now)``,
-  which the bank's state answers at any later cycle and never needs
-  the moment of firing.  So while a tracer listens ``_pr_step`` uses
-  ``collect_due`` — the same ``update`` calls as ``drain_dirty`` plus
-  the calendar DR uses — which yields each detector on the cycle
-  ``now - since`` first exceeds its threshold.  ``episode_counted``
-  de-duplicates as in the reference.  Attaching re-dirties every node
-  so detectors that were already counting get their calendar entry.
+* *Detections.*  The reference reports a detector site the first cycle
+  it is fired, from ``Scheme.step``'s poll (DR's and NONE's act, PR's
+  ``report_firing``).  The vector backend runs the same ``Scheme.step``
+  over the nodes :class:`_LazyDetectorBank` has due, which include every
+  node with a site fired at ``now``, so DR, NONE and PR report on the
+  same cycle from the same code, traced or not; ``episode_counted``
+  de-duplicates as in the reference.  Attaching re-dirties every node,
+  so a site that fired before anyone listened is polled and reported.
 * *``blocked_since`` at a router capture.*  While a header waits in
   the network only the kernel's ``m_blocked`` is current; the message's
   ``blocked_since`` is stale until ``detach_frontier`` copies it back,
@@ -133,8 +130,8 @@ not, and each is reported where the reference reports it:
   no result can tell.  (An NI capture reports a fired pair's ``since``,
   which the bank keeps current.)
 
-The CMH detector moves its probes every cycle, so under it the scheme
-runs its own per-cycle ``step`` and no detector bank is built.  Faults
+The CMH detector moves its probes every cycle, so under it
+``Scheme.step`` polls every node and no detector bank is built.  Faults
 act through the stall sets and the controllers' ``stalled`` flags, as
 on the reference; the fabric copies the sets into the kernel's stall
 mask on the cycles the injector changes them.  The observers (periodic
@@ -230,71 +227,63 @@ class VectorNI(NetworkInterface):
 
 
 class _LazyDetectorBank:
-    """Update detectors only when their inputs change.
+    """Update detector sites only when their inputs change; name the
+    nodes ``Scheme.step`` must poll.
 
     ``DetectorPair.update`` reads only queue versions, queue slot
     accounting and controller state; between changes its conditions are
-    constant, so an armed detector fires at ``since + threshold + 1``.
-    The bank calls :meth:`~repro.core.detection.DetectorPair.update`
-    (:meth:`materialize`) whenever the detector's node is dirtied by a
-    queue ``notify`` or a controller step, which leaves ``armed`` and,
-    while armed, ``since`` as the reference's every-cycle calls would
-    (``tests/test_detection.py`` checks this under random queue
-    events).  A disarmed detector's ``since`` goes stale; nothing reads
-    it before the next ``update``.
+    constant, so an armed site fires at ``since + threshold + 1``.
+    :meth:`due` updates every site of each node dirtied by a queue
+    ``notify`` or a controller step, which leaves ``armed`` and, while
+    armed, ``since`` as the reference's every-cycle calls would
+    (``tests/test_detection.py`` checks this), and puts each armed site
+    not yet fired on a ``(fire_cycle, node)`` calendar.  Polling only
+    the due nodes is exact:
 
-    ``gen`` invalidates calendar entries armed before a re-evaluation.
+    1. A poll of a node is the reference's poll of that node's sites,
+       and acts change only their own node's queues (DR's
+       ``_try_deflect`` pops the input head and pushes the backoff reply
+       at the same NI; NONE and PR's ``report_firing`` change no queue).
+    2. Calling ``update`` on extra cycles is what the reference does
+       every cycle, so a stale calendar entry costs one poll that finds
+       nothing fired.
+    3. A failed DR act depends only on its node's queue state and leaves
+       it as it was (its rollbacks notify), so it fails again until a
+       queue at that node changes; every ``MessageQueue`` mutation calls
+       ``notify``, which dirties the node, so no retry entry is needed.
+       NONE and PR report a fired site once per episode.
     """
 
-    def __init__(self, detectors) -> None:
-        self.dets = list(detectors)
-        self.gen = [0] * len(self.dets)
-        self.by_node: dict[int, list[int]] = {}
-        for i, det in enumerate(self.dets):
-            self.by_node.setdefault(det.ni.node, []).append(i)
-        #: nodes whose detectors must be re-evaluated this cycle;
-        #: starts all-dirty so the first cycle initializes every
-        #: detector exactly as the reference's first step would.
+    def __init__(self, detector) -> None:
+        self.by_node = detector.by_node
+        #: nodes whose sites must be re-evaluated; starts all-dirty so
+        #: the first cycle initializes every site exactly as the
+        #: reference's first step would.
         self.dirty: set[int] = set(self.by_node)
-        #: (fire_cycle, det_index, gen) min-heap (DR/NONE calendar).
-        self.heap: list[tuple[int, int, int]] = []
+        #: (fire_cycle, node) min-heap.
+        self.heap: list[tuple[int, int]] = []
 
-    def materialize(self, i: int, now: int) -> None:
-        self.dets[i].update(now)
-        self.gen[i] += 1
-
-    # -- per-cycle maintenance -----------------------------------------
-    def drain_dirty(self, now: int) -> None:
-        """Re-evaluate every detector of every dirtied node (PR)."""
-        if self.dirty:
-            by_node = self.by_node
-            for node in self.dirty:
-                for i in by_node.get(node, ()):
-                    self.materialize(i, now)
-            self.dirty.clear()
-
-    def collect_due(self, now: int) -> list[int]:
-        """Dirty-drain plus calendar pop: detectors fired at ``now``."""
-        due: list[int] = []
-        if self.dirty:
-            by_node = self.by_node
-            for node in self.dirty:
-                for i in by_node.get(node, ()):
-                    self.materialize(i, now)
-                    det = self.dets[i]
-                    if det.armed:
-                        t_fire = det.since + det.threshold + 1
-                        if t_fire <= now:
-                            due.append(i)
-                        else:
-                            heappush(self.heap, (t_fire, i, self.gen[i]))
-            self.dirty.clear()
+    def due(self, now: int):
+        """Update the dirtied nodes' sites; the nodes with a site that
+        may fire at ``now``, ascending (``()`` if there are none)."""
         heap = self.heap
+        if not self.dirty and not (heap and heap[0][0] <= now):
+            return ()
+        due = set()
+        if self.dirty:
+            by_node = self.by_node
+            for node in self.dirty:
+                for site in by_node.get(node, ()):
+                    if site.update(now):
+                        t_fire = site.since + site.threshold + 1
+                        if t_fire <= now:
+                            due.add(node)
+                        else:
+                            heappush(heap, (t_fire, node))
+            self.dirty.clear()
         while heap and heap[0][0] <= now:
-            _t, i, g = heappop(heap)
-            if g == self.gen[i]:
-                due.append(i)
-        return due
+            due.add(heappop(heap)[1])
+        return sorted(due)
 
 
 def _make_notify(q, ni, qi, qm_free, qm_res, due_next, dirty, suppress):
@@ -382,21 +371,28 @@ class VectorEngine(Engine):
         for ni in self.interfaces:
             ni._vec_engine = self
 
-        # Scheme dispatch + detector bank.  The reference engine polls
-        # every detector every cycle; the vector backend updates only
-        # dirtied ones and runs the identical recovery code on those
-        # that fire.  SA has nothing to poll, and CMH's probes move
-        # every cycle: both keep the scheme's own step.
+        # Scheme step + detector bank.  Both engines run
+        # ``scheme.step``; the reference polls every detector site every
+        # cycle, the vector backend only the nodes the bank has due, and
+        # skips the call when none is due unless a token moves (PR).  SA
+        # has nothing to poll, and CMH's probes move every cycle: both
+        # poll in full.
         scheme = self.scheme
         detector = scheme.detector
         self._det_bank = None
         if detector is None or detector.kind == "cmh":
             self._scheme_step = scheme.step
         else:
-            self._det_bank = _LazyDetectorBank(detector.sites)
-            self._scheme_step = (
-                self._pr_step if scheme.name == "PR" else self._act_step
-            )
+            self._det_bank = bank = _LazyDetectorBank(detector)
+            step, due = scheme.step, bank.due
+            every_cycle = scheme.name == "PR"
+
+            def _scheme_step(now: int) -> None:
+                nodes = due(now)
+                if nodes or every_cycle:
+                    step(now, nodes)
+
+            self._scheme_step = _scheme_step
         if scheme.name == "PR":
             self._install_pr_hooks()
         dirty = self._det_bank.dirty if self._det_bank is not None else None
@@ -444,13 +440,13 @@ class VectorEngine(Engine):
         super().attach_tracer(tracer)
         if self.fabric.tracer is None:
             # A sampler-only tap hooks no event site: the kernel keeps
-            # its untraced event stream and PR its lazy detector bank.
+            # its untraced event stream and no detection is reported.
             return
         self.fabric._hdr[H_TRACE] = 1
         if self._det_bank is not None:
-            # Re-evaluate every detector next cycle, so one that is
-            # already counting (PR keeps no calendar while untraced) is
-            # on the calendar that reports its firing.
+            # Re-evaluate every site next cycle, so one that fired
+            # before anyone listened (PR's ``report_firing`` only
+            # reports while a tracer listens) is polled and reported.
             self._det_bank.dirty.update(self._det_bank.by_node)
 
     # ------------------------------------------------------------------
@@ -543,70 +539,6 @@ class VectorEngine(Engine):
             (ni.source_queue and ni.can_admit()) or _loadable(ni)
         ):
             self._due_next[node] = 1
-
-    # ------------------------------------------------------------------
-    # Scheme steps (reference recovery actions, lazy detection)
-    # ------------------------------------------------------------------
-    def _act_step(self, now: int) -> None:
-        """``Detector.poll`` over the bank: ``scheme.act`` on every
-        detector fired at ``now``, in build order (NONE and DR)."""
-        bank = self._det_bank
-        due = bank.collect_due(now)
-        if not due:
-            return
-        act = self.scheme.act
-        dirty = bank.dirty
-        pending = set(due)
-        processed: set[int] = set()
-        # Ascending index = detector build order = the reference loop's
-        # action order, so stats calls interleave identically.
-        while pending:
-            i = min(pending)
-            pending.discard(i)
-            processed.add(i)
-            det = bank.dets[i]
-            if det.ni.node in dirty:
-                # An earlier deflection this cycle touched this node;
-                # re-evaluate its detectors exactly as the reference's
-                # in-order sweep would observe the mutations.
-                self._rearm_midloop(bank, det.ni.node, now, pending, processed, i)
-                if not det.fired(now):
-                    continue
-            # A deflection's pops/pushes dirtied the node, so the next
-            # drain re-arms whatever is still stressed; without one the
-            # reference retries the fired detector every cycle.  (NONE
-            # counts an episode and is done: its detector stays fired
-            # silently until a condition change dirties the node.)
-            if not act(det, now):
-                heappush(bank.heap, (now + 1, i, bank.gen[i]))
-
-    @staticmethod
-    def _rearm_midloop(bank, node, now, pending, processed, cur) -> None:
-        for j in bank.by_node[node]:
-            bank.materialize(j, now)
-            if j == cur or j in processed:
-                continue
-            if bank.dets[j].fired(now):
-                # Only detectors after the mutating one in build order
-                # may act this cycle, matching the reference sweep; the
-                # node stays dirty, so earlier ones re-arm next cycle.
-                if j > cur:
-                    pending.add(j)
-            else:
-                pending.discard(j)
-
-    def _pr_step(self, now: int) -> None:
-        bank = self._det_bank
-        pc = self.scheme.controller
-        if pc.tracer is None:
-            bank.drain_dirty(now)
-        else:
-            # The token asks ``fired`` lazily, which never learns *when*
-            # a detector fired; a listener needs the cycle, so the bank
-            # keeps its calendar (module docstring).
-            for i in sorted(bank.collect_due(now)):
-                pc.report_firing(bank.dets[i], now)
-        pc.advance(now)
 
     def _install_pr_hooks(self) -> None:
         """Route the router-capture scan through the kernel, and bring

@@ -249,16 +249,46 @@ def test_saturated_dr_exercises_deflection():
     assert snap["deflections"] > 0, "point too light to exercise deflection"
 
 
+def test_dr_act_log_skips_failed_retries():
+    """The vector backend runs ``Scheme.step`` only over the nodes its
+    lazy bank has due, so a failed DR act is not retried until a queue
+    at its node changes: the same successful acts as the reference's
+    every-cycle sweep, far fewer failed ones."""
+    config = SimConfig(scheme="DR", pattern="PAT271", dims=(8, 8), num_vcs=4,
+                       load=0.022, seed=4)
+    logs = []
+    for backend in ("reference", "vector"):
+        engine = build_engine(config.with_(backend=backend))
+        act, log = engine.scheme.act, []
+
+        def logged_act(det, now, act=act, log=log):
+            done = act(det, now)
+            log.append((now, det.ni.node, det.in_cls, done))
+            return done
+
+        engine.scheme.act = logged_act
+        engine.run(4000)
+        logs.append(log)
+    ref_done, ref_failed, vec_done, vec_failed = (
+        [entry[:3] for entry in log if entry[3] is ok]
+        for log in logs for ok in (True, False)
+    )
+    assert len(ref_failed) >= 100, "point too light to fail a DR act"
+    assert ref_done and ref_done == vec_done
+    assert len(vec_failed) < len(ref_failed)
+
+
 def test_dr_drain_mode_rearm_ties_identical():
-    """Timer-expiry ordering audit: same-cycle ties + mid-loop re-arm.
+    """Timer-expiry ordering audit: same-cycle ties + mid-step re-arm.
 
     DR's drain policy keeps deflecting queue heads in a while-loop after
-    the first success, which re-arms the detector *mid-step* — the
-    vector bank's ``_rearm_midloop`` path, which must leave the site
-    dirty so the next cycle re-collects a still-fired detector even
-    though its calendar entry is stale.  At saturation several nodes'
-    timers expire on the same cycle, so this also pins the bank's
-    expiry ordering against the reference engine's build-order scan.
+    the first success, which re-arms the detector *mid-step*: the
+    vector backend's poll of that node must update its later sites
+    after the mutation, and the node stays dirty so the next cycle
+    re-evaluates a still-fired site even though its calendar entry is
+    stale.  At saturation several nodes' timers expire on the same
+    cycle, so this also pins the bank's expiry ordering against the
+    reference engine's build-order scan.
     """
     snap = assert_backends_identical(
         4000,

@@ -43,7 +43,8 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             SimConfig(**kwargs)
 
-    @pytest.mark.parametrize("name", ["detection_threshold", "router_timeout"])
+    @pytest.mark.parametrize("name", ["detection_threshold", "router_timeout",
+                                      "service_time", "sink_time", "cwg_interval"])
     def test_timeouts_reject_negative_allow_zero(self, name):
         for bad in (-3, -1):
             with pytest.raises(ConfigurationError, match=name):
