@@ -365,7 +365,7 @@ class BuiltinPair:
     """One registered (topology, routing) pair with its expected verdict.
 
     Every expected-``REFUTED`` pair must carry an ``annotation`` saying
-    why shipping it is fine (the ``cdg-certify`` CI gate fails on any
+    why shipping it is fine (the ``labs-smoke`` CI gate fails on any
     un-annotated refutation).
     """
 
@@ -493,7 +493,7 @@ def check_pair(pair: BuiltinPair) -> CdgReport:
 
 
 def check_all() -> list[CdgReport]:
-    """Certify every built-in pair (the ``cdg-certify`` CI gate body)."""
+    """Certify every built-in pair (the CI ``cdg-check`` step's body)."""
     return [check_pair(pair) for pair in builtin_pairs()]
 
 

@@ -56,25 +56,22 @@ class DeflectionController:
         scheme = self.scheme
         in_q = ni.in_bank.queue(det.in_cls)
         head = in_q.peek()
-        if head is None or not head.continuation:
-            return False
-        if not any(
+        if head is None or not any(
             spec.mtype.net_class == NetClass.REQUEST for spec in head.continuation
         ):
             return False
         backoff_type = scheme.protocol.backoff
         out_q = ni.out_bank.queue(scheme.queue_class_of(backoff_type))
-        if out_q.free_slots <= 0:
-            return False
         # R3: keep slots reserved for replies still owed to this node
         # along the deflected chain (the home's FRP in 4-type chains).
         # The deflected head vacates its slot, which may back one of them.
-        if not scheme.make_reservations(
+        if out_q.free_slots <= 0 or scheme.reservation_blocker(
             ni.node, ni.in_bank, head.continuation, vacating=in_q
-        ):
+        ) is not None:
             return False
 
         in_q.pop()
+        scheme.make_reservations(ni.node, ni.in_bank, head.continuation)
         brp = Message(
             backoff_type,
             src=ni.node,

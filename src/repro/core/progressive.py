@@ -330,13 +330,9 @@ class ProgressiveController:
             self.tracer.message_delivered(msg, now)
         self._leg_route = None
         in_q = ni.in_bank.queue(self.scheme.queue_class_of(msg.mtype))
-        if msg.has_reservation and in_q.reserved > 0:
-            in_q.reserved -= 1
-            in_q.held += 1
+        if in_q.try_claim_slot(msg):
+            # the delivery port's claim (reserved slot first), then commit
             in_q.commit(msg)
-            self._on_leg_complete(node, now)
-        elif in_q.free_slots > 0:
-            in_q.push(msg)
             self._on_leg_complete(node, now)
         else:
             # Input queue full: preempt the memory controller (it finishes

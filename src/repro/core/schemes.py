@@ -78,6 +78,8 @@ class Scheme(ABC):
         self._reserves = (
             type(self).wants_reservation is not Scheme.wants_reservation
         )
+        #: last (continuation, in_bank, node, queues) of _reply_queues.
+        self._reply_memo: tuple = (None, None, -1, [])
 
     # ------------------------------------------------------------------
     # Endpoint policy interface
@@ -108,65 +110,46 @@ class Scheme(ABC):
         ...
 
     def _reply_queues(self, node: int, in_bank, continuation) -> list:
-        """Input queue of each reply-class spec destined to ``node``."""
-        return [
+        """Input queue of each reply-class spec destined to ``node``.
+        A decision's test and act ask back to back, and the answer
+        depends on the arguments alone: the last one is kept."""
+        memo = self._reply_memo
+        if memo[0] is continuation and memo[1] is in_bank and memo[2] == node:
+            return memo[3]
+        queues = [
             in_bank.queue(self.queue_class_of(spec.mtype))
             for spec in walk_specs(continuation)
             if spec.dst == node and self.wants_reservation(spec.mtype)
         ]
-
-    def make_reservations(self, node: int, in_bank, continuation,
-                          vacating=None) -> bool:
-        """Reserve one input slot per reply-class spec destined to ``node``.
-
-        All-or-nothing: on failure every reservation made here is rolled
-        back and ``False`` is returned so the caller can retry later.
-
-        ``vacating`` names a queue whose head is consumed by the same
-        action these reservations belong to (service of a message frees
-        its slot atomically): one reservation into that queue may use
-        the head's slot.  Without this, a head needing a reservation in
-        its own full queue — a BRP in the shared reply queue, any head
-        under shared queue mode — could never be serviced: an artificial
-        endpoint deadlock the protocol does not actually have.
-        """
-        if not self._reserves:
-            return True
-        made = []
-        for q in self._reply_queues(node, in_bank, continuation):
-            # The +1 self-limits: over-reserving drives free_slots
-            # negative, so the head's slot is only ever spent once.
-            if q.try_reserve_reply(extra=1 if q is vacating else 0):
-                made.append(q)
-            else:
-                for made_q in made:
-                    made_q.release_reservation()
-                return False
-        return True
-
-    def can_reserve(self, node: int, in_bank, continuation) -> bool:
-        """Would :meth:`make_reservations` (nothing ``vacating``, as at
-        admission) succeed now?  No side effects.
-
-        The k-th reservation into a queue succeeds while ``free_slots``
-        still exceeds the k - 1 made before it, so the whole set fits
-        exactly when each queue has as many free slots as specs want it.
-        """
-        if not self._reserves:
-            return True
-        queues = self._reply_queues(node, in_bank, continuation)
-        return all(q.free_slots >= queues.count(q) for q in queues)
+        self._reply_memo = (continuation, in_bank, node, queues)
+        return queues
 
     def reservation_blocker(self, node: int, in_bank, continuation,
                             vacating=None) -> int | None:
-        """Input class :meth:`make_reservations` would fail on now, or
-        None when it would succeed.  No side effects (deadlock dumps)."""
+        """The reservation test: the input class whose queue cannot take
+        one reservation per reply-class spec of ``continuation`` bound
+        for ``node``, or None when all fit.  No side effects.
+
+        ``vacating`` names a queue whose head the same action pops
+        before it reserves; the head's slot counts as free.  Without it
+        a head needing a reservation in its own full queue (a BRP in the
+        shared reply queue, any head under shared queue mode) could
+        never be serviced: an endpoint deadlock the protocol does not
+        have.
+        """
         if self._reserves:
             queues = self._reply_queues(node, in_bank, continuation)
             for q in queues:
                 if q.free_slots + (q is vacating) < queues.count(q):
                     return in_bank.queues.index(q)
         return None
+
+    def make_reservations(self, node: int, in_bank, continuation) -> None:
+        """Reserve what :meth:`reservation_blocker` found room for (the
+        caller tested, then popped any vacating head)."""
+        if self._reserves:
+            for q in self._reply_queues(node, in_bank, continuation):
+                q.reserve_reply()
 
     # ------------------------------------------------------------------
     # Runtime

@@ -11,7 +11,9 @@ Per the paper's Section 3 assumptions, a message is taken up for service
 the output slots are claimed at service start so they cannot vanish
 mid-service.  Reply-class input-queue slots the node is owed (MSHR
 preallocation) are likewise reserved at service start — see
-:meth:`repro.core.schemes.EndpointPolicy.make_reservations`.
+:meth:`repro.core.schemes.Scheme.make_reservations`.  One test,
+:meth:`MemoryController._blocker`, decides a start before it pops, holds
+and reserves, and deadlock dumps word its answer.
 
 The controller also exposes a priority-service path used by progressive
 recovery: a rescued message handed over from the deadlock message buffer
@@ -49,7 +51,6 @@ class MemoryController:
         #: service of the watched queue as progress rather than a stall.
         self.current_in_cls: int | None = None
         self.busy_until = 0
-        self._held_output: list[int] = []
         self._rr = 0
         # Priority (rescue) service request: (message, completion callback).
         self._priority: tuple[Message, object] | None = None
@@ -93,7 +94,6 @@ class MemoryController:
             self.current = msg
             self.current_in_cls = None
             self._current_is_priority = True
-            self._held_output = []
             self.busy_until = now + self._duration(msg)
             return
         queues = self.in_bank.queues
@@ -113,61 +113,56 @@ class MemoryController:
             return self.policy.service_time
         return self.policy.sink_time
 
+    def _blocker(self, queue, msg: Message) -> tuple[str, int] | None:
+        """The service-start test (R2), no side effects: ``("output",
+        out_cls)`` if an output class lacks a slot per subordinate,
+        ``("reservation", in_cls)`` if the reply reservations do not fit
+        (the head's slot counts: the start pops it first), else None."""
+        if not msg.continuation:
+            return None  # a terminating message needs nothing
+        out_queues = self.out_bank.queues
+        wanted = [self.policy.queue_class_of(s.mtype) for s in msg.continuation]
+        for out_cls in wanted:
+            if out_queues[out_cls].free_slots < wanted.count(out_cls):
+                return "output", out_cls
+        blocker = self.policy.reservation_blocker(
+            self.node, self.in_bank, msg.continuation, vacating=queue
+        )
+        return None if blocker is None else ("reservation", blocker)
+
     def _try_begin(self, cls: int, now: int) -> bool:
         queue = self.in_bank.queue(cls)
         msg = queue.peek()
-        if msg is None:
-            return False
-        # Claim an output slot for every subordinate.
-        held: list[int] = []
-        ok = True
-        out_queues = self.out_bank.queues
-        queue_class_of = self.policy.queue_class_of
-        for spec in msg.continuation:
-            out_cls = queue_class_of(spec.mtype)
-            if out_queues[out_cls].hold_slot():
-                held.append(out_cls)
-            else:
-                ok = False
-                break
-        if ok and msg.continuation:
-            # MSHR preallocation for replies this node is owed (R2).
-            # The head's own slot (freed by the pop below) may back a
-            # reservation into the same queue.
-            ok = self.policy.make_reservations(
-                self.node, self.in_bank, msg.continuation, vacating=queue
-            )
-        if not ok:
-            for out_cls in held:
-                out_queues[out_cls].release_held()
+        if msg is None or self._blocker(queue, msg) is not None:
             return False
         queue.pop()
+        # Claim an output slot for every subordinate, and (R2) the
+        # reply slots this node is owed.
+        out_queues = self.out_bank.queues
+        for spec in msg.continuation:
+            out_queues[self.policy.queue_class_of(spec.mtype)].hold_slot()
+        self.policy.make_reservations(self.node, self.in_bank, msg.continuation)
         self.current = msg
         self.current_in_cls = cls
         self._current_is_priority = False
-        self._held_output = held
         self.busy_until = now + self._duration(msg)
         return True
 
     def head_waits_for(self, cls: int) -> str | None:
         """What keeps this controller, idle, from starting the head of
-        input class ``cls``: :meth:`_try_begin`'s checks without their
-        side effects, for deadlock dumps.  None when it is busy, stalled
-        or has no such head, or nothing local is in the head's way."""
+        input class ``cls`` (:meth:`_blocker`, worded for deadlock
+        dumps).  None when it is busy, stalled or has no such head, or
+        nothing local is in the head's way."""
         queue = self.in_bank.queue(cls)
         msg = queue.peek()
         if msg is None or self.current is not None or self.stalled:
             return None
-        wanted = [self.policy.queue_class_of(s.mtype) for s in msg.continuation]
-        for out_cls in wanted:
-            if self.out_bank.queues[out_cls].free_slots < wanted.count(out_cls):
-                return f"an output slot in class {out_cls}"
-        blocker = self.policy.reservation_blocker(
-            self.node, self.in_bank, msg.continuation, vacating=queue
-        )
-        if blocker is not None:
-            return f"a reservation into input class {blocker}"
-        return None
+        blocker = self._blocker(queue, msg)
+        if blocker is None:
+            return None
+        kind, blocked = blocker
+        what = "an output slot in" if kind == "output" else "a reservation into input"
+        return f"{what} class {blocked}"
 
     # ------------------------------------------------------------------
     def _complete(self, now: int) -> None:
@@ -184,8 +179,7 @@ class MemoryController:
         else:
             for sub in subs:
                 out_cls = self.policy.queue_class_of(sub.mtype)
-                self.out_bank.queue(out_cls).push_held(sub)
-            self._held_output = []
+                self.out_bank.queue(out_cls).commit(sub)
         self._account_consumption(msg, now)
 
     def instantiate_subordinates(self, msg: Message, now: int) -> list[Message]:

@@ -96,32 +96,30 @@ class NetworkInterface:
                 self.fabric.start_injection(chan, queue.pop(), now)
         self.controller.step(now)
 
-    def _admission_slot(self):
-        """Output queue the head root may enter now, else None.
-
-        None while the source queue is empty, every MSHR is taken or
-        the root's output queue is full; reply reservations are left to
-        :meth:`_admit_roots`.
-        """
+    def can_admit(self) -> bool:
+        """The admission test (R1), no side effects: the head root needs
+        a free MSHR, an output slot and a reservation per reply it is
+        owed (schemes with reply preallocation)."""
         if not self.source_queue or self.outstanding >= self.max_outstanding:
-            return None
-        cls = self.policy.queue_class_of(self.source_queue[0].mtype)
-        out_q = self.out_bank.queue(cls)
-        return out_q if out_q.free_slots > 0 else None
+            return False
+        root = self.source_queue[0]
+        policy = self.policy
+        if self.out_bank.queue(policy.queue_class_of(root.mtype)).free_slots <= 0:
+            return False
+        return policy.reservation_blocker(
+            self.node, self.in_bank, root.continuation
+        ) is None
 
     def _admit_roots(self, now: int) -> None:
-        while (out_q := self._admission_slot()) is not None:
-            root = self.source_queue[0]
+        policy = self.policy
+        while self.can_admit():
+            root = self.source_queue.popleft()
             # R1: preallocate reply slots for everything this transaction
             # will send back to us before letting the request loose.
-            if not self.policy.make_reservations(
-                self.node, self.in_bank, root.continuation
-            ):
-                return
-            self.source_queue.popleft()
-            root.vc_class = self.policy.vc_class_of(root.mtype)
+            policy.make_reservations(self.node, self.in_bank, root.continuation)
+            root.vc_class = policy.vc_class_of(root.mtype)
             root.has_reservation = False
-            out_q.push(root)
+            self.out_bank.queue(policy.queue_class_of(root.mtype)).push(root)
             self.outstanding += 1
             self.stats.on_admitted(root, now)
             if self.tracer is not None:

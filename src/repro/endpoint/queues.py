@@ -15,6 +15,11 @@ at header time), and ``reserved`` (MSHR-style preallocations for replies
 the node is still owed — the mechanism with which the Origin2000 strictly
 avoids deadlock on its reply network, Section 2.2, and with which the
 paper's Section 3 assumes subordinate messages can always sink).
+
+Callers test before they mutate (``can_admit``, ``_blocker``,
+``reservation_blocker``), so ``reserve_reply`` and ``hold_slot`` raise on
+a full queue, as ``push`` does; ``entries + held + reserved <= capacity``
+holds at every instant, and only this module writes ``held``/``reserved``.
 """
 
 from __future__ import annotations
@@ -70,19 +75,16 @@ class MessageQueue:
         """
         if msg.has_reservation and self.reserved > 0:
             self.reserved -= 1
-            self.held += 1
-            if self.notify is not None:
-                self.notify()
-            return True
-        if self.free_slots > 0:
-            self.held += 1
-            if self.notify is not None:
-                self.notify()
-            return True
-        return False
+        elif self.free_slots <= 0:
+            return False
+        self.held += 1
+        if self.notify is not None:
+            self.notify()
+        return True
 
     def commit(self, msg: Message) -> None:
-        """Tail flit drained: the message is now queued."""
+        """A held slot becomes a queued message: a delivery's tail flit
+        drained, or a service produced the subordinate it held for."""
         if self.held <= 0:  # pragma: no cover - guarded
             raise SimulationError("commit without a held slot")
         self.held -= 1
@@ -92,25 +94,12 @@ class MessageQueue:
             self.notify()
 
     # -- reply reservations (MSHR preallocation) -------------------------
-    def try_reserve_reply(self, extra: int = 0) -> bool:
-        """Reserve a slot; ``extra`` credits slots about to be vacated.
-
-        A caller consuming this queue's head in the same action may pass
-        ``extra=1``: the head's slot backs the reservation.  The queue
-        is transiently over-committed until the head pops, which the
-        caller does before yielding control.
-        """
-        if self.free_slots + extra > 0:
-            self.reserved += 1
-            if self.notify is not None:
-                self.notify()
-            return True
-        return False
-
-    def release_reservation(self) -> None:
-        if self.reserved <= 0:  # pragma: no cover - guarded
-            raise SimulationError("releasing a reservation that was never made")
-        self.reserved -= 1
+    def reserve_reply(self) -> None:
+        """Reserve a slot for a reply this node is owed; the caller has
+        checked that one is free."""
+        if self.free_slots <= 0:
+            raise SimulationError("reservation in a full queue")
+        self.reserved += 1
         if self.notify is not None:
             self.notify()
 
@@ -124,34 +113,16 @@ class MessageQueue:
         if self.notify is not None:
             self.notify()
 
-    def push_held(self, msg: Message) -> None:
-        """Convert a previously held output slot into a queued message."""
-        if self.held <= 0:  # pragma: no cover - guarded
-            raise SimulationError("push_held without a held slot")
-        self.held -= 1
-        self.entries.append(msg)
-        self.version += 1
-        if self.notify is not None:
-            self.notify()
-
-    def hold_slot(self) -> bool:
+    def hold_slot(self) -> None:
         """Claim a slot for a message that will be produced shortly.
 
         Used by the memory controller at service *start* so that the
         output space checked for subordinates cannot vanish while the
-        service is in progress.
+        service is in progress; the caller has checked that it fits.
         """
-        if self.free_slots > 0:
-            self.held += 1
-            if self.notify is not None:
-                self.notify()
-            return True
-        return False
-
-    def release_held(self) -> None:
-        if self.held <= 0:  # pragma: no cover - guarded
-            raise SimulationError("releasing a held slot that was never held")
-        self.held -= 1
+        if self.free_slots <= 0:
+            raise SimulationError("hold in a full queue")
+        self.held += 1
         if self.notify is not None:
             self.notify()
 

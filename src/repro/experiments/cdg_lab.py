@@ -7,7 +7,7 @@ checking both directions of that claim dynamically:
 * **Static phase** — every built-in (topology, routing) pair gets
   certified; any verdict that disagrees with its registered expectation
   (or any un-annotated refutation) raises, exactly like the
-  ``cdg-certify`` CI gate.
+  ``labs-smoke`` CI gate (its ``cdg-check`` step).
 * **REFUTED pairs deadlock** — for each small refuted pair we run the
   simulator in the configuration that realizes that routing (PR's true
   fully adaptive routing) at a provoking load and require the endpoint

@@ -14,7 +14,7 @@ the schemes portable:
 * DR/PR cells report detected deadlocks and recoveries, demonstrating
   detection + recovery working away from the torus.
 
-The ``topology-smoke`` CI job runs this at smoke scale and fails loudly
+The ``labs-smoke`` CI job runs this at smoke scale and fails loudly
 when a guarantee breaks (the run raises).
 """
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace
 
 from repro.farm.workers import FarmWorker, ShardJob, ShardOutcome
 from repro.util.errors import ConfigurationError
+from repro.util.options import parse_spec
 
 WORKER_FAULT_KINDS = ("crash", "hang", "garbage")
 
@@ -78,31 +79,7 @@ class WorkerFaultSpec:
 def parse_worker_fault(text: str) -> WorkerFaultSpec:
     """Parse ``kind[:key=value,...]``, e.g. ``crash:host=w0,at=1`` or
     ``hang:host=w1,at=0,duration=0.5``."""
-    kind, _, rest = text.partition(":")
-    kwargs: dict[str, object] = {}
-    if rest:
-        for pair in rest.split(","):
-            key, sep, value = pair.partition("=")
-            if not sep:
-                raise ConfigurationError(
-                    f"bad worker fault parameter {pair!r} (expected key=value)"
-                )
-            try:
-                if key == "host":
-                    kwargs[key] = value
-                elif key in ("at", "count"):
-                    kwargs[key] = int(value)
-                elif key == "duration":
-                    kwargs[key] = float(value)
-                else:
-                    raise ConfigurationError(
-                        f"unknown worker fault parameter {key!r}"
-                    )
-            except ValueError:
-                raise ConfigurationError(
-                    f"bad value {value!r} for worker fault parameter {key!r}"
-                ) from None
-    return WorkerFaultSpec(kind=kind, **kwargs)  # type: ignore[arg-type]
+    return parse_spec(WorkerFaultSpec, text, "worker fault")
 
 
 def _corrupt(outcome: ShardOutcome) -> ShardOutcome:

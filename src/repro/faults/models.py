@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.util.errors import ConfigurationError
+from repro.util.options import parse_spec
 
 FAULT_KINDS = (
     "link-stall",
@@ -111,25 +112,5 @@ def parse_fault(text: str) -> FaultSpec:
     ``consumer-stall:target=5,start=600,duration=1500`` or
     ``link-stall:target=3,p=0.001,duration=40``.
     """
-    kind, _, rest = text.partition(":")
-    kwargs: dict[str, float | int] = {}
-    if rest:
-        for pair in rest.split(","):
-            key, sep, value = pair.partition("=")
-            if not sep:
-                raise ConfigurationError(
-                    f"bad fault parameter {pair!r} (expected key=value)"
-                )
-            key = {"p": "probability", "prob": "probability"}.get(key, key)
-            try:
-                if key == "probability":
-                    kwargs[key] = float(value)
-                elif key in ("target", "start", "duration"):
-                    kwargs[key] = int(value)
-                else:
-                    raise ConfigurationError(f"unknown fault parameter {key!r}")
-            except ValueError:
-                raise ConfigurationError(
-                    f"bad value {value!r} for fault parameter {key!r}"
-                ) from None
-    return FaultSpec(kind=kind, **kwargs)
+    return parse_spec(FaultSpec, text, "fault",
+                      {"p": "probability", "prob": "probability"})

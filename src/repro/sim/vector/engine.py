@@ -14,9 +14,9 @@ are either in C or skipped.
 Gating is sound because every skipped call is a proven no-op:
 
 * an NI whose source queue, queues, injection channels, controller and
-  MSHR count did not change does nothing in ``step`` (blocked
-  ``_admit_roots`` attempts roll back completely, empty ``_select``
-  scans mutate nothing);
+  MSHR count did not change does nothing in ``step`` (a blocked
+  admission or service start fails its test before it mutates
+  anything, and empty ``_select`` scans mutate nothing);
 * a mid-service memory controller does nothing until the service
   ends, which the completion calendar schedules (see ``_step_node``);
 * a detector site whose queues and controller did not change evaluates
@@ -24,18 +24,33 @@ Gating is sound because every skipped call is a proven no-op:
   function of its state at its last ``update``, and ``Scheme.step``
   polls only the nodes with a site due (see :class:`_LazyDetectorBank`).
 
+Test, then act
+--------------
+Admission (``NetworkInterface.can_admit``), service start
+(``MemoryController._blocker``) and DR's deflection each run one
+side-effect-free test (``Scheme.reservation_blocker`` for reply
+reservations) and mutate only once they will succeed; the wake rules
+and deadlock dumps call the same tests.  Results equal those of
+attempts that reserve, hold and roll back: (1) a blocked attempt leaves
+``held``, ``reserved`` and ``version`` as a rollback did, so it decides
+alike; (2) a rollback's notifies only rewrote the mirror, dirtied the
+node (one extra ``update``, bank point 2) and woke it (a no-op step);
+(3) a success mutates within one call (the vacating head's pop first)
+and observers read between calls; (4) so ``entries + held + reserved
+<= capacity`` holds at every instant.
+
 Wake rules
 ----------
 An NI step has three stages, and each reads a fixed set of inputs.
 *Admission* reads the source queue's head, the MSHR count, the head's
 output queue and (DR's reply preallocation) the input queues' free
-slots; ``VectorNI.can_admit`` is exactly its test, without side
-effects.  *Loading* reads injection-channel owners and output-queue
-entries.  The *controller* reads its own service state, the
-input-queue heads, the output queues' free slots and (DR) the input
-queues' free slots.  A change wakes a node only when it lets one of
-these stages do something it could not do at the node's last step.
-The rules, each with the reason the step it skips is a no-op:
+slots; ``can_admit`` is its test.  *Loading* reads injection-channel
+owners and output-queue entries.  The *controller* reads its own
+service state, the input-queue heads, the output queues' free slots
+and (DR) the input queues' free slots.  A change wakes a node only when
+it lets one of these stages do something it could not do at the node's
+last step.  The rules, each with the reason the step it skips is a
+no-op:
 
 * **Root arrival** wakes a node whose source queue was empty and whose
   new head ``can_admit``.  Behind a waiting root the newcomer is not
@@ -72,8 +87,8 @@ The rules, each with the reason the step it skips is a no-op:
 * **Fault change**: a cycle whose fault injector applied or revoked a
   fault steps every node.  It is rare, and a stalled consumer ignores
   the steps it gets, so the one after its stall ends finds it.
-* **Own progress**: own-step queue notifies never wake (a blocked
-  attempt's hold/reserve rollback would re-wake the node every cycle).
+* **Own progress**: own-step queue notifies never wake (a later stage
+  of the same step reads most of them; a wake on each wastes steps).
   Instead ``_step_node`` re-wakes its node for the next cycle only if
   the step loaded a channel or changed the controller's service *and*
   the node now ``can_admit`` or has a loadable output queue.  Admission
@@ -188,12 +203,6 @@ class VectorNI(NetworkInterface):
 
     _vec_engine: "VectorEngine" = None
 
-    def can_admit(self) -> bool:
-        """Would ``_admit_roots`` admit the head root now?"""
-        return self._admission_slot() is not None and self.policy.can_reserve(
-            self.node, self.in_bank, self.source_queue[0].continuation
-        )
-
     def enqueue_root(self, root) -> None:
         was_empty = not self.source_queue
         super().enqueue_root(root)
@@ -247,8 +256,8 @@ class _LazyDetectorBank:
     2. Calling ``update`` on extra cycles is what the reference does
        every cycle, so a stale calendar entry costs one poll that finds
        nothing fired.
-    3. A failed DR act depends only on its node's queue state and leaves
-       it as it was (its rollbacks notify), so it fails again until a
+    3. A failed DR act depends only on its node's queue state and
+       changes nothing (it tests first), so it fails again until a
        queue at that node changes; every ``MessageQueue`` mutation calls
        ``notify``, which dirties the node, so no retry entry is needed.
        NONE and PR report a fired site once per episode.
@@ -291,14 +300,13 @@ def _make_notify(q, ni, qi, qm_free, qm_res, due_next, dirty, suppress):
 
     ``qi`` is None for output queues (no kernel mirror); ``dirty`` is
     None when the scheme has no detectors.  The mirror is recomputed
-    from scratch so raw field writes (progressive recovery's reserved→
-    held conversion) are covered by the ``commit`` that follows them.
+    from the queue's counters, which only ``MessageQueue`` writes.
 
     ``suppress`` holds the node whose mutation must not wake it: the
-    node taking its NI step (a blocked attempt's hold/reserve rollback
-    would otherwise re-wake it every cycle; genuine own progress is
-    flagged by ``_step_node``) or the node a delivery-slot claim is
-    being replayed at.  Mirror and detector dirtying are never
+    node taking its NI step (its later stages read what its earlier
+    ones changed; ``_step_node`` re-wakes it for what they did not) or
+    the node a delivery-slot claim is being replayed at.  Mirror and
+    detector dirtying are never
     suppressed.  Which foreign changes wake is argued in the module
     docstring.
     """

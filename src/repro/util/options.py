@@ -8,7 +8,7 @@ type, choices, default or help a second time.
 from __future__ import annotations
 
 import argparse
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 from repro.util.errors import ConfigurationError
 
@@ -68,3 +68,32 @@ def from_args(cls, args, **overrides):
         return cls(**values)
     except ConfigurationError as exc:
         raise argparse.ArgumentError(None, str(exc)) from exc
+
+
+def parse_spec(cls, text: str, what: str, aliases=None):
+    """Build ``cls`` from ``kind[:key=value,...]``: ``kind`` is its first
+    field, and each value is parsed by the type of its field's default
+    (``aliases`` maps other spellings of a key to the field name).  A
+    pair without ``=``, an unknown key or a bad value raises
+    :class:`ConfigurationError` naming ``what``; ``cls`` validates the
+    rest."""
+    kind, _, rest = text.partition(":")
+    types = {f.name: type(f.default) for f in fields(cls)
+             if f.default is not MISSING}
+    kwargs: dict[str, object] = {}
+    for pair in rest.split(",") if rest else ():
+        key, sep, value = pair.partition("=")
+        if not sep:
+            raise ConfigurationError(
+                f"bad {what} parameter {pair!r} (expected key=value)"
+            )
+        key = (aliases or {}).get(key, key)
+        if key not in types:
+            raise ConfigurationError(f"unknown {what} parameter {key!r}")
+        try:
+            kwargs[key] = types[key](value)
+        except ValueError:
+            raise ConfigurationError(
+                f"bad value {value!r} for {what} parameter {key!r}"
+            ) from None
+    return cls(kind, **kwargs)

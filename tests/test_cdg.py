@@ -9,7 +9,7 @@ Three layers:
   ground-truth checker armed), and the shipped REFUTED examples must
   reproduce a deadlock the endpoint detector confirms;
 * gate semantics — ``gate_failures`` flags exactly the mismatches and
-  un-annotated refutations the ``cdg-certify`` CI job fails on.
+  un-annotated refutations the ``labs-smoke`` CI job fails on.
 """
 
 from dataclasses import replace

@@ -20,6 +20,15 @@ def setup_python_steps(job):
     return [s for s in job["steps"] if "setup-python" in (s.get("uses") or "")]
 
 
+def lab_steps(workflow, *names):
+    """The steps of the one ``labs-smoke`` job named ``names``, in order;
+    each lab's smoke run and CLI checks are a few steps of that job."""
+    steps = workflow["jobs"]["labs-smoke"]["steps"]
+    found = [s for s in steps if s.get("name", "").startswith(names)]
+    assert len(found) == len(names), [s.get("name") for s in found]
+    return found
+
+
 class TestWorkflow:
     def test_parses_and_has_jobs(self, workflow):
         assert workflow["name"] == "CI"
@@ -27,9 +36,9 @@ class TestWorkflow:
         triggers = workflow.get("on", workflow.get(True))
         assert "pull_request" in triggers and "push" in triggers
         assert set(workflow["jobs"]) == {
-            "lint", "typecheck", "test", "smoke-benchmark", "fault-smoke",
-            "backend-equivalence", "detection-smoke", "farm-smoke",
-            "topology-smoke", "cdg-certify", "service-smoke", "bench-smoke",
+            "lint", "typecheck", "test", "smoke-benchmark", "labs-smoke",
+            "backend-equivalence", "farm-smoke", "service-smoke",
+            "bench-smoke",
         }
 
     def test_concurrency_cancels_superseded_runs(self, workflow):
@@ -138,7 +147,7 @@ class TestWorkflow:
         assert EXECUTION.use_cache is False
 
     def test_fault_smoke_runs_campaign_and_faulted_cli(self, workflow):
-        steps = workflow["jobs"]["fault-smoke"]["steps"]
+        steps = lab_steps(workflow, "Fault campaign", "Faulted CLI run")
         runs = " ".join(s.get("run") or "" for s in steps)
         assert "repro.experiments.runner smoke faults" in runs
         # the campaign's traced cells ran and their traces validated
@@ -151,7 +160,7 @@ class TestWorkflow:
         assert "grep -Eq '^engine +: vector$'" in runs
 
     def test_detection_smoke_runs_lab_and_cmh_cli(self, workflow):
-        steps = workflow["jobs"]["detection-smoke"]["steps"]
+        steps = lab_steps(workflow, "Detection lab", "CMH run")
         runs = " ".join(s.get("run") or "" for s in steps)
         # The lab's run() raises on any broken guarantee, so the
         # runner's exit code is the gate.
@@ -190,7 +199,8 @@ class TestWorkflow:
                 assert step["env"]["PYTHONPATH"] == "src"
 
     def test_topology_smoke_runs_campaign_and_file_topology_cli(self, workflow):
-        steps = workflow["jobs"]["topology-smoke"]["steps"]
+        steps = lab_steps(workflow, "Topology campaign", "Irregular-graph run",
+                          "A 32x32 torus")
         runs = " ".join(s.get("run") or "" for s in steps)
         # The campaign's run() raises on any broken guarantee (drain,
         # conservation, SA knot-freedom), so the runner exit code gates.
@@ -211,8 +221,9 @@ class TestWorkflow:
                 assert step["env"]["PYTHONPATH"] == "src"
 
     def test_cdg_certify_gates_on_registry_and_uploads_witnesses(self, workflow):
-        job = workflow["jobs"]["cdg-certify"]
-        runs = " ".join(s.get("run") or "" for s in job["steps"])
+        steps = lab_steps(workflow, "Certify every", "Static verdicts",
+                          "Upload witness")
+        runs = " ".join(s.get("run") or "" for s in steps)
         # No pair arguments: the whole built-in registry is audited, and
         # cdg-check exits 1 on a mismatch or un-annotated REFUTED pair.
         assert "repro.cli cdg-check" in runs
@@ -222,12 +233,12 @@ class TestWorkflow:
         assert runs.index("repro.cli cdg-check") \
             < runs.index("repro.experiments.runner smoke cdg_lab")
         upload = next(
-            s for s in job["steps"] if "upload-artifact" in (s.get("uses") or "")
+            s for s in steps if "upload-artifact" in (s.get("uses") or "")
         )
         # Witness orderings / refutation cycles must survive a red run.
         assert upload["if"] == "always()"
         assert upload["with"]["path"] == "cdg_report.json"
-        for step in job["steps"]:
+        for step in steps:
             if step.get("run") and "repro" in step["run"]:
                 assert step["env"]["PYTHONPATH"] == "src"
 

@@ -128,7 +128,7 @@ class TestBuildDetectors:
 
 #: one queue event: (what, which queue, message kind)
 _EVENT = st.tuples(
-    st.sampled_from(["push", "pop", "reserve", "release", "serve", "finish"]),
+    st.sampled_from(["push", "pop", "reserve", "arrive", "serve", "finish"]),
     st.sampled_from(["in", "out"]),
     st.sampled_from(["request", "terminating"]),
 )
@@ -185,10 +185,15 @@ class TestLazyUpdateContract:
                            else Message(terminating, src=0, dst=5))
                 elif what == "pop" and q.entries:
                     q.pop()
-                elif what == "reserve":
-                    q.try_reserve_reply()
-                elif what == "release" and q.reserved:
-                    q.release_reservation()
+                elif what == "reserve" and q.free_slots > 0:
+                    q.reserve_reply()
+                elif what == "arrive" and q.reserved:
+                    # the reply a reservation was made for: its claim
+                    # spends the reservation, its commit queues it
+                    reply = Message(terminating, src=0, dst=5)
+                    reply.has_reservation = True
+                    q.try_claim_slot(reply)
+                    q.commit(reply)
                 elif what == "serve":
                     mc.current = object()
                     mc.current_in_cls = 0 if kind == "request" else None

@@ -1,12 +1,16 @@
 """Tests for the memory controller and network interface."""
 
+import pytest
+
 from repro import SimConfig
+from repro.core.detection import DetectorPair
 from repro.protocol.chains import GENERIC_MSI
 from repro.protocol.message import Message, MessageSpec
 from repro.sim.engine import Engine
 
 M1 = GENERIC_MSI.type_named("m1")
 M2 = GENERIC_MSI.type_named("m2")
+M3 = GENERIC_MSI.type_named("m3")
 M4 = GENERIC_MSI.type_named("m4")
 
 
@@ -14,6 +18,28 @@ def quiet_engine(**kwargs):
     defaults = dict(dims=(4, 4), scheme="PR", pattern="PAT721", load=0.0, seed=5)
     defaults.update(kwargs)
     return Engine(SimConfig(**defaults))
+
+
+def pinned_dr_node(free, node=0):
+    """A quiet DR engine whose ``node`` has exactly ``free`` reply
+    slots left; the rest are reserved.  (engine, ni, reply queue,
+    reservations pinned)."""
+    e = quiet_engine(scheme="DR", pattern="PAT721")
+    ni = e.interfaces[node]
+    reply_q = ni.in_bank.queue(e.scheme.queue_class_of(M4))
+    pinned = 0
+    while reply_q.free_slots > free:
+        reply_q.reserve_reply()
+        pinned += 1
+    return e, ni, reply_q, pinned
+
+
+def count_notifies(*queues):
+    """Record every mutation of ``queues`` (their ``notify`` hook)."""
+    calls = []
+    for q in queues:
+        q.notify = lambda q=q: calls.append(q)
+    return calls
 
 
 def deliver_direct(engine, ni, msg):
@@ -163,19 +189,10 @@ class TestReservationsUnderDR:
 
     def test_partial_reservation_failure_rolls_back(self):
         """Admission needing two reply slots with only one free must not
-        leak the slot it managed to claim, and must succeed on retry."""
-        e = quiet_engine(scheme="DR", pattern="PAT721")
-        ni = e.interfaces[0]
-        reply_cls = e.scheme.queue_class_of(M4)
-        reply_q = ni.in_bank.queue(reply_cls)
-        # Artificially occupy reply slots until exactly one remains.
-        pinned = 0
-        while reply_q.free_slots > 1:
-            assert reply_q.try_reserve_reply()
-            pinned += 1
-        assert reply_q.free_slots == 1
-        # A root owed two replies: make_reservations claims the first
-        # slot, fails on the second, and must roll the first back.
+        claim any, and must succeed on retry."""
+        e, ni, reply_q, pinned = pinned_dr_node(free=1)
+        # A root owed two replies: the admission test finds one slot
+        # short, so nothing is reserved.
         root = Message(
             M1, src=0, dst=3,
             continuation=(MessageSpec(M4, 0), MessageSpec(M4, 0)),
@@ -187,10 +204,13 @@ class TestReservationsUnderDR:
         assert ni.outstanding == 0
         assert reply_q.reserved == reserved_before
         assert reply_q.free_slots == 1
-        # Free the pinned slots: the retried admission now succeeds and
-        # claims both reply slots.
+        # The pinned reservations' replies arrive; the controller sinks
+        # them, and the retried admission claims both reply slots.
         for _ in range(pinned):
-            reply_q.release_reservation()
+            reply = Message(M4, src=3, dst=0)
+            reply.has_reservation = True
+            assert ni.try_reserve_delivery(reply)
+            ni.deliver(reply, e.now)
         e.run(5)
         assert len(ni.source_queue) == 0
         assert ni.outstanding == 1
@@ -217,3 +237,80 @@ class TestReservationsUnderDR:
         assert saw_reservation
         assert txn.completed
         assert home.in_bank.queue(m3_cls).reserved == 0
+
+
+def home_head(home=3, requester=0):
+    """A request at ``home`` forwarded to two owners, each of whom
+    replies to the home: it owes ``home`` two reply reservations."""
+    def forward(owner):
+        return MessageSpec(M2, owner, (MessageSpec(M3, home, (MessageSpec(M4, requester),)),))
+
+    return Message(M1, src=requester, dst=home,
+                   continuation=(forward(7), forward(8)))
+
+
+class TestBlockedAttemptsChangeNothing:
+    """Each endpoint decision is tested before it acts: a blocked
+    attempt mutates no queue, so it calls no queue's ``notify``."""
+
+    def test_blocked_admission_notifies_nothing(self):
+        e, ni, reply_q, _ = pinned_dr_node(free=1)
+        ni.enqueue_root(Message(
+            M1, src=0, dst=3,
+            continuation=(MessageSpec(M4, 0), MessageSpec(M4, 0)),
+        ))
+        calls = count_notifies(reply_q, *ni.out_bank.queues)
+        e.run(10)
+        assert len(ni.source_queue) == 1
+        assert calls == []
+
+    def test_blocked_service_start_notifies_nothing(self):
+        e, ni, reply_q, _ = pinned_dr_node(free=1, node=3)
+        head = home_head()
+        deliver_direct(e, ni, head)
+        req_cls = e.scheme.queue_class_of(M1)
+        calls = count_notifies(reply_q, *ni.out_bank.queues)
+        e.run(10)
+        assert ni.in_bank.queue(req_cls).peek() is head
+        assert ni.controller.idle
+        assert calls == []
+        reply_cls = e.scheme.queue_class_of(M3)
+        assert ni.controller.head_waits_for(req_cls) == (
+            f"a reservation into input class {reply_cls}"
+        )
+
+    def test_blocked_deflection_notifies_nothing(self):
+        e, ni, reply_q, _ = pinned_dr_node(free=1, node=3)
+        head = home_head()
+        deliver_direct(e, ni, head)
+        req_cls = e.scheme.queue_class_of(M1)
+        det = DetectorPair(ni=ni, in_cls=req_cls, out_cls=req_cls,
+                           threshold=0, occupancy_threshold=1.0,
+                           require_request_child=True)
+        calls = count_notifies(*ni.in_bank.queues, *ni.out_bank.queues)
+        for _ in range(10):
+            assert not e.scheme.controller._try_deflect(det, e.now)
+        assert ni.in_bank.queue(req_cls).peek() is head
+        assert calls == []
+
+
+class TestAdmissionTest:
+    @pytest.mark.parametrize("reply_free", [0, 1, 2])
+    @pytest.mark.parametrize("mshr_free", [0, 1])
+    @pytest.mark.parametrize("out_free", [0, 1])
+    def test_can_admit_is_true_exactly_when_admit_roots_admits(
+            self, reply_free, mshr_free, out_free):
+        e, ni, _, _ = pinned_dr_node(free=reply_free)
+        out_q = ni.out_bank.queue(e.scheme.queue_class_of(M1))
+        while out_q.free_slots > out_free:
+            out_q.hold_slot()
+        ni.outstanding = ni.max_outstanding - mshr_free
+        assert not ni.can_admit()  # nothing to admit yet
+        ni.enqueue_root(Message(
+            M1, src=0, dst=3,
+            continuation=(MessageSpec(M4, 0), MessageSpec(M4, 0)),
+        ))
+        predicted = ni.can_admit()
+        ni._admit_roots(e.now)
+        assert predicted == (not ni.source_queue)
+        assert predicted == bool(reply_free >= 2 and mshr_free and out_free)

@@ -1,11 +1,13 @@
 """Tests for NI message queues and reservation accounting."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.endpoint.queues import MessageQueue, QueueBank
 from repro.protocol.chains import GENERIC_MSI
 from repro.protocol.message import Message
+from repro.util.errors import SimulationError
 
 M1 = GENERIC_MSI.type_named("m1")
 M4 = GENERIC_MSI.type_named("m4")
@@ -53,23 +55,29 @@ class TestBasicOps:
         assert q.version > v1
 
     def test_hold_release(self):
+        """A held slot is given up only by the message it was held for:
+        a hold in a full queue is a caller's error, not a refusal."""
         q = MessageQueue(1)
-        assert q.hold_slot()
-        assert not q.hold_slot()
-        q.release_held()
-        assert q.hold_slot()
+        q.hold_slot()
+        with pytest.raises(SimulationError):
+            q.hold_slot()
+        assert q.held == 1
+        q.commit(msg())
+        q.pop()
+        q.hold_slot()
+        assert q.held == 1
 
     def test_push_held_converts(self):
         q = MessageQueue(1)
         q.hold_slot()
-        q.push_held(msg())
+        q.commit(msg())
         assert len(q) == 1 and q.held == 0
 
 
 class TestReservations:
     def test_reserved_arrival_uses_pool(self):
         q = MessageQueue(1)
-        assert q.try_reserve_reply()
+        q.reserve_reply()
         # Pool exhausts admission for unreserved messages...
         assert not q.try_claim_slot(msg())
         # ...but the reserved arrival gets in.
@@ -79,12 +87,20 @@ class TestReservations:
     def test_reserve_fails_when_no_space(self):
         q = MessageQueue(1)
         q.push(msg())
-        assert not q.try_reserve_reply()
+        with pytest.raises(SimulationError):
+            q.reserve_reply()
+        assert q.reserved == 0
 
     def test_release_reservation(self):
+        """A reservation is given up only by the reply it was made for:
+        claimed, committed and consumed, its slot is free again."""
         q = MessageQueue(1)
-        q.try_reserve_reply()
-        q.release_reservation()
+        q.reserve_reply()
+        reply = msg(reserved=True)
+        assert q.try_claim_slot(reply)
+        q.commit(reply)
+        assert q.pop() is reply
+        assert q.reserved == 0
         assert q.try_claim_slot(msg())
 
     def test_reserved_message_falls_back_to_free_slot(self):
@@ -130,7 +146,11 @@ def test_accounting_invariants(capacity, ops):
             if q.held > 0:
                 q.commit(claimed.pop() if claimed else msg())
         elif op == "reserve":
-            q.try_reserve_reply()
+            if q.free_slots > 0:
+                q.reserve_reply()
+            else:
+                with pytest.raises(SimulationError):
+                    q.reserve_reply()
         elif op == "pop":
             if len(q):
                 q.pop()

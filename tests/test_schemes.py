@@ -6,10 +6,10 @@ from repro import SimConfig
 from repro.core.schemes import build_scheme, walk_specs
 from repro.network.topology import Torus
 from repro.protocol.chains import GENERIC_MSI, GENERIC_ORIGIN
-from repro.protocol.message import MessageSpec, NetClass
+from repro.protocol.message import Message, MessageSpec, NetClass
 from repro.protocol.transactions import PAT100, PAT271, PAT280, PAT721
 from repro.traffic.synthetic import pattern_couplings
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, SimulationError
 
 TOPO = Torus((4, 4))
 
@@ -148,6 +148,8 @@ class TestMakeReservations:
             return self.queues[cls]
 
     def test_all_or_nothing_rollback(self):
+        """The test names the queue that cannot take every reservation
+        and reserves nothing; reserving without it fails loudly."""
         s = make("DR", PAT721, num_vcs=4)
         m3 = GENERIC_MSI.type_named("m3")
         m4 = GENERIC_MSI.type_named("m4")
@@ -156,22 +158,35 @@ class TestMakeReservations:
             MessageSpec(m3, 5, (MessageSpec(m4, 5),)),
         )
         # Two reply-class reservations needed at node 5, one slot free.
-        assert not s.make_reservations(5, bank, cont)
-        assert bank.queue(1).reserved == 0  # rolled back
+        assert s.reservation_blocker(5, bank, cont) == 1
+        assert bank.queue(1).reserved == 0
+        with pytest.raises(SimulationError):
+            s.make_reservations(5, bank, cont)
 
     def test_reserves_only_for_own_node(self):
         s = make("DR", PAT721, num_vcs=4)
         m4 = GENERIC_MSI.type_named("m4")
         bank = self.FakeBank([4, 4])
         cont = (MessageSpec(m4, 9),)
-        assert s.make_reservations(5, bank, cont)
+        assert s.reservation_blocker(5, bank, cont) is None
+        s.make_reservations(5, bank, cont)
         assert bank.queue(1).reserved == 0  # dst 9 != node 5
+
+    @staticmethod
+    def reservations_fit(s, node, bank, cont) -> bool:
+        """Reserve everything ``cont`` asks for; False if one did not fit."""
+        try:
+            s.make_reservations(node, bank, cont)
+        except SimulationError:
+            return False
+        return True
 
     @pytest.mark.parametrize("reply_slots", [0, 1, 2, 3])
     @pytest.mark.parametrize("per_type", [False, True])
     def test_can_reserve_predicts_make_reservations(self, reply_slots, per_type):
-        """The side-effect-free check the vector backend wakes on must
-        agree with the real thing, several specs per queue included."""
+        """The one reservation test is None exactly when every
+        reservation then fits, several specs per queue included, and
+        has no side effects."""
         s = make("DR", PAT721, num_vcs=4,
                  queue_mode="per-type" if per_type else "auto")
         m3 = GENERIC_MSI.type_named("m3")
@@ -181,16 +196,33 @@ class TestMakeReservations:
                              else [4, reply_slots])
         cont = (MessageSpec(m3, 5, (MessageSpec(m4, 5),)), MessageSpec(m4, 9))
         before = [q.reserved for q in bank.queues]
-        predicted = s.can_reserve(5, bank, cont)
+        predicted = s.reservation_blocker(5, bank, cont) is None
         assert [q.reserved for q in bank.queues] == before
-        assert predicted == s.make_reservations(5, bank, cont)
+        assert predicted == self.reservations_fit(s, 5, bank, cont)
+
+    @pytest.mark.parametrize("reply_slots", [0, 1, 2])
+    def test_vacating_head_slot_backs_one_reservation(self, reply_slots):
+        """With the head of the reply queue about to pop, its slot
+        counts: the test passes exactly when the reservations fit once
+        the head is gone."""
+        s = make("DR", PAT721, num_vcs=4)
+        m3 = GENERIC_MSI.type_named("m3")
+        m4 = GENERIC_MSI.type_named("m4")
+        bank = self.FakeBank([4, reply_slots + 1])
+        head_q = bank.queue(1)
+        head_q.push(Message(m3, src=9, dst=5))  # reply_slots left free
+        cont = (MessageSpec(m3, 5, (MessageSpec(m4, 5),)),)
+        predicted = s.reservation_blocker(5, bank, cont, vacating=head_q)
+        assert predicted == (None if reply_slots >= 1 else 1)
+        head_q.pop()
+        assert (predicted is None) == self.reservations_fit(s, 5, bank, cont)
 
     def test_schemes_without_reply_preallocation_always_can(self):
         s = make("PR", PAT721, num_vcs=4)
         bank = self.FakeBank([0])
         cont = (MessageSpec(GENERIC_MSI.type_named("m4"), 5),)
-        assert s.can_reserve(5, bank, cont)
-        assert s.make_reservations(5, bank, cont)
+        assert s.reservation_blocker(5, bank, cont) is None
+        s.make_reservations(5, bank, cont)
         assert bank.queue(0).reserved == 0
 
 
