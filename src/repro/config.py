@@ -90,9 +90,6 @@ class SimConfig:
     detection_threshold: int = _opt(
         25, "endpoint detector timeout T in cycles (Section 4.1)",
         metavar="T")
-    occupancy_threshold: float = _opt(
-        1.0, "occupancy fraction both coupled queues must exceed"
-        " (1.0 = full)", metavar="F")
     timeout_threshold: int = _opt(
         200, "timeout detector: cycles a waiting head may see no queue"
         " progress", metavar="T")
@@ -105,17 +102,6 @@ class SimConfig:
     router_timeout: int = _opt(
         25, "PR: cycles a header may block in-network before the token"
         " may rescue it (Disha timeout)", metavar="T")
-    #: "minimum" is the paper's evaluation setting; "drain" keeps
-    #: deflecting queue heads until one would generate a terminating
-    #: reply or the output request queue falls below its threshold (the
-    #: DASH behaviour of the paper's footnote 4).
-    recovery_policy: str = _opt(
-        "minimum", "DR: deflect one message per detection, or drain the"
-        " queue", choices=("minimum", "drain"))
-    #: the paper notes the token path is logical and configurable.
-    token_ring: str = _opt(
-        "interleaved", "PR token order: each router then its NIs, or all"
-        " routers then all NIs", choices=("interleaved", "routers-first"))
 
     # --- traffic ---
     pattern: str = _opt("PAT721", "transaction pattern (Table 3)")

@@ -12,7 +12,7 @@ from repro.core.schemes import (
     build_scheme,
     walk_specs,
 )
-from repro.core.token import Stop, Token, build_ring, default_ring, routers_first_ring
+from repro.core.token import Stop, Token, default_ring
 
 __all__ = [
     "Scheme",
@@ -28,8 +28,6 @@ __all__ = [
     "Token",
     "Stop",
     "default_ring",
-    "routers_first_ring",
-    "build_ring",
     "build_wait_for_graph",
     "find_knots",
     "detect_deadlock",

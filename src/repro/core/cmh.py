@@ -38,8 +38,10 @@ from repro.protocol.probe import Probe
 class CmhSite(DetectorPair):
     """One NI coupling watched by the CMH detector.
 
-    The local blocked predicate and declaration latch are maintained by
-    :meth:`CmhDetector.pre_step`, so :meth:`update` has nothing to do
+    The local blocked predicate is the endpoint detector's own
+    :meth:`~DetectorPair.conditions`; the blocked span and declaration
+    latch are maintained by :meth:`CmhDetector.pre_step`, so
+    :meth:`update` has nothing to do
     and :meth:`fired` reports the latch: the scheme controllers drive
     this site exactly like any other.
     """
@@ -144,22 +146,8 @@ class CmhDetector(Detector):
         self.probe_hops = 0
 
     # ------------------------------------------------------------------
-    # Blocked predicates
+    # Forwarding predicate (a site initiates on its own conditions())
     # ------------------------------------------------------------------
-    @staticmethod
-    def _strongly_blocked(site: CmhSite) -> bool:
-        """The endpoint detector's conditions 1-2: initiation-grade."""
-        controller = site.ni.controller
-        if controller.current is not None and controller.current_in_cls == site.in_cls:
-            return False
-        in_q = site._in_q
-        out_q = site._out_q
-        return (
-            site._queue_stressed(in_q)
-            and site._queue_stressed(out_q)
-            and site._head_eligible(in_q.entries[0] if in_q.entries else None)
-        )
-
     @staticmethod
     def _forward_blocked(site: CmhSite) -> bool:
         """Looser forwarding predicate: a waiting head, wedged output.
@@ -202,7 +190,7 @@ class CmhDetector(Detector):
 
     def _update_blocked(self, now: int) -> None:
         for site in self.sites:
-            if self._strongly_blocked(site):
+            if site.conditions():
                 if site.blocked_since < 0:
                     site.blocked_since = now
             elif site.blocked_since >= 0 or site.declared_at >= 0:

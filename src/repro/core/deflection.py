@@ -40,13 +40,6 @@ class DeflectionController:
         det.report_firing(self.scheme.tracer, now)
         if not self._try_deflect(det, now):
             return False
-        if self.scheme.config.recovery_policy == "drain":
-            # DASH behaviour (paper footnote 4): keep removing queue
-            # heads until one would generate a terminating reply or the
-            # output queue drops below threshold.
-            out_q = det.ni.out_bank.queue(det.out_cls)
-            while out_q.admission_full and self._try_deflect(det, now):
-                pass
         det.reset(now)
         return True
 

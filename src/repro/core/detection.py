@@ -4,7 +4,7 @@ Implements the three-condition detector of Section 2.2 (as used by the
 Origin2000 and assumed by the paper's DR/PR evaluations):
 
 1. the input queue holding a message type *and* the output queue its
-   subordinate would enter are both filled beyond a threshold;
+   subordinate would enter are both full;
 2. the message at the head of the input queue is one that generates a
    (for DR: request-class) non-terminating subordinate;
 3. conditions 1-2 persist for more than a timeout of ``T`` cycles with
@@ -45,7 +45,6 @@ class DetectorPair:
     in_cls: int
     out_cls: int
     threshold: int
-    occupancy_threshold: float
     require_request_child: bool
     since: int = -1
     last_version: int = -1
@@ -53,21 +52,10 @@ class DetectorPair:
     episode_counted: bool = field(default=False)
     _in_q: object = field(default=None, init=False, repr=False)
     _out_q: object = field(default=None, init=False, repr=False)
-    _full_mode: bool = field(default=True, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._in_q = self.ni.in_bank.queue(self.in_cls)
         self._out_q = self.ni.out_bank.queue(self.out_cls)
-        # The common configuration (threshold >= 1.0) reduces "stressed"
-        # to admission_full; precomputed so conditions() can inline the
-        # slot arithmetic instead of chaining two property lookups per
-        # queue.
-        self._full_mode = self.occupancy_threshold >= 1.0
-
-    def _queue_stressed(self, q) -> bool:
-        if self.occupancy_threshold >= 1.0:
-            return q.admission_full
-        return q.occupancy >= self.occupancy_threshold * q.capacity
 
     def _head_eligible(self, head: Message | None) -> bool:
         if head is None or not head.continuation:
@@ -90,17 +78,11 @@ class DetectorPair:
             return False
         in_q = self._in_q
         out_q = self._out_q
-        if self._full_mode:
-            # Inline _queue_stressed/admission_full/free_slots.
-            return (
-                in_q.capacity - len(in_q.entries) - in_q.held - in_q.reserved <= 0
-                and out_q.capacity - len(out_q.entries) - out_q.held - out_q.reserved
-                <= 0
-                and self._head_eligible(in_q.entries[0] if in_q.entries else None)
-            )
+        # Condition 1 is "both queues full" (admission_full, inlined).
         return (
-            self._queue_stressed(in_q)
-            and self._queue_stressed(out_q)
+            in_q.capacity - len(in_q.entries) - in_q.held - in_q.reserved <= 0
+            and out_q.capacity - len(out_q.entries) - out_q.held - out_q.reserved
+            <= 0
             and self._head_eligible(in_q.entries[0] if in_q.entries else None)
         )
 
@@ -153,7 +135,7 @@ class DetectorPair:
 class TimeoutSite(DetectorPair):
     """Cheap timeout heuristic: any waiting head + no queue progress.
 
-    Drops conditions 1-2 of the endpoint detector (queue stress, head
+    Drops conditions 1-2 of the endpoint detector (full queues, head
     eligibility): the site fires whenever the input queue has held at
     least one message through ``timeout_threshold`` cycles of unchanged
     queue versions.  Deliberately false-positive-prone — a memory
@@ -215,7 +197,6 @@ def build_detectors(
                     in_cls=in_cls,
                     out_cls=out_cls,
                     threshold=threshold,
-                    occupancy_threshold=scheme.config.occupancy_threshold,
                     require_request_child=require_request_child,
                 )
             )

@@ -40,7 +40,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.core.detectors import build_detector
-from repro.core.token import Stop, Token, build_ring
+from repro.core.token import Stop, Token, default_ring
 from repro.protocol.message import Message
 from repro.util.errors import SimulationError
 
@@ -147,9 +147,9 @@ class ProgressiveController:
         self.topology = engine.topology
         self.detector = build_detector(scheme, engine, require_request_child=False)
         scheme.detector = self.detector
-        self.token = Token(
-            build_ring(engine.topology, scheme.config.token_ring)
-        )
+        self.token = Token(default_ring(engine.topology))
+        #: a header blocked longer than this may be rescued at its router.
+        self.router_timeout = scheme.config.router_timeout
         self.lane = RecoveryLane(engine.topology)
         self.phase = ProgressiveController.IDLE
         self.capture_stop: Stop | None = None
@@ -210,24 +210,11 @@ class ProgressiveController:
         if stop.kind == "ni":
             self._capture_at_ni(stop, now)
         else:
-            sender = self._blocked_at_router(stop.ident, now)
+            sender = self.engine.fabric.longest_blocked(
+                stop.ident, now, self.router_timeout
+            )
             if sender is not None:
                 self._capture_at_router(stop, sender, now)
-
-    def _blocked_at_router(self, router: int, now: int):
-        """Longest-blocked frontier packet at a router, if over threshold."""
-        threshold = self.scheme.config.router_timeout
-        best = None
-        best_since = None
-        for s in self.engine.fabric.frontier_senders():
-            msg = s.owner
-            if s.router != router or msg.blocked_since < 0:
-                continue
-            if now - msg.blocked_since > threshold:
-                if best is None or msg.blocked_since < best_since:
-                    best = s
-                    best_since = msg.blocked_since
-        return best
 
     def _capture_at_ni(self, stop: Stop, now: int) -> None:
         """Rescue the head of the first fired pair at the NI whose head

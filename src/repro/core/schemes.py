@@ -191,14 +191,6 @@ class Scheme(ABC):
                     return i
         raise ConfigurationError(f"message type {mtype.name} not in {self.types_used}")
 
-    def request_couplings(self) -> set[tuple[str, str]]:
-        """Couplings whose subordinate is a request-class type."""
-        out = set()
-        for parent, child in self.couplings:
-            if self.protocol.type_named(child).net_class == NetClass.REQUEST:
-                out.add((parent, child))
-        return out
-
     def describe(self) -> dict:
         """Human-readable summary used by examples and experiment logs."""
         return {

@@ -1,7 +1,7 @@
 """The circulating token of Extended Disha Sequential.
 
 One token exists per network.  While *circulating* it advances one stop
-per cycle along a configurable logical ring that visits every router
+per cycle along a logical ring that visits every router
 **and** every network interface (the paper's first extension of Disha:
 the token path includes network endpoints).  A stop with a detected
 potential deadlock *captures* the token; the holder gains exclusive use
@@ -30,8 +30,8 @@ def default_ring(topology: Topology) -> list[Stop]:
     """Router order with each router's NIs interleaved after it.
 
     The paper notes the token path is logical and configurable; this
-    default simply snakes through router ids, visiting bristled NIs
-    immediately after their router.
+    ring, the only one, simply snakes through router ids, visiting
+    bristled NIs immediately after their router.
     """
     stops: list[Stop] = []
     for r in range(topology.num_routers):
@@ -39,24 +39,6 @@ def default_ring(topology: Topology) -> list[Stop]:
         for node in topology.nodes_of_router(r):
             stops.append(Stop("ni", node))
     return stops
-
-
-def routers_first_ring(topology: Topology) -> list[Stop]:
-    """Alternative logical ring: every router, then every NI."""
-    stops = [Stop("router", r) for r in range(topology.num_routers)]
-    stops += [Stop("ni", n) for n in range(topology.num_nodes)]
-    return stops
-
-
-RING_BUILDERS = {
-    "interleaved": default_ring,
-    "routers-first": routers_first_ring,
-}
-
-
-def build_ring(topology: Topology, order: str = "interleaved") -> list[Stop]:
-    """Ring of the named order (see ``SimConfig.token_ring``)."""
-    return RING_BUILDERS[order](topology)
 
 
 class Token:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from repro.config import SimConfig
 from repro.faults.models import FaultSpec
-from repro.sim.parallel import code_version, config_to_dict, point_key
+from repro.sim.parallel import _CONFIG_FIELDS, code_version, config_to_dict, point_key
 from repro.util.atomic import write_json_atomic
 from repro.util.errors import ConfigurationError
 
@@ -36,7 +36,14 @@ STATE_FILENAME = "state.json"
 
 def config_from_dict(payload: dict) -> SimConfig:
     """Rebuild a :class:`SimConfig` from what
-    :func:`~repro.sim.parallel.config_to_dict` returned."""
+    :func:`~repro.sim.parallel.config_to_dict` returned.  A key this
+    version has no field for raises :class:`ConfigurationError`."""
+    unknown = payload.keys() - _CONFIG_FIELDS
+    if unknown:
+        raise ConfigurationError(
+            f"config has unknown field(s) {', '.join(sorted(unknown))};"
+            " it was written by another version: re-plan with this version"
+        )
     data = dict(payload)
     data["dims"] = tuple(data["dims"])
     data["faults"] = tuple(
@@ -141,5 +148,9 @@ class CampaignSpec:
         except OSError as exc:
             raise ConfigurationError(
                 f"no campaign plan at {path} ({exc})"
+            ) from exc
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"campaign plan {path} is not valid JSON ({exc})"
             ) from exc
         return cls.from_dict(payload)

@@ -349,6 +349,21 @@ class Fabric:
         """Senders holding a packet header that is not yet routed onward."""
         return [s for s in self.pending if s.owner is not None and s.next_sink is None]
 
+    def longest_blocked(self, router: int, now: int, threshold: int):
+        """The frontier sender at ``router`` whose header has been
+        blocked longest, if more than ``threshold`` cycles; the first in
+        frontier order wins a tie (PR's router capture)."""
+        best = None
+        best_since = None
+        for s in self.frontier_senders():
+            since = s.owner.blocked_since
+            if s.router != router or since < 0 or now - since <= threshold:
+                continue
+            if best is None or since < best_since:
+                best = s
+                best_since = since
+        return best
+
     def owned_channels(self):
         """Every owned virtual channel (in link order), then every owned
         injection channel, each with the virtual channel its packet is

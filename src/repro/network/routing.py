@@ -74,16 +74,6 @@ class VcMap:
         esc = 1 if self.escape[cls] is not None else 0
         return esc + len(self.adaptive[cls])
 
-    def classes_of_vc(self, vc_index: int) -> list[int]:
-        """Logical networks allowed to use a VC index (for validation)."""
-        out = []
-        for cls in range(self.num_classes):
-            pair = self.escape[cls]
-            if (pair is not None and vc_index in pair) or vc_index in self.adaptive[
-                cls
-            ]:
-                out.append(cls)
-        return out
 
 
 def partitioned_vc_map(

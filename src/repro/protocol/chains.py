@@ -67,14 +67,6 @@ class Protocol:
     def max_chain_length(self) -> int:
         return len(self.types)
 
-    def subordinate_pairs(self) -> set[tuple[str, str]]:
-        """All ``(a, b)`` with ``a < b`` in the protocol's total order."""
-        pairs: set[tuple[str, str]] = set()
-        for i, a in enumerate(self.types):
-            for b in self.types[i + 1 :]:
-                pairs.add((a.name, b.name))
-        return pairs
-
     def validate_chain(self, names: list[str]) -> None:
         """Ensure ``names`` respects the total order (used by tests)."""
         idx = [self.type_named(n).index for n in names]

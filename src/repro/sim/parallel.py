@@ -105,8 +105,8 @@ _fault_values = attrgetter(*_FAULT_FIELDS)
 #: a ``FaultSpec`` is the one config value JSON cannot take as it is.
 _encode_key = json.JSONEncoder(default=_fault_values).encode
 _detector_values = attrgetter(
-    "detector", "detection_threshold", "occupancy_threshold",
-    "timeout_threshold", "cmh_block_threshold", "cmh_probe_interval",
+    "detector", "detection_threshold", "timeout_threshold",
+    "cmh_block_threshold", "cmh_probe_interval",
 )
 #: the fields a :class:`RunResult` shares with the config it answers.
 point_identity = attrgetter("scheme", "pattern", "num_vcs", "load")

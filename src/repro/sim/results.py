@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -50,17 +49,8 @@ class SweepResult:
         """Highest delivered throughput along the curve (the knee)."""
         return max(self.throughputs(), default=0.0)
 
-    def latency_at_load(self, load: float) -> float:
-        for p in self.points:
-            if abs(p.load - load) < 1e-12:
-                return p.mean_latency
-        raise KeyError(f"no point at load {load}")
-
     def to_dict(self) -> dict:
         return {"label": self.label, "points": [p.to_dict() for p in self.points]}
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def burton_normal_form(sweep: SweepResult) -> list[tuple[float, float]]:

@@ -139,10 +139,10 @@ not, and each is reported where the reference reports it:
 * *``blocked_since`` at a router capture.*  While a header waits in
   the network only the kernel's ``m_blocked`` is current; the message's
   ``blocked_since`` is stale until ``detach_frontier`` copies it back,
-  which is after ``token_captured`` has reported it — so the
-  kernel-routed ``_blocked_at_router`` copies it before returning the
-  sender.  Nothing but the trace payload reads the field in between, so
-  no result can tell.  (An NI capture reports a fired pair's ``since``,
+  which is after ``token_captured`` has reported it — so
+  :meth:`VectorFabric.longest_blocked`, the router-capture query, copies
+  it before returning the sender.  Nothing but the trace payload reads
+  the field in between, so no result can tell.  (An NI capture reports a fired pair's ``since``,
   which the bank keeps current.)
 
 The CMH detector moves its probes every cycle, so under it
@@ -401,8 +401,6 @@ class VectorEngine(Engine):
                     step(now, nodes)
 
             self._scheme_step = _scheme_step
-        if scheme.name == "PR":
-            self._install_pr_hooks()
         dirty = self._det_bank.dirty if self._det_bank is not None else None
 
         # Queue hooks: kernel slot mirror (input queues), wakes, and
@@ -547,25 +545,3 @@ class VectorEngine(Engine):
             (ni.source_queue and ni.can_admit()) or _loadable(ni)
         ):
             self._due_next[node] = 1
-
-    def _install_pr_hooks(self) -> None:
-        """Route the router-capture scan through the kernel, and bring
-        the ``blocked_since`` a capture reports up to date first (module
-        docstring, "Tracing")."""
-        pc = self.scheme.controller
-        fabric = self.fabric
-        lib = fabric._lib
-        k = fabric._k
-        timeout = self.scheme.config.router_timeout
-
-        def _blocked_at_router(router: int, now: int):
-            sid = lib.k_longest_blocked(k, router, now, timeout)
-            if sid < 0:
-                return None
-            sender = fabric._handle(sid)
-            sender.owner.blocked_since = int(
-                fabric._m_blocked[fabric._s_owner[sid]]
-            )
-            return sender
-
-        pc._blocked_at_router = _blocked_at_router

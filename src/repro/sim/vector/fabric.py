@@ -354,6 +354,7 @@ class VectorFabric:
 
         self._lib = load_kernel()
         self._k_step = self._lib.k_step
+        self._k_longest_blocked = self._lib.k_longest_blocked
         arrays = (
             self._s_owner, self._s_sink, self._s_router,
             self._v_count, self._v_hp, self._v_flit, self._v_arr,
@@ -553,6 +554,17 @@ class VectorFabric:
                 msg.crossed_mask = int(self._m_crossed[vid])
                 out.append(s)
         return out
+
+    def longest_blocked(self, router: int, now: int, threshold: int):
+        """The reference fabric's pick, by the kernel; the winner's
+        ``blocked_since`` is copied from the arrays first, so a capture
+        reports it current."""
+        sid = self._k_longest_blocked(self._k, router, now, threshold)
+        if sid < 0:
+            return None
+        sender = self._handle(sid)
+        sender.owner.blocked_since = int(self._m_blocked[self._s_owner[sid]])
+        return sender
 
     def owned_channels(self):
         """The reference fabric's walk, in its order, over the arrays."""

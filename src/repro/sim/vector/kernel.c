@@ -514,7 +514,7 @@ int32_t k_step(void *h, int32_t now)
  * ------------------------------------------------------------------ */
 
 /* First-minimal blocked_since frontier at `router` over `threshold`,
- * mirroring ProgressiveController._blocked_at_router. */
+ * for VectorFabric.longest_blocked. */
 int32_t k_longest_blocked(void *h, int32_t router, int32_t now,
                           int32_t threshold)
 {

@@ -7,8 +7,10 @@ slots, the live-message count, and the PR token position.  Sampling
 runs only while a tracer is attached with ``sample_every > 0``; the
 scan cost is paid at sample time, never in the cycle loop.
 
-:class:`OccupancyMonitor` is the endpoint-coupling probe behind Figures
-10/11: periodic samples of NI input-queue composition by message type,
+:class:`OccupancyMonitor` is the endpoint-coupling probe behind
+``examples/endpoint_coupling.py`` (EXPERIMENTS.md), which quantifies the
+Figure 10/11 mechanism: periodic samples of NI input-queue composition
+by message type,
 from which :meth:`~OccupancyMonitor.coupling_index` computes the mean
 fraction of head-of-line blocking caused by a *different* type than the
 one waiting behind it.

@@ -278,26 +278,19 @@ def test_dr_act_log_skips_failed_retries():
     assert len(vec_failed) < len(ref_failed)
 
 
-def test_dr_drain_mode_rearm_ties_identical():
-    """Timer-expiry ordering audit: same-cycle ties + mid-step re-arm.
+def test_dr_same_cycle_ties_identical():
+    """Timer-expiry ordering audit: same-cycle ties.
 
-    DR's drain policy keeps deflecting queue heads in a while-loop after
-    the first success, which re-arms the detector *mid-step*: the
-    vector backend's poll of that node must update its later sites
-    after the mutation, and the node stays dirty so the next cycle
-    re-evaluates a still-fired site even though its calendar entry is
-    stale.  At saturation several nodes' timers expire on the same
-    cycle, so this also pins the bank's expiry ordering against the
-    reference engine's build-order scan.
+    At saturation several nodes' timers expire on the same cycle, and
+    each deflection re-arms its site, so this pins the bank's expiry
+    ordering against the reference engine's build-order scan.
     """
     snap = assert_backends_identical(
         4000,
         scheme="DR", pattern="PAT271", dims=(8, 8), num_vcs=4,
-        load=0.022, seed=4, recovery_policy="drain",
+        load=0.022, seed=4,
     )
-    assert snap["deflections"] > 1, (
-        "point too light to exercise drain-mode re-arm"
-    )
+    assert snap["deflections"] > 1, "point too light to tie timer expiries"
 
 
 _OBSERVERS = dict(cwg_interval=100, invariants_every=200, watchdog_timeout=600)
@@ -398,8 +391,6 @@ FAULTS = st.builds(
         bristling=st.sampled_from([1, 2]),
         flit_buffer_depth=st.sampled_from([1, 2, 4]),
         queue_mode=st.sampled_from(["auto", "shared", "per-net", "per-type"]),
-        recovery_policy=st.sampled_from(["minimum", "drain"]),
-        token_ring=st.sampled_from(["interleaved", "routers-first"]),
         detection_threshold=st.sampled_from([5, 25]),
         detector=st.sampled_from(["endpoint", "timeout", "cmh"]),
         timeout_threshold=st.sampled_from([20, 200]),
@@ -486,6 +477,35 @@ def test_fabric_queries_agree():
     assert ledger == buffered > 0 and bad is None
 
 
+def test_router_capture_queries_agree():
+    """PR's router capture is one fabric query: on a saturated cell
+    both fabrics pick the same header at every router on each of 200
+    cycles, and report the same ``blocked_since`` for it."""
+    def answers(engine, now):
+        out = []
+        for router in range(engine.topology.num_routers):
+            sender = engine.fabric.longest_blocked(router, now, 25)
+            if sender is not None:
+                out.append((router, sender.owner.label,
+                            sender.owner.blocked_since))
+        return out
+
+    cfg = dict(scheme="PR", pattern="PAT721", dims=(4, 4), num_vcs=4,
+               load=0.06, seed=2)
+    engines = [build_engine(SimConfig(backend=b, **cfg))
+               for b in ("reference", "vector")]
+    for engine in engines:
+        engine.run(1000)
+    captures = 0
+    for _ in range(200):
+        for engine in engines:
+            engine.step()
+        ref, vec = (answers(e, e.now) for e in engines)
+        assert ref == vec
+        captures += len(ref)
+    assert captures, "no header blocked past the router timeout"
+
+
 def test_unsupported_features_raise():
     """The one thing the kernel refuses is a route table too large for
     it: a pinned config says so at construction, before building it."""
@@ -541,9 +561,6 @@ TRACED_CELLS = {
     "DR-271-8x8-long": (dict(scheme="DR", pattern="PAT271", dims=(8, 8),
                              num_vcs=4, load=0.016, seed=3),
                         1000, 4000, {"detect", "deflect"}),
-    "DR-drain": (dict(scheme="DR", pattern="PAT271", dims=(8, 8), num_vcs=4,
-                      load=0.022, seed=4, recovery_policy="drain"),
-                 1000, 2000, {"detect", "deflect"}),
     "SA-8vc": (dict(scheme="SA", pattern="PAT721", dims=(4, 4), num_vcs=8,
                     load=0.02, seed=1),
                500, 2000, {"blocked", "unblocked", "consumed"}),

@@ -21,12 +21,6 @@ class TestGenericMsi:
     def test_max_chain_length(self):
         assert GENERIC_MSI.max_chain_length == 4
 
-    def test_subordinate_pairs_total_order(self):
-        pairs = GENERIC_MSI.subordinate_pairs()
-        assert ("m1", "m4") in pairs
-        assert ("m4", "m1") not in pairs
-        assert len(pairs) == 6  # C(4,2)
-
     def test_validate_chain_accepts_ordered(self):
         GENERIC_MSI.validate_chain(["m1", "m2", "m4"])
 

@@ -20,6 +20,10 @@ def setup_python_steps(job):
     return [s for s in job["steps"] if "setup-python" in (s.get("uses") or "")]
 
 
+def step_named(job, name):
+    return next(s for s in job["steps"] if s.get("name") == name)
+
+
 def lab_steps(workflow, *names):
     """The steps of the one ``labs-smoke`` job named ``names``, in order;
     each lab's smoke run and CLI checks are a few steps of that job."""
@@ -36,7 +40,7 @@ class TestWorkflow:
         triggers = workflow.get("on", workflow.get(True))
         assert "pull_request" in triggers and "push" in triggers
         assert set(workflow["jobs"]) == {
-            "lint", "typecheck", "test", "smoke-benchmark", "labs-smoke",
+            "static", "test", "smoke-benchmark", "labs-smoke",
             "backend-equivalence", "farm-smoke", "service-smoke",
             "bench-smoke",
         }
@@ -73,13 +77,12 @@ class TestWorkflow:
         assert matrix["python-version"] == ["3.10", "3.11", "3.12"]
 
     def test_lint_runs_ruff(self, workflow):
-        steps = workflow["jobs"]["lint"]["steps"]
-        assert any("ruff check" in (s.get("run") or "") for s in steps)
+        step = step_named(workflow["jobs"]["static"], "Lint")
+        assert "ruff check" in step["run"]
 
     def test_typecheck_runs_mypy_on_package(self, workflow):
-        steps = workflow["jobs"]["typecheck"]["steps"]
-        runs = " ".join(s.get("run") or "" for s in steps)
-        assert "mypy src/repro" in runs
+        step = step_named(workflow["jobs"]["static"], "Typecheck src/repro")
+        assert "mypy src/repro" in step["run"]
 
     def test_test_job_runs_pytest_with_src_on_path(self, workflow):
         steps = workflow["jobs"]["test"]["steps"]

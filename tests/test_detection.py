@@ -16,7 +16,6 @@ def fresh_detector(engine, node, in_cls=0, out_cls=0, threshold=25,
         in_cls=in_cls,
         out_cls=out_cls,
         threshold=threshold,
-        occupancy_threshold=1.0,
         require_request_child=require_request_child,
     )
 
@@ -155,11 +154,10 @@ class TestLazyUpdateContract:
         cycles=st.lists(_CYCLE, min_size=1, max_size=60),
         site_class=st.sampled_from([DetectorPair, TimeoutSite]),
         threshold=st.integers(0, 6),
-        occupancy=st.sampled_from([1.0, 0.5]),
         require_request_child=st.booleans(),
     )
     def test_lazy_updates_agree_with_every_cycle(
-        self, cycles, site_class, threshold, occupancy, require_request_child
+        self, cycles, site_class, threshold, require_request_child
     ):
         e = build_engine(scheme="PR", queue_capacity=3)
         ni = e.interfaces[5]
@@ -167,7 +165,6 @@ class TestLazyUpdateContract:
         mc = ni.controller
         eager, lazy = (
             site_class(ni=ni, in_cls=0, out_cls=0, threshold=threshold,
-                       occupancy_threshold=occupancy,
                        require_request_child=require_request_child)
             for _ in range(2)
         )

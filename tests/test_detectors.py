@@ -341,7 +341,7 @@ class TestTimeoutDetector:
         assert fired and fired[0] > 30
         endpoint = DetectorPair(
             ni=e.interfaces[5], in_cls=0, out_cls=0, threshold=30,
-            occupancy_threshold=1.0, require_request_child=False,
+            require_request_child=False,
         )
         assert not any(endpoint.step(c) for c in range(80, 200))
 

@@ -285,8 +285,7 @@ class TestBlockedAttemptsChangeNothing:
         deliver_direct(e, ni, head)
         req_cls = e.scheme.queue_class_of(M1)
         det = DetectorPair(ni=ni, in_cls=req_cls, out_cls=req_cls,
-                           threshold=0, occupancy_threshold=1.0,
-                           require_request_child=True)
+                           threshold=0, require_request_child=True)
         calls = count_notifies(*ni.in_bank.queues, *ni.out_bank.queues)
         for _ in range(10):
             assert not e.scheme.controller._try_deflect(det, e.now)

@@ -700,3 +700,32 @@ class TestFarmCLI:
         assert main(["farm", "resume", camp, "--hosts", "local",
                      "--cache-dir", cache]) == 0
         assert "0 computed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("damage", ["unknown-field", "torn"])
+    @pytest.mark.parametrize("command", ["run", "resume", "status"])
+    def test_unreadable_plan_is_one_line_and_exit_2(
+            self, tmp_path, capsys, damage, command):
+        """A plan another version wrote (a config key this one lacks) or
+        a torn file is a usage error naming the problem, not a traceback."""
+        from repro.cli import main
+
+        camp = tmp_path / "camp"
+        tiny_spec().save(camp)
+        path = camp / "campaign.json"
+        if damage == "unknown-field":
+            payload = json.loads(path.read_text("utf-8"))
+            payload["configs"][0]["retired_knob"] = "x"
+            path.write_text(json.dumps(payload), "utf-8")
+            expected = "retired_knob"
+        else:
+            text = path.read_text("utf-8")
+            path.write_text(text[: len(text) // 2], "utf-8")
+            expected = str(path)
+        capsys.readouterr()
+        args = ["farm", command, str(camp),
+                "--cache-dir", str(tmp_path / "cache")]
+        if command != "status":
+            args += ["--hosts", "local"]
+        assert main(args) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and expected in err[0], err

@@ -295,7 +295,6 @@ class TestResultCache:
             dict(detector="cmh"),
             dict(detector="timeout"),
             dict(detection_threshold=26),
-            dict(occupancy_threshold=0.9),
             dict(timeout_threshold=201),
             dict(cmh_block_threshold=5),
             dict(cmh_probe_interval=65),

@@ -1,79 +1,16 @@
-"""Tests for recovery-policy and token-ring configuration options."""
+"""Tests for the token ring that progressive recovery circulates."""
 
-import pytest
-
-from repro import SimConfig
-from repro.core.token import Stop, build_ring, default_ring, routers_first_ring
+from repro.core.token import default_ring
 from repro.network.topology import Torus
-from repro.protocol.transactions import PAT721
-from repro.util.errors import ConfigurationError
-from tests.helpers import build_engine, stall_endpoint
-
-
-def stall_home(engine, home):
-    nodes = engine.topology.num_nodes
-
-    def factory(i):
-        req = (home + 1 + i) % nodes
-        if req == home:
-            req = (req + 1) % nodes
-        third = (home + 5 + i) % nodes
-        while third in (home, req):
-            third = (third + 1) % nodes
-        return PAT721.build_transaction(req, home, third, engine.now, length=3)
-
-    return stall_endpoint(engine, home, factory)
-
-
-class TestDrainPolicy:
-    def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            SimConfig(recovery_policy="everything")
-
-    def test_drain_deflects_more_than_minimum(self):
-        results = {}
-        for policy in ("minimum", "drain"):
-            e = build_engine(scheme="DR", recovery_policy=policy)
-            stall_home(e, home=5)
-            while e.scheme.controller.deflections == 0 and e.now < 100:
-                e.step()
-            e.step()  # give drain its extra same-event deflections
-            results[policy] = e.scheme.controller.deflections
-        assert results["minimum"] == 1
-        assert results["drain"] > results["minimum"]
-
-    def test_drain_transactions_still_complete(self):
-        e = build_engine(scheme="DR", recovery_policy="drain")
-        roots = stall_home(e, home=5)
-        e.run(3000)
-        deflected = [r for r in roots if r.deflected]
-        assert deflected
-        for r in deflected:
-            assert r.transaction.completed
 
 
 class TestTokenRings:
-    def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            SimConfig(token_ring="zigzag")
-
     def test_ring_builders_cover_all_stops(self):
-        topo = Torus((2, 2), bristling=2)
-        for order in ("interleaved", "routers-first"):
-            stops = build_ring(topo, order)
-            routers = {s.ident for s in stops if s.kind == "router"}
-            nis = {s.ident for s in stops if s.kind == "ni"}
-            assert routers == set(range(4))
-            assert nis == set(range(8))
-
-    def test_orders_differ(self):
-        topo = Torus((2, 2))
-        assert default_ring(topo) != routers_first_ring(topo)
-        assert routers_first_ring(topo)[:4] == [Stop("router", r) for r in range(4)]
-
-    def test_pr_recovers_with_either_ring(self):
-        for order in ("interleaved", "routers-first"):
-            e = build_engine(scheme="PR", token_ring=order)
-            stall_home(e, home=5)
-            e.run(500)
-            assert e.scheme.controller.rescues >= 1, order
+        # The ring is fixed (router, then its NIs); it must still visit every
+        # router and every NI exactly once on a bristled torus.
+        stops = default_ring(Torus((2, 2), bristling=2))
+        routers = [s.ident for s in stops if s.kind == "router"]
+        nis = [s.ident for s in stops if s.kind == "ni"]
+        assert sorted(routers) == list(range(4))
+        assert sorted(nis) == list(range(8))
+        assert len(stops) == 12

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro import SimConfig
 from repro.sim.results import RunResult, SweepResult, burton_normal_form
 from repro.sim.stats import WindowCounters
@@ -29,11 +27,7 @@ class TestContainers:
         s = SweepResult("x", [mk_point(0.002, 0.05, 20), mk_point(0.004, 0.11, 26)])
         assert s.loads() == [0.002, 0.004]
         assert s.saturation_throughput() == 0.11
-        assert s.latency_at_load(0.004) == 26
-        with pytest.raises(KeyError):
-            s.latency_at_load(0.5)
         assert burton_normal_form(s) == [(0.05, 20), (0.11, 26)]
-        assert json.loads(s.to_json())["label"] == "x"
 
     def test_empty_sweep(self):
         assert SweepResult("e").saturation_throughput() == 0.0

@@ -79,10 +79,6 @@ class TestVcMapPartitioning:
         assert m.adaptive[0] == (0, 1, 2, 3)
         assert m.availability(0) == 4
 
-    def test_classes_of_vc(self):
-        m = partitioned_vc_map(8, 2, shared_extras=True)
-        assert m.classes_of_vc(0) == [0]
-        assert m.classes_of_vc(5) == [0, 1]  # shared extra
 
 
 def _escape_cdg(topology: Torus) -> nx.DiGraph:

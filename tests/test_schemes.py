@@ -6,7 +6,7 @@ from repro import SimConfig
 from repro.core.schemes import build_scheme, walk_specs
 from repro.network.topology import Torus
 from repro.protocol.chains import GENERIC_MSI, GENERIC_ORIGIN
-from repro.protocol.message import Message, MessageSpec, NetClass
+from repro.protocol.message import Message, MessageSpec
 from repro.protocol.transactions import PAT100, PAT271, PAT280, PAT721
 from repro.traffic.synthetic import pattern_couplings
 from repro.util.errors import ConfigurationError, SimulationError
@@ -109,14 +109,6 @@ class TestDeflectiveRecovery:
         assert s.vc_class_of(GENERIC_ORIGIN.type_named("FRQ")) == 0
         assert s.vc_class_of(GENERIC_ORIGIN.type_named("TRP")) == 1
 
-    def test_request_couplings(self):
-        s = make("DR", PAT721, num_vcs=4)
-        reqs = s.request_couplings()
-        assert ("m1", "m2") in reqs
-        assert all(
-            GENERIC_MSI.type_named(child).net_class == NetClass.REQUEST
-            for _, child in reqs
-        )
 
 
 class TestProgressiveRecovery:

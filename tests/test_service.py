@@ -627,7 +627,7 @@ class TestJobManager:
         assert job.computed == (0 if kind == "cached" else 2)
         assert trace == eager_job_trace(spec, [0, 1])
 
-    def test_flit_level_trace_of_a_vector_job_reruns_on_the_reference(
+    def test_flit_level_trace_of_a_vector_job_equals_the_reference(
             self, tmp_path):
         # the re-run is on the kernel, and by the equivalence contract
         # its flit-level trace is the reference engine's
